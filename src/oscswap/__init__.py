@@ -42,7 +42,6 @@ from .oracle import (
     spectrum_deviation,
 )
 from .rotation import (
-    RotationBackend,
     u_minus_s_block,
     u_minus_s_element,
     us_block,
@@ -63,7 +62,6 @@ __all__ = [
     "NonPositiveRatioError",
     "NumericalIntegrityError",
     "ReducedDensityMatrix",
-    "RotationBackend",
     "SuiteReport",
     "TruncationTooSmallError",
     "TwoModeState",

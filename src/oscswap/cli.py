@@ -196,13 +196,28 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    return run_scenario(scenario, args.out)
+    try:
+        return run_scenario(scenario, args.out)
+    except OSError as exc:
+        print(f"error: --out {args.out}: cannot write outputs ({exc.strerror or exc})",
+              file=sys.stderr)
+        return 2
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_suite(args.suite, tol=args.tol)
     print(report.format())
     return 0 if report.passed else 1
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     verify_parser = sub.add_parser("verify", help="run a verification suite")
     verify_parser.add_argument("suite", help="rotation, evolution, oracle, or exchange")
-    verify_parser.add_argument("--tol", type=float, default=None,
+    verify_parser.add_argument("--tol", type=_tolerance, default=None,
                                help="override every check tolerance")
     args = parser.parse_args(argv)
     try:

@@ -24,7 +24,7 @@ from .core import (
     norm,
     unitarity_defect,
 )
-from .rotation import RotationBackend, u_minus_s_block
+from .rotation import u_minus_s_block
 
 _UNITARITY_TOL = 1e-10
 
@@ -39,15 +39,9 @@ class EvolutionOperator:
     :func:`oscswap.core.decoupled_mixing` as ``mix``.
     """
 
-    def __init__(
-        self,
-        params: CouplingParams,
-        mix: MixingParams | None = None,
-        backend: RotationBackend = RotationBackend.CLOSED_FORM,
-    ):
+    def __init__(self, params: CouplingParams, mix: MixingParams | None = None):
         self.params = params
         self.mix = derive_mixing(params) if mix is None else mix
-        self.backend = backend
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._lock = threading.Lock()
 
@@ -55,7 +49,7 @@ class EvolutionOperator:
         with self._lock:
             data = self._blocks.get(n_total)
             if data is None:
-                w = u_minus_s_block(self.mix, n_total, backend=self.backend).entries.real.copy()
+                w = u_minus_s_block(self.mix, n_total).entries.real.copy()
                 defect = unitarity_defect(w)
                 if defect > _UNITARITY_TOL:
                     raise NumericalIntegrityError(

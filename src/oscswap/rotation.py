@@ -3,29 +3,26 @@
 The rotation maps the bare annihilation operators onto the normal-mode
 pair (a1' = c a1 + s a2, a2' = -s a1 + c a2). It conserves total quanta,
 so restricted to the block of n total quanta it is a real orthogonal
-(n+1) x (n+1) matrix. Two independent backends are provided:
+(n+1) x (n+1) matrix. Every element comes from one finite sum, evaluated
+in a numerically stabilized form. The textbook-style sum carries the
+factor (s/c)**(-2k), which overflows as s -> 0; distributing the powers
+into the summand leaves only nonnegative powers of s and c, each term
+being
 
-* ``CLOSED_FORM`` (default): a finite sum per element, evaluated in a
-  numerically stabilized form. The textbook-style sum carries the factor
-  (s/c)**(-2k), which overflows as s -> 0; distributing the powers into
-  the summand leaves only nonnegative powers of s and c, each term being
+    (-1)**(n2 - k) * C(m1, n2-k) * C(m2, k) * c**(m1-n2+2k) * s**(m2+n2-2k)
 
-      (-1)**(n2 - k) * C(m1, n2-k) * C(m2, k) * c**(m1-n2+2k) * s**(m2+n2-2k)
+times the prefactor sqrt(n1! n2! / (m1! m2!)). Bounded terms, no
+overflow. Binomials and the factorial ratio switch to log-space (lgamma)
+evaluation above total quanta 20.
 
-  times the prefactor sqrt(n1! n2! / (m1! m2!)). Bounded terms, no
-  overflow. Binomials and the factorial ratio switch to log-space
-  (lgamma) evaluation above total quanta 20.
-
-* ``RECURSION``: builds each block from the previous one by the ladder
-  recursions that follow from how the normal-mode operators act across
-  the two bases, seeded by the trivially unitary 1x1 block. This backend
-  shares no algebra with the closed form and serves as its oracle.
+:func:`verify_recursions` checks the closed form block by block against
+the ladder recursions that follow from how the normal-mode operators act
+across the two bases; that shares no algebra with the finite sum.
 
 The inverse rotation (s -> -s) differs only by the sign rule
 (-1)**(m2 - n2) and equals the transpose of the forward block.
 """
 
-import enum
 import math
 
 import numpy as np
@@ -35,19 +32,7 @@ from .core import BlockMatrix, MixingParams
 _EXACT_COMB_MAX = 20
 
 
-class RotationBackend(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    RECURSION = "recursion"
-
-
-def us_element(
-    mix: MixingParams,
-    n1: int,
-    n2: int,
-    m1: int,
-    m2: int,
-    backend: RotationBackend = RotationBackend.CLOSED_FORM,
-) -> complex:
+def us_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> complex:
     """Single element <n1, n2| R |m1, m2> of the mixing rotation.
 
     Zero unless n1 + n2 == m1 + m2. Exact values are real; the result is
@@ -57,90 +42,62 @@ def us_element(
         raise ValueError("Fock indices must be >= 0")
     if n1 + n2 != m1 + m2:
         return 0j
-    if backend is RotationBackend.RECURSION:
-        return complex(_recursion_blocks(mix.c, mix.s, n1 + n2)[-1][n2, m2])
     return complex(_element_closed_form(mix.c, mix.s, n1, n2, m1, m2))
 
 
-def u_minus_s_element(
-    mix: MixingParams,
-    n1: int,
-    n2: int,
-    m1: int,
-    m2: int,
-    backend: RotationBackend = RotationBackend.CLOSED_FORM,
-) -> complex:
+def u_minus_s_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> complex:
     """Element of the inverse rotation: (-1)**(m2 - n2) times the forward one."""
-    value = us_element(mix, n1, n2, m1, m2, backend=backend)
+    value = us_element(mix, n1, n2, m1, m2)
     return -value if (m2 - n2) % 2 else value
 
 
-def us_block(
-    mix: MixingParams,
-    n_total: int,
-    backend: RotationBackend = RotationBackend.CLOSED_FORM,
-) -> BlockMatrix:
+def us_block(mix: MixingParams, n_total: int) -> BlockMatrix:
     """Mixing rotation restricted to one total-quanta block."""
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
-    if backend is RotationBackend.RECURSION:
-        entries = _recursion_blocks(mix.c, mix.s, n_total)[-1]
-    else:
-        dim = n_total + 1
-        entries = np.empty((dim, dim), dtype=float)
-        for lr in range(dim):
-            for lc in range(dim):
-                entries[lr, lc] = _element_closed_form(
-                    mix.c, mix.s, n_total - lr, lr, n_total - lc, lc
-                )
+    dim = n_total + 1
+    entries = np.empty((dim, dim), dtype=float)
+    for lr in range(dim):
+        for lc in range(dim):
+            entries[lr, lc] = _element_closed_form(mix.c, mix.s, n_total - lr, lr, n_total - lc, lc)
     return BlockMatrix(n_total=n_total, entries=entries.astype(np.complex128))
 
 
-def u_minus_s_block(
-    mix: MixingParams,
-    n_total: int,
-    backend: RotationBackend = RotationBackend.CLOSED_FORM,
-) -> BlockMatrix:
+def u_minus_s_block(mix: MixingParams, n_total: int) -> BlockMatrix:
     """Inverse rotation block; equals the transpose of the forward block."""
-    forward = us_block(mix, n_total, backend=backend).entries
+    forward = us_block(mix, n_total).entries
     parity = (np.subtract.outer(-np.arange(n_total + 1), -np.arange(n_total + 1))) % 2
     signs = np.where(parity, -1.0, 1.0)  # (-1)**(m2 - n2) with n2 = row, m2 = column
     return BlockMatrix(n_total=n_total, entries=signs * forward)
 
 
-def verify_recursions(mix: MixingParams, n_total: int) -> float:
-    """Max absolute residual of both ladder recursions on closed-form values.
+def verify_recursions(mix: MixingParams, prev: BlockMatrix, cur: BlockMatrix) -> float:
+    """Max absolute residual of both ladder recursions between adjacent blocks.
 
-    Checks, for every index tuple in the block, that lowering one quantum
-    in either row mode reproduces the element from the next-smaller block.
-    Used as a self-test of the stabilized closed form.
+    ``prev`` and ``cur`` are rotation blocks of n - 1 and n total quanta.
+    Checks, for every index tuple of ``cur``, that lowering one quantum in
+    either row mode reproduces the elements of ``prev``. Used as a
+    self-test of the stabilized closed form.
     """
-    if n_total < 1:
-        raise ValueError(f"need n_total >= 1, got {n_total}")
+    n = cur.n_total
+    if n != prev.n_total + 1:
+        raise ValueError(f"need blocks of n - 1 and n quanta, got {prev.n_total} and {n}")
     c, s = mix.c, mix.s
-    cur = us_block(mix, n_total).entries.real
-    prev = us_block(mix, n_total - 1).entries.real
-    n = n_total
-    worst = 0.0
-    for lr in range(n + 1):
-        n1, n2 = n - lr, lr
-        for lc in range(n + 1):
-            m1, m2 = n - lc, lc
-            if n1 >= 1:
-                rhs = 0.0
-                if m1 >= 1:
-                    rhs += c * math.sqrt(m1 / n1) * prev[lr, lc]
-                if m2 >= 1:
-                    rhs += s * math.sqrt(m2 / n1) * prev[lr, lc - 1]
-                worst = max(worst, abs(cur[lr, lc] - rhs))
-            if n2 >= 1:
-                rhs = 0.0
-                if m1 >= 1:
-                    rhs += -s * math.sqrt(m1 / n2) * prev[lr - 1, lc]
-                if m2 >= 1:
-                    rhs += c * math.sqrt(m2 / n2) * prev[lr - 1, lc - 1]
-                worst = max(worst, abs(cur[lr, lc] - rhs))
-    return worst
+    big, small = cur.entries.real, prev.entries.real
+    l = np.arange(n + 1)
+    m1, m2 = n - l[:n], l[1:]  # column quanta where each lowered term exists
+    # lower one quantum in row mode 1: rows l = 0..n-1, n1 = n - l
+    rhs = np.zeros((n, n + 1))
+    n1 = (n - l[:n])[:, None]
+    rhs[:, :n] = c * np.sqrt(m1 / n1) * small
+    rhs[:, 1:] += s * np.sqrt(m2 / n1) * small
+    worst = np.max(np.abs(big[:n] - rhs))
+    # lower one quantum in row mode 2: rows l = 1..n, n2 = l
+    rhs = np.zeros((n, n + 1))
+    n2 = l[1:, None]
+    rhs[:, :n] = -s * np.sqrt(m1 / n2) * small
+    rhs[:, 1:] += c * np.sqrt(m2 / n2) * small
+    return float(max(worst, np.max(np.abs(big[1:] - rhs))))
 
 
 def _element_closed_form(c: float, s: float, n1: int, n2: int, m1: int, m2: int) -> float:
@@ -191,31 +148,3 @@ def _element_closed_form_log(
 
 def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _recursion_blocks(c: float, s: float, n_total: int) -> list[np.ndarray]:
-    """All rotation blocks 0..n_total built by the ladder recursions."""
-    blocks = [np.ones((1, 1))]
-    for n in range(1, n_total + 1):
-        prev = blocks[n - 1]
-        cur = np.zeros((n + 1, n + 1))
-        for lr in range(n + 1):
-            n1, n2 = n - lr, lr
-            for lc in range(n + 1):
-                m1, m2 = n - lc, lc
-                val = 0.0
-                if n1 >= 1:
-                    # lower one quantum in row mode 1; referenced row keeps l = n2
-                    if m1 >= 1:
-                        val += c * math.sqrt(m1 / n1) * prev[lr, lc]
-                    if m2 >= 1:
-                        val += s * math.sqrt(m2 / n1) * prev[lr, lc - 1]
-                else:
-                    # top row n1 = 0: lower in row mode 2 instead
-                    if m1 >= 1:
-                        val += -s * math.sqrt(m1 / n2) * prev[n - 1, lc]
-                    if m2 >= 1:
-                        val += c * math.sqrt(m2 / n2) * prev[n - 1, lc - 1]
-                cur[lr, lc] = val
-        blocks.append(cur)
-    return blocks

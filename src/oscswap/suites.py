@@ -20,7 +20,7 @@ from .core import (
     unitarity_defect,
 )
 from .evolution import EvolutionOperator
-from .rotation import RotationBackend, u_minus_s_block, us_block, us_element, verify_recursions
+from .rotation import u_minus_s_block, us_block, us_element, verify_recursions
 
 _X_GRID = (0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0)
 
@@ -86,20 +86,22 @@ def _params_for_detuning(x: float, lam: float = 1.0, omega2: float = 1.0) -> Cou
 
 def _rotation_suite() -> tuple[list[CheckResult], list[str]]:
     n_top = 30
-    worst_unitary = worst_inverse = worst_transpose = 0.0
-    worst_recursion = worst_backend = worst_rows = 0.0
+    worst_unitary = worst_inverse = worst_transpose = worst_recursion = worst_rows = 0.0
     for x in _X_GRID:
         mix = derive_mixing(_params_for_detuning(x))
+        prev = None
         for n in range(n_top + 1):
-            forward = us_block(mix, n).entries.real
+            block = us_block(mix, n)
+            forward = block.entries.real
             inverse = u_minus_s_block(mix, n).entries.real
             worst_unitary = max(worst_unitary, unitarity_defect(forward))
             worst_inverse = max(
                 worst_inverse, float(np.max(np.abs(inverse @ forward - np.eye(n + 1))))
             )
             worst_transpose = max(worst_transpose, float(np.max(np.abs(inverse - forward.T))))
-            if n >= 1:
-                worst_recursion = max(worst_recursion, verify_recursions(mix, n))
+            if prev is not None:
+                worst_recursion = max(worst_recursion, verify_recursions(mix, prev, block))
+            prev = block
             for l in range(n + 1):
                 scale = math.sqrt(math.comb(n, l))
                 top_row = scale * mix.c ** (n - l) * mix.s**l
@@ -110,18 +112,11 @@ def _rotation_suite() -> tuple[list[CheckResult], list[str]]:
                 ):
                     denom = max(abs(reference), 1e-300)
                     worst_rows = max(worst_rows, abs(got - reference) / denom)
-    for x in (0.0, 1.0, 5.0, -5.0):
-        mix = derive_mixing(_params_for_detuning(x))
-        for n in range(n_top + 1):
-            closed = us_block(mix, n, backend=RotationBackend.CLOSED_FORM).entries
-            recursed = us_block(mix, n, backend=RotationBackend.RECURSION).entries
-            worst_backend = max(worst_backend, float(np.max(np.abs(closed - recursed))))
     checks = [
         CheckResult("block unitarity, n <= 30, detuning grid", worst_unitary, 1e-10),
         CheckResult("inverse times forward equals identity", worst_inverse, 1e-10),
         CheckResult("inverse block equals forward transpose", worst_transpose, 1e-10),
         CheckResult("ladder recursion residuals", worst_recursion, 1e-10),
-        CheckResult("closed form vs recursion backend", worst_backend, 1e-10),
         CheckResult("special first-row/column elements (relative)", worst_rows, 1e-12),
     ]
     return checks, []

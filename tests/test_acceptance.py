@@ -12,21 +12,15 @@ from oscswap.analysis import (
     complete_exchange_ratio,
     exchange_fidelity,
     exchange_times,
-    find_exchange_time,
     reduce,
     verify_statistics_exchange,
 )
 from oscswap.cli import main
-from oscswap.core import (
-    CouplingParams,
-    derive_mixing,
-    make_product_state,
-    unitarity_defect,
-)
+from oscswap.core import CouplingParams, make_product_state
 from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import compare_to_analytic, spectrum_deviation
-from oscswap.rotation import u_minus_s_block, us_block, us_element, verify_recursions
-from conftest import params_for_detuning, random_phi
+from oscswap.suites import verify_suite
+from conftest import random_phi
 
 
 @contextmanager
@@ -37,6 +31,14 @@ def criterion(num, name):
         print(f"[FAIL] criterion {num}: {name}")
         raise
     print(f"[PASS] criterion {num}: {name}")
+
+
+def assert_suite_checks(suite, names):
+    """Assert the named checks of one verification suite, each below its tolerance."""
+    checks = {check.name: check for check in verify_suite(suite).checks}
+    for name in names:
+        check = checks[name]
+        assert check.residual < check.tolerance, f"{name}: residual {check.residual:.3e}"
 
 
 def random_coupling(rng):
@@ -71,48 +73,21 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_closed_form_identities():
     with criterion(2, "transfer/survival closed forms match the generic sums (n <= 20, 1e-10)"):
-        worst = 0.0
-        for x in (0.0, 1.0, -1.0, 5.0, -5.0):
-            lam = 0.7
-            evo = EvolutionOperator(params_for_detuning(x, lam=lam, omega2=1.3))
-            for lam_t in (0.0, 0.3, 1.0, 2.2, 5.0, 9.1):
-                t = lam_t / lam
-                for n in range(21):
-                    worst = max(
-                        worst,
-                        abs(evo.transfer_amplitude(n, t) - evo.ut_element(0, n, n, 0, t)),
-                        abs(evo.survival_amplitude(n, t) - evo.ut_element(n, 0, n, 0, t)),
-                    )
-        assert worst < 1e-10, f"worst deviation {worst:.3e}"
+        assert_suite_checks("evolution", ["closed-form transfer/survival vs generic sum, n <= 20"])
 
 
 def test_criterion_3_rotation_integrity():
     with criterion(3, "rotation blocks unitary, inverse exact, recursions and special rows"):
-        worst_unitary = worst_inverse = worst_recursion = worst_rows = 0.0
-        for x in (0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0):
-            mix = derive_mixing(params_for_detuning(x))
-            for n in range(31):
-                forward = us_block(mix, n).entries.real
-                inverse = u_minus_s_block(mix, n).entries.real
-                worst_unitary = max(worst_unitary, unitarity_defect(forward))
-                worst_inverse = max(
-                    worst_inverse, float(np.max(np.abs(inverse @ forward - np.eye(n + 1))))
-                )
-                if n >= 1:
-                    worst_recursion = max(worst_recursion, verify_recursions(mix, n))
-                for l in range(n + 1):
-                    scale = math.sqrt(math.comb(n, l))
-                    top = scale * mix.c ** (n - l) * mix.s**l
-                    bottom = scale * (-1.0) ** (n - l) * mix.c**l * mix.s ** (n - l)
-                    for expected, got in (
-                        (top, us_element(mix, n, 0, n - l, l).real),
-                        (bottom, us_element(mix, 0, n, n - l, l).real),
-                    ):
-                        worst_rows = max(worst_rows, abs(got - expected) / abs(expected))
-        assert worst_unitary < 1e-10, f"unitarity defect {worst_unitary:.3e}"
-        assert worst_inverse < 1e-10, f"inverse defect {worst_inverse:.3e}"
-        assert worst_recursion < 1e-10, f"recursion residual {worst_recursion:.3e}"
-        assert worst_rows < 1e-12, f"special-row relative error {worst_rows:.3e}"
+        assert_suite_checks(
+            "rotation",
+            [
+                "block unitarity, n <= 30, detuning grid",
+                "inverse times forward equals identity",
+                "inverse block equals forward transpose",
+                "ladder recursion residuals",
+                "special first-row/column elements (relative)",
+            ],
+        )
 
 
 def test_criterion_4_statistics_exchange():
@@ -177,14 +152,7 @@ def test_criterion_6_headline_numbers():
 
 def test_criterion_7_detuning_law():
     with criterion(7, "numerical peak of single-quantum transfer equals 1/(1+x^2) (1e-10)"):
-        worst = 0.0
-        for x in (0.0, 0.5, 1.0, 2.0, 5.0):
-            lam = 0.8
-            evo = EvolutionOperator(params_for_detuning(x, lam=lam, omega2=1.1))
-            tau0 = exchange_times(evo.mix, lam, 0)[0]
-            _, peak = find_exchange_time(evo, [0.0, 1.0], 0.5 * tau0, 1.5 * tau0)
-            worst = max(worst, abs(peak - 1.0 / (1.0 + x * x)))
-        assert worst < 1e-10, f"worst deviation {worst:.3e}"
+        assert_suite_checks("exchange", ["peak single-quantum transfer equals 1/(1+x^2)"])
 
 
 def test_criterion_8_spectrum_identity():

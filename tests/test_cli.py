@@ -263,6 +263,15 @@ outputs: [fidelity]
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "inside-file"])
+    def test_out_is_a_file(self, tmp_path, capsys, below):
+        scenario = write_scenario(tmp_path, QUBIT_SCAN)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        assert main(["run", str(scenario), "--out", str(taken / below)]) == 2
+        assert "error: --out" in capsys.readouterr().err
+        assert taken.read_text() == "keep me\n"
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["evolution", "oracle", "exchange"])
@@ -274,7 +283,9 @@ class TestVerifyCommand:
 
     def test_rotation_suite_passes(self, capsys):
         assert main(["verify", "rotation"]) == 0
-        assert "result: PASS" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "result: PASS" in stdout
+        assert stdout.count("[PASS]") == 5
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "bogus"]) == 2
@@ -284,6 +295,13 @@ class TestVerifyCommand:
         # an absurdly tight tolerance flips the battery to FAIL, exit 1
         assert main(["verify", "oracle", "--tol", "1e-30"]) == 1
         assert "result: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+    def test_invalid_tolerance_is_rejected(self, capsys, tol):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "oracle", "--tol", tol])
+        assert excinfo.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_verify_schedule_in_scenario(self, tmp_path, capsys):
         scenario = write_scenario(

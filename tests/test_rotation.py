@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from oscswap.core import derive_mixing, unitarity_defect
+from oscswap.core import BlockMatrix, derive_mixing, unitarity_defect
 from oscswap.rotation import (
-    RotationBackend,
     u_minus_s_block,
     u_minus_s_element,
     us_block,
@@ -104,20 +103,6 @@ class TestBlocks:
         for n in (1, 2, 5, 12, 21, 30):
             assert unitarity_defect(us_block(mix, n).entries) < 1e-10
 
-    def test_backends_agree_at_unit_detuning_block_twenty(self):
-        mix = mixing_for_detuning(1.0)
-        closed = us_block(mix, 20, backend=RotationBackend.CLOSED_FORM).entries
-        recursed = us_block(mix, 20, backend=RotationBackend.RECURSION).entries
-        assert np.max(np.abs(closed - recursed)) < 1e-10
-
-    @pytest.mark.parametrize("x", (0.0, -1.0, 5.0))
-    @pytest.mark.parametrize("n", [3, 11, 25, 30])
-    def test_backends_agree(self, x, n):
-        mix = mixing_for_detuning(x)
-        closed = us_block(mix, n, backend=RotationBackend.CLOSED_FORM).entries
-        recursed = us_block(mix, n, backend=RotationBackend.RECURSION).entries
-        assert np.max(np.abs(closed - recursed)) < 1e-10
-
     @settings(max_examples=25)
     @given(
         x=st.floats(-8.0, 8.0),
@@ -143,16 +128,85 @@ class TestBlocks:
             us_block(derive_mixing(resonant), -1)
 
 
+# (x, n, tolerance) points at which the closed form must satisfy both ladder relations
+LADDER_CASES = [(x, n, 1e-10) for x in (0.0, -1.0, 5.0) for n in (3, 11, 25, 30)] + [
+    (1.0, 20, 1e-10),
+    (0.0, 10, 1e-11),
+    (5.0, 10, 1e-10),
+]
+
+
+def ladder_residual(mix, n):
+    return verify_recursions(mix, us_block(mix, n - 1), us_block(mix, n))
+
+
+def looped_ladder_residual(mix, prev, cur):
+    """Element-by-element form of verify_recursions, kept as its reference."""
+    c, s = mix.c, mix.s
+    small, big = prev.entries.real, cur.entries.real
+    n = cur.n_total
+    worst = 0.0
+    for lr in range(n + 1):
+        n1, n2 = n - lr, lr
+        for lc in range(n + 1):
+            m1, m2 = n - lc, lc
+            if n1 >= 1:
+                rhs = 0.0
+                if m1 >= 1:
+                    rhs += c * math.sqrt(m1 / n1) * small[lr, lc]
+                if m2 >= 1:
+                    rhs += s * math.sqrt(m2 / n1) * small[lr, lc - 1]
+                worst = max(worst, abs(big[lr, lc] - rhs))
+            if n2 >= 1:
+                rhs = 0.0
+                if m1 >= 1:
+                    rhs += -s * math.sqrt(m1 / n2) * small[lr - 1, lc]
+                if m2 >= 1:
+                    rhs += c * math.sqrt(m2 / n2) * small[lr - 1, lc - 1]
+                worst = max(worst, abs(big[lr, lc] - rhs))
+    return worst
+
+
 class TestRecursionResiduals:
     def test_small_block_any_mix(self, detuned):
-        assert verify_recursions(derive_mixing(detuned), 1) < 1e-12
+        assert ladder_residual(derive_mixing(detuned), 1) < 1e-12
 
-    def test_resonance_block_ten(self):
-        assert verify_recursions(mixing_for_detuning(0.0), 10) < 1e-11
+    @pytest.mark.parametrize(
+        "x, n, tol", LADDER_CASES, ids=[f"x{x:g}-n{n}" for x, n, _ in LADDER_CASES]
+    )
+    def test_closed_form_satisfies_ladder(self, x, n, tol):
+        assert ladder_residual(mixing_for_detuning(x), n) < tol
 
-    def test_strong_detuning_block_ten(self):
-        assert verify_recursions(mixing_for_detuning(5.0), 10) < 1e-10
+    @pytest.mark.parametrize("x", (0.0, 1.0, -5.0))
+    def test_matches_element_loop(self, x):
+        # same arithmetic per element, so equal to the last bit, on closed-form
+        # blocks and on arbitrary ones
+        mix = mixing_for_detuning(x)
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 7, 21, 30):
+            arbitrary = (
+                BlockMatrix(n - 1, rng.normal(size=(n, n))),
+                BlockMatrix(n, rng.normal(size=(n + 1, n + 1))),
+            )
+            for prev, cur in ((us_block(mix, n - 1), us_block(mix, n)), arbitrary):
+                assert verify_recursions(mix, prev, cur) == looped_ladder_residual(mix, prev, cur)
+
+    def test_one_shifted_element_is_detected(self):
+        mix = mixing_for_detuning(0.5)
+        prev, cur = us_block(mix, 7), us_block(mix, 8).entries.copy()
+        cur[3, 5] += 1e-8
+        assert verify_recursions(mix, prev, BlockMatrix(8, cur)) >= 1e-9
+
+    def test_one_flipped_sign_is_detected(self):
+        mix = mixing_for_detuning(0.0)
+        prev, cur = us_block(mix, 7), us_block(mix, 8).entries.copy()
+        cur[2, 6] = -cur[2, 6]
+        assert abs(cur[2, 6]) > 0.1
+        assert verify_recursions(mix, prev, BlockMatrix(8, cur)) > 0.1
 
     def test_requires_positive_block(self, resonant):
+        mix = derive_mixing(resonant)
         with pytest.raises(ValueError):
-            verify_recursions(derive_mixing(resonant), 0)
+            verify_recursions(mix, us_block(mix, 0), us_block(mix, 0))
+        with pytest.raises(ValueError):
+            verify_recursions(mix, us_block(mix, 1), us_block(mix, 3))
