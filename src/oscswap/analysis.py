@@ -55,13 +55,13 @@ class ReducedDensityMatrix:
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"entries must have shape ({self.dim}, {self.dim}), got {arr.shape}")
         herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > _HERMITICITY_TOL:
+        if not herm <= _HERMITICITY_TOL:
             raise NumericalIntegrityError(f"density matrix not Hermitian (defect {herm:.3e})")
         trace = float(np.real(np.trace(arr)))
-        if abs(trace - 1.0) > _TRACE_TOL:
+        if not abs(trace - 1.0) <= _TRACE_TOL:
             raise NumericalIntegrityError(f"density matrix trace is {trace!r}, expected 1")
         lowest = float(np.min(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))))
-        if lowest < _EIGENVALUE_FLOOR:
+        if not lowest >= _EIGENVALUE_FLOOR:
             raise NumericalIntegrityError(
                 f"density matrix has eigenvalue {lowest:.3e} below the floor {_EIGENVALUE_FLOOR}"
             )

@@ -77,32 +77,35 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
     if "fidelity" in scenario.outputs:
         rows = [[_fmt(float(t)), _fmt(f)] for t, f in zip(ts, fidelities)]
         _write_csv(out_dir / "fidelity.csv", ["t", "fidelity"], rows)
-    if "number_distribution" in scenario.outputs:
+    want_numbers = "number_distribution" in scenario.outputs
+    want_density = "reduced_density" in scenario.outputs
+    if want_numbers or want_density:
         dim = scenario.n_max + 1
-        header = ["t"] + [f"p1_{n}" for n in range(dim)] + [f"p2_{n}" for n in range(dim)]
-        rows = []
+        number_rows, density_rows = [], []
         for t, st in zip(ts, states):
-            p1 = np.real(np.diag(analysis.reduce(st, 1).entries))
-            p2 = np.real(np.diag(analysis.reduce(st, 2).entries))
-            rows.append([_fmt(float(t))] + [_fmt(v) for v in p1] + [_fmt(v) for v in p2])
-        _write_csv(out_dir / "number_distribution.csv", header, rows)
-    if "reduced_density" in scenario.outputs:
-        dim = scenario.n_max + 1
-        header = ["t"]
-        for mode in (1, 2):
-            for i in range(dim):
-                for j in range(dim):
-                    header += [f"rho{mode}_{i}_{j}_re", f"rho{mode}_{i}_{j}_im"]
-        rows = []
-        for t, st in zip(ts, states):
-            row = [_fmt(float(t))]
+            rhos = [analysis.reduce(st, mode).entries for mode in (1, 2)]
+            if want_numbers:
+                row = [_fmt(float(t))]
+                for rho in rhos:
+                    row += [_fmt(v) for v in np.real(np.diag(rho))]
+                number_rows.append(row)
+            if want_density:
+                row = [_fmt(float(t))]
+                for rho in rhos:
+                    for i in range(dim):
+                        for j in range(dim):
+                            row += [_fmt(rho[i, j].real), _fmt(rho[i, j].imag)]
+                density_rows.append(row)
+        if want_numbers:
+            header = ["t"] + [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)]
+            _write_csv(out_dir / "number_distribution.csv", header, number_rows)
+        if want_density:
+            header = ["t"]
             for mode in (1, 2):
-                rho = analysis.reduce(st, mode).entries
                 for i in range(dim):
                     for j in range(dim):
-                        row += [_fmt(rho[i, j].real), _fmt(rho[i, j].imag)]
-            rows.append(row)
-        _write_csv(out_dir / "reduced_density.csv", header, rows)
+                        header += [f"rho{mode}_{i}_{j}_re", f"rho{mode}_{i}_{j}_im"]
+            _write_csv(out_dir / "reduced_density.csv", header, density_rows)
     if "transfer_profile" in scenario.outputs:
         occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
         header = ["t"] + [f"transfer_prob_{n}" for n in occupied]

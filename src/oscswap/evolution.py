@@ -51,7 +51,7 @@ class EvolutionOperator:
             if data is None:
                 w = u_minus_s_block(self.mix, n_total).entries.real.copy()
                 defect = unitarity_defect(w)
-                if defect > _UNITARITY_TOL:
+                if not defect <= _UNITARITY_TOL:
                     raise NumericalIntegrityError(
                         f"rotation block {n_total} lost orthogonality (defect {defect:.3e})"
                     )
@@ -94,7 +94,7 @@ class EvolutionOperator:
         out = TwoModeState(n_max=state.n_max, blocks=tuple(blocks))
         before = norm(state)
         drift = abs(norm(out) - before)
-        if drift > 1e-10 * max(1.0, before):
+        if not drift <= 1e-10 * max(1.0, before):
             raise NumericalIntegrityError(f"evolution changed the norm by {drift:.3e}")
         return out
 

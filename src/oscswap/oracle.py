@@ -1,11 +1,13 @@
 """Brute-force verification path: explicit Hamiltonian blocks and exact
 diagonalization.
 
-This module shares nothing with the rotation/evolution modules beyond the
-core types. The Hamiltonian is written down directly from the ladder
-operators, exponentiated by real-symmetric eigendecomposition, and only
-then compared against the analytic route, so agreement between the two is
-a meaningful check rather than a tautology.
+This module shares no algebra with the rotation/evolution modules. It uses
+the core types and the normal-mode frequencies of ``derive_mixing``, and
+imports :class:`EvolutionOperator` only to compare against it. The
+Hamiltonian is written down directly from the ladder operators,
+exponentiated by real-symmetric eigendecomposition, and only then compared
+against the analytic route, so agreement between the two is a meaningful
+check rather than a tautology.
 """
 
 import math

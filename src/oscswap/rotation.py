@@ -11,9 +11,13 @@ being
 
     (-1)**(n2 - k) * C(m1, n2-k) * C(m2, k) * c**(m1-n2+2k) * s**(m2+n2-2k)
 
-times the prefactor sqrt(n1! n2! / (m1! m2!)). Bounded terms, no
-overflow. Binomials and the factorial ratio switch to log-space (lgamma)
-evaluation above total quanta 20.
+times the prefactor sqrt(n1! n2! / (m1! m2!)). The binomials and
+factorials are exact integers at every block size and are rounded to a
+double only once, per term and per prefactor. What rounding is left comes
+from the alternating sum itself, which near resonance loses about
+n log10(2) digits: at resonance (x = 0) the blocks stay orthogonal to
+1e-10 up to n = 44. From n_total = 1030 on, the integer factors no longer
+fit a double, and the elements raise ValueError.
 
 :func:`verify_recursions` checks the closed form block by block against
 the ladder recursions that follow from how the normal-mode operators act
@@ -28,8 +32,6 @@ import math
 import numpy as np
 
 from .core import BlockMatrix, MixingParams
-
-_EXACT_COMB_MAX = 20
 
 
 def us_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> complex:
@@ -103,48 +105,22 @@ def verify_recursions(mix: MixingParams, prev: BlockMatrix, cur: BlockMatrix) ->
 def _element_closed_form(c: float, s: float, n1: int, n2: int, m1: int, m2: int) -> float:
     kmin = max(0, m2 - n1)
     kmax = min(n2, m2)
-    if n1 + n2 > _EXACT_COMB_MAX:
-        return _element_closed_form_log(c, s, n1, n2, m1, m2, kmin, kmax)
-    pref = math.sqrt(
-        math.factorial(n1) * math.factorial(n2) / (math.factorial(m1) * math.factorial(m2))
-    )
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        term = (
-            math.comb(m1, n2 - k)
-            * math.comb(m2, k)
-            * c ** (m1 - n2 + 2 * k)
-            * s ** (m2 + n2 - 2 * k)
+    try:
+        pref = math.sqrt(
+            math.factorial(n1) * math.factorial(n2) / (math.factorial(m1) * math.factorial(m2))
         )
-        total += -term if (n2 - k) % 2 else term
+        total = 0.0
+        for k in range(kmin, kmax + 1):
+            term = (
+                math.comb(m1, n2 - k)
+                * math.comb(m2, k)
+                * c ** (m1 - n2 + 2 * k)
+                * s ** (m2 + n2 - 2 * k)
+            )
+            total += -term if (n2 - k) % 2 else term
+    except OverflowError:
+        raise ValueError(
+            f"rotation block n_total = {n1 + n2} is too large: its integer factors"
+            " overflow a double (the limit is n_total < 1030)"
+        ) from None
     return pref * total
-
-
-def _element_closed_form_log(
-    c: float, s: float, n1: int, n2: int, m1: int, m2: int, kmin: int, kmax: int
-) -> float:
-    # One exp per term; the lower/upper sum bounds guarantee both power
-    # exponents are nonnegative, so log(c), log(s) only multiply k >= 0.
-    log_pref = 0.5 * (
-        math.lgamma(n1 + 1) + math.lgamma(n2 + 1) - math.lgamma(m1 + 1) - math.lgamma(m2 + 1)
-    )
-    log_c = math.log(c) if c > 0.0 else -math.inf
-    log_s = math.log(s) if s > 0.0 else -math.inf
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        pow_c = m1 - n2 + 2 * k
-        pow_s = m2 + n2 - 2 * k
-        log_term = log_pref + _log_comb(m1, n2 - k) + _log_comb(m2, k)
-        if pow_c:
-            log_term += pow_c * log_c
-        if pow_s:
-            log_term += pow_s * log_s
-        if log_term == -math.inf:
-            continue
-        term = math.exp(log_term)
-        total += -term if (n2 - k) % 2 else term
-    return total
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

@@ -33,6 +33,20 @@ _OUTPUTS_BY_SCHEDULE = {
 }
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 
+# Cost budget checked at parse time, so that no scenario runs without bound.
+# An n_max = 200 run with every block occupied spends over a minute building
+# rotation blocks.
+_K_MAX_LIMIT = 1000
+_STEPS_LIMIT = 100_000
+_N_MAX_LIMIT = 200
+_CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
+_SUPPORT_FIELDS = {
+    "fock": "initial.n",
+    "qubit": "initial.n",
+    "amplitudes": "initial.values",
+    "coherent": "initial.truncation",
+}
+
 
 class ScenarioError(ValueError):
     """Invalid scenario content; ``field`` is the offending key path."""
@@ -114,16 +128,31 @@ def parse_scenario(raw: object) -> Scenario:
             raise ScenarioError("coherent_tail_threshold", "must be positive")
     _reject_unknown(top, "(top level)")
 
+    n_max_field = "n_max"
     if schedule.kind != "verify":
         support = initial.support
         if n_max is None:
             n_max = support  # the user owns the truncation; never auto-raised
+            n_max_field = _SUPPORT_FIELDS[initial.kind]
         if support > n_max:
             raise ScenarioError(
                 "n_max", f"initial state has support on n = {support} but n_max = {n_max}"
             )
     else:
         n_max = n_max if n_max is not None else 0
+    if n_max > _N_MAX_LIMIT:
+        default_note = "" if n_max_field == "n_max" else " (n_max defaults to the initial support)"
+        raise ScenarioError(
+            n_max_field, f"n_max = {n_max} is above the limit {_N_MAX_LIMIT}{default_note}"
+        )
+    if schedule.kind == "time_grid":
+        cells = schedule.steps * _csv_columns(outputs, n_max, initial.support)
+        if cells > _CSV_CELLS_LIMIT:
+            raise ScenarioError(
+                "outputs",
+                f"would write {cells} CSV cells ({schedule.steps} steps), above the limit"
+                f" {_CSV_CELLS_LIMIT}; request fewer outputs or steps",
+            )
     return Scenario(
         params=params,
         initial=initial,
@@ -157,11 +186,13 @@ def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, f
         intensity = abs(init.alpha) ** 2
         weight = math.exp(-intensity)
         kept = 0.0
+        amplitude = 1.0 + 0.0j  # alpha**n / sqrt(n!), built term by term
         phi = np.empty(init.truncation + 1, dtype=np.complex128)
         for n in range(init.truncation + 1):
-            phi[n] = init.alpha**n / math.sqrt(math.factorial(n))
+            phi[n] = amplitude
             kept += weight
             if n < init.truncation:
+                amplitude *= init.alpha / math.sqrt(n + 1)
                 weight *= intensity / (n + 1)
         discarded = max(0.0, 1.0 - kept)
         if discarded > scenario.coherent_tail_threshold:
@@ -236,11 +267,15 @@ def _parse_schedule(raw: object) -> ScheduleSpec:
         t_start = _as_number(_take(mapping, "t_start", "schedule"), "schedule.t_start")
         t_end = _as_number(_take(mapping, "t_end", "schedule"), "schedule.t_end")
         steps = _as_int(_take(mapping, "steps", "schedule"), "schedule.steps", minimum=1)
+        if steps > _STEPS_LIMIT:
+            raise ScenarioError("schedule.steps", f"must be <= {_STEPS_LIMIT}, got {steps}")
         if t_end < t_start:
             raise ScenarioError("schedule.t_end", f"must be >= t_start = {t_start}, got {t_end}")
         spec = ScheduleSpec(kind=kind, t_start=t_start, t_end=t_end, steps=steps)
     elif kind == "exchange_scan":
         k_max = _as_int(_take(mapping, "k_max", "schedule"), "schedule.k_max", minimum=0)
+        if k_max > _K_MAX_LIMIT:
+            raise ScenarioError("schedule.k_max", f"must be <= {_K_MAX_LIMIT}, got {k_max}")
         spec = ScheduleSpec(kind=kind, k_max=k_max)
     else:
         suite = _take(mapping, "suite", "schedule")
@@ -303,6 +338,22 @@ def _as_int(raw: object, field: str, minimum: int) -> int:
     if raw < minimum:
         raise ScenarioError(field, f"must be >= {minimum}, got {raw}")
     return raw
+
+
+def _csv_columns(outputs: tuple[str, ...], n_max: int, support: int) -> int:
+    """Columns written per time step, the leading ``t`` of each file included.
+
+    ``transfer_profile`` is counted at its widest, one column per level
+    1..support, before the initial state is built.
+    """
+    dim = n_max + 1
+    widths = {
+        "fidelity": 2,
+        "number_distribution": 1 + 2 * dim,
+        "reduced_density": 1 + 4 * dim * dim,
+        "transfer_profile": 1 + support,
+    }
+    return sum(widths.get(name, 0) for name in outputs)
 
 
 def _as_complex(raw: object, field: str) -> complex:

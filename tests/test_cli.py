@@ -179,6 +179,56 @@ outputs: [number_distribution]
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
 
 
+    def test_non_finite_evolution_exits_three(self, tmp_path, capsys):
+        # omega t overflows, so every phase and the norm become NaN
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0e+300, omega2: 1.0e+300, lambda: 1.0}
+initial: {kind: fock, n: 1}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0e+10, steps: 3}
+outputs: [fidelity, report]
+""",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
+        assert "changed the norm by nan" in capsys.readouterr().err
+
+    def test_resonant_run_reaches_block_44(self, tmp_path):
+        values = ", ".join(["1.0"] * 45)
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: 1.0, omega2: 1.0, lambda: 0.5}}
+initial: {{kind: amplitudes, values: [{values}]}}
+n_max: 44
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 3.0, steps: 3}}
+outputs: [fidelity]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+
+    def test_each_state_is_reduced_once_per_mode(self, tmp_path, monkeypatch):
+        import oscswap.cli as cli_module
+
+        calls = []
+        reduce = cli_module.analysis.reduce
+        monkeypatch.setattr(
+            cli_module.analysis, "reduce", lambda st, mode: calls.append(mode) or reduce(st, mode)
+        )
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: fock, n: 2}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 4}
+outputs: [number_distribution, reduced_density]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [1, 2] * 4
+
+
 class TestValidation:
     def test_negative_lambda_names_the_field(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -271,6 +321,44 @@ outputs: [fidelity]
         assert main(["run", str(scenario), "--out", str(taken / below)]) == 2
         assert "error: --out" in capsys.readouterr().err
         assert taken.read_text() == "keep me\n"
+
+
+BUDGET_BASE = """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: fock, n: 1}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}
+outputs: [fidelity]
+"""
+
+
+class TestCostBudget:
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
+             "{kind: exchange_scan, k_max: 1001}", "schedule.k_max"),
+            ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
+             "{kind: exchange_scan, k_max: 100000000}", "schedule.k_max"),
+            ("steps: 2", "steps: 100001", "schedule.steps"),
+            ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity]", "n_max"),
+            ("{kind: fock, n: 1}", "{kind: fock, n: 201}", "initial.n"),
+            ("{kind: fock, n: 1}", "{kind: qubit, c0: 0.6, cn: 0.8, n: 201}", "initial.n"),
+            ("{kind: fock, n: 1}", "{kind: amplitudes, values: [%s]}" % ", ".join(["1"] * 202),
+             "initial.values"),
+            ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 201}",
+             "initial.truncation"),
+            ("steps: 2}\noutputs: [fidelity]",
+             "steps: 80001}\nn_max: 61\noutputs: [number_distribution]", "outputs"),
+        ],
+        ids=["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
+             "coherent", "csv-cells"],
+    )
+    def test_over_budget_names_the_field(self, tmp_path, capsys, old, new, field):
+        assert old in BUDGET_BASE
+        scenario = write_scenario(tmp_path, BUDGET_BASE.replace(old, new))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f'scenario field "{field}"' in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +127,46 @@ class TestBlocks:
     def test_rejects_negative_block(self, resonant):
         with pytest.raises(ValueError):
             us_block(derive_mixing(resonant), -1)
+
+    def test_resonant_blocks_orthogonal_up_to_44(self):
+        mix = mixing_for_detuning(0.0)
+        for n in range(38, 45):
+            assert unitarity_defect(us_block(mix, n).entries) < 1e-10
+
+    def test_block_beyond_double_range_names_the_block(self):
+        with pytest.raises(ValueError, match="n_total = 1030"):
+            us_element(mixing_for_detuning(0.0), 1030, 0, 515, 515)
+
+
+def mp_element(x, n1, n2, m1, m2):
+    """The finite sum in 50-digit arithmetic, with s and c derived from x."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        h = mpmath.sqrt(1 + x * x)
+        c, s = mpmath.sqrt((h + x) / (2 * h)), mpmath.sqrt((h - x) / (2 * h))
+        total = mpmath.mpf(0)
+        for k in range(max(0, m2 - n1), min(n2, m2) + 1):
+            term = (
+                mpmath.binomial(m1, n2 - k)
+                * mpmath.binomial(m2, k)
+                * c ** (m1 - n2 + 2 * k)
+                * s ** (m2 + n2 - 2 * k)
+            )
+            total += -term if (n2 - k) % 2 else term
+        pref = mpmath.sqrt(
+            mpmath.factorial(n1) * mpmath.factorial(n2) / (mpmath.factorial(m1) * mpmath.factorial(m2))
+        )
+        return float(pref * total)
+
+
+class TestHighPrecisionReference:
+    @pytest.mark.parametrize("x", (0.0, 1.0, 5.0))
+    @pytest.mark.parametrize("n, tol", [(21, 1e-12), (30, 1e-12), (44, 1e-9)])
+    def test_sampled_rows_match_mpmath(self, x, n, tol):
+        entries = us_block(mixing_for_detuning(x), n).entries.real
+        for row in (n // 3, n // 2):
+            reference = [mp_element(x, n - row, row, n - col, col) for col in range(n + 1)]
+            assert np.max(np.abs(entries[row] - reference)) < tol
 
 
 # (x, n, tolerance) points at which the closed form must satisfy both ladder relations
