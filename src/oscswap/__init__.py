@@ -34,7 +34,6 @@ from .core import (
 )
 from .evolution import EvolutionOperator
 from .oracle import (
-    EigenFailureError,
     HamiltonianBlock,
     build_block,
     compare_to_analytic,
@@ -54,7 +53,6 @@ __all__ = [
     "BlockMatrix",
     "CouplingParams",
     "DecoupledSystemError",
-    "EigenFailureError",
     "EvolutionOperator",
     "ExchangeReport",
     "HamiltonianBlock",

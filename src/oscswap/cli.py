@@ -21,7 +21,6 @@ from .core import (
     norm,
 )
 from .evolution import EvolutionOperator
-from .oracle import EigenFailureError
 from .scenario import Scenario, ScenarioError, build_initial_state, load_scenario
 from .suites import UnknownSuiteError, verify_suite
 
@@ -246,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
             ZeroVectorError, TruncationTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalIntegrityError, EigenFailureError) as exc:
+    except NumericalIntegrityError as exc:
         print(f"numerical integrity failure: {exc}", file=sys.stderr)
         return 3
 

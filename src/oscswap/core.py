@@ -82,10 +82,12 @@ class MixingParams:
     omega2p: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.c)):
+            raise ValueError(f"mixing amplitudes must be finite, got s={self.s}, c={self.c}")
         if self.s < 0 or self.c < 0:
             raise ValueError(f"mixing amplitudes must be nonnegative, got s={self.s}, c={self.c}")
         defect = abs(self.c * self.c + self.s * self.s - 1.0)
-        if defect > _MIXING_TOL:
+        if not defect <= _MIXING_TOL:
             raise ValueError(f"s, c must lie on the unit circle; s^2+c^2 is off by {defect:.3e}")
 
     @property

@@ -19,6 +19,12 @@ n log10(2) digits: at resonance (x = 0) the blocks stay orthogonal to
 1e-10 up to n = 44. From n_total = 1030 on, the integer factors no longer
 fit a double, and the elements raise ValueError.
 
+These elements are the paper's formula. The evolution operator does not
+use them: it takes the same rotation, as the eigenvectors of each
+Hamiltonian block, from a symmetric eigensolver, which has no such
+ceiling (see :mod:`oscswap.evolution`). The rotation suite checks the
+closed form up to n = 30.
+
 :func:`verify_recursions` checks the closed form block by block against
 the ladder recursions that follow from how the normal-mode operators act
 across the two bases; that shares no algebra with the finite sum.
@@ -54,14 +60,39 @@ def u_minus_s_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> 
 
 
 def us_block(mix: MixingParams, n_total: int) -> BlockMatrix:
-    """Mixing rotation restricted to one total-quanta block."""
+    """Mixing rotation restricted to one total-quanta block.
+
+    Evaluates the same sum as :func:`us_element`, with the factorials,
+    binomials and powers of c and s built once per block; the integer
+    products and float operations keep their order, so every entry equals
+    the element-wise result to the last bit.
+    """
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
     dim = n_total + 1
+    fact = [math.factorial(j) for j in range(dim)]
+    comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(dim)]
+    c_pow = [mix.c**p for p in range(dim)]
+    s_pow = [mix.s**p for p in range(dim)]
     entries = np.empty((dim, dim), dtype=float)
-    for lr in range(dim):
-        for lc in range(dim):
-            entries[lr, lc] = _element_closed_form(mix.c, mix.s, n_total - lr, lr, n_total - lc, lc)
+    try:
+        for n2 in range(dim):
+            n1 = n_total - n2
+            for m2 in range(dim):
+                m1 = n_total - m2
+                pref = math.sqrt(fact[n1] * fact[n2] / (fact[m1] * fact[m2]))
+                total = 0.0
+                for k in range(max(0, m2 - n1), min(n2, m2) + 1):
+                    term = (
+                        comb[m1][n2 - k]
+                        * comb[m2][k]
+                        * c_pow[m1 - n2 + 2 * k]
+                        * s_pow[m2 + n2 - 2 * k]
+                    )
+                    total += -term if (n2 - k) % 2 else term
+                entries[n2, m2] = pref * total
+    except OverflowError:
+        raise _too_large(n_total) from None
     return BlockMatrix(n_total=n_total, entries=entries.astype(np.complex128))
 
 
@@ -119,8 +150,12 @@ def _element_closed_form(c: float, s: float, n1: int, n2: int, m1: int, m2: int)
             )
             total += -term if (n2 - k) % 2 else term
     except OverflowError:
-        raise ValueError(
-            f"rotation block n_total = {n1 + n2} is too large: its integer factors"
-            " overflow a double (the limit is n_total < 1030)"
-        ) from None
+        raise _too_large(n1 + n2) from None
     return pref * total
+
+
+def _too_large(n_total: int) -> ValueError:
+    return ValueError(
+        f"rotation block n_total = {n_total} is too large: its integer factors"
+        " overflow a double (the limit is n_total < 1030)"
+    )

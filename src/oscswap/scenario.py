@@ -21,6 +21,7 @@ from .core import (
     TruncationTooSmallError,
     TwoModeState,
     ZeroVectorError,
+    derive_mixing,
     make_product_state,
 )
 
@@ -34,8 +35,9 @@ _OUTPUTS_BY_SCHEDULE = {
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
-# An n_max = 200 run with every block occupied spends over a minute building
-# rotation blocks.
+# An n_max = 200 run with every block occupied builds its blocks in about
+# half a second, but then spends about 30 ms per evolve, so what n_max
+# really bounds is steps x n_max**2; it stays capped until the budget does.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 200
@@ -218,9 +220,12 @@ def _parse_params(raw: object) -> CouplingParams:
     if lam < 0:
         raise ScenarioError("params.lambda", f"must be >= 0, got {lam}")
     try:
-        return CouplingParams(omega1=omega1, omega2=omega2, lam=lam)
+        params = CouplingParams(omega1=omega1, omega2=omega2, lam=lam)
+        if lam > 0:
+            derive_mixing(params)  # the detuning can overflow even when the inputs do not
     except ValueError as exc:
         raise ScenarioError("params", str(exc)) from exc
+    return params
 
 
 def _parse_initial(raw: object) -> InitialSpec:

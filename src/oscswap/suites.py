@@ -207,7 +207,7 @@ def _oracle_suite() -> tuple[list[CheckResult], list[str]]:
                 worst_unit, unitarity_defect(oracle.expm_evolution(block, float(t_grid[0])).entries)
             )
     checks = [
-        CheckResult("analytic vs exact-diagonalization evolution, n <= 12", worst_dev, 1e-9),
+        CheckResult("analytic vs Pade exponential evolution, n <= 12", worst_dev, 1e-9),
         CheckResult("spectrum equals normal-mode combinations", worst_spec, 1e-10),
         CheckResult("Hamiltonian block symmetry", worst_sym, 1e-14),
         CheckResult("exponential unitarity", worst_unit, 1e-12),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -42,3 +43,30 @@ def random_phi(rng, n_top):
     phi = rng.normal(size=n_top + 1) + 1j * rng.normal(size=n_top + 1)
     phi[n_top] += 1.0
     return phi / np.linalg.norm(phi)
+
+
+def mp_rotation_element(x, n1, n2, m1, m2):
+    """The rotation's finite sum at the current mpmath precision, with s and
+    c derived from x."""
+    x = mpmath.mpf(x)
+    h = mpmath.sqrt(1 + x * x)
+    c, s = mpmath.sqrt((h + x) / (2 * h)), mpmath.sqrt((h - x) / (2 * h))
+    total = mpmath.mpf(0)
+    for k in range(max(0, m2 - n1), min(n2, m2) + 1):
+        term = (
+            mpmath.binomial(m1, n2 - k)
+            * mpmath.binomial(m2, k)
+            * c ** (m1 - n2 + 2 * k)
+            * s ** (m2 + n2 - 2 * k)
+        )
+        total += -term if (n2 - k) % 2 else term
+    pref = mpmath.sqrt(
+        mpmath.factorial(n1) * mpmath.factorial(n2) / (mpmath.factorial(m1) * mpmath.factorial(m2))
+    )
+    return pref * total
+
+
+def mp_element(x, n1, n2, m1, m2):
+    """The finite sum in 50-digit arithmetic, rounded to a double."""
+    with mpmath.workdps(50):
+        return float(mp_rotation_element(x, n1, n2, m1, m2))

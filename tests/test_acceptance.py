@@ -60,7 +60,7 @@ def qubit_phi(rng, level):
 
 
 def test_criterion_1_oracle_equivalence():
-    with criterion(1, "analytic evolution matches exact diagonalization (n <= 12, 1e-9)"):
+    with criterion(1, "analytic evolution matches the Pade exponential (n <= 12, 1e-9)"):
         rng = np.random.default_rng(101)
         worst = 0.0
         for _ in range(10):

@@ -208,6 +208,61 @@ outputs: [fidelity]
         )
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
 
+    def test_resonant_coherent_run_past_the_closed_form_ceiling(self, tmp_path):
+        # reaches block 50; the paper's alternating sum loses orthogonality from block 45
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: coherent, alpha: 4, truncation: 50}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 6.0, steps: 5}
+outputs: [fidelity, report]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+
+    def test_resonant_n_max_60_matches_closed_form(self, tmp_path):
+        # F(t) = |sum_n p_n T**n|**2 with T = exp(-i omega t) (-i sin(lambda t)) at resonance
+        omega, lam = 1.0, 0.5
+        values = [math.sqrt(n + 1.0) for n in range(61)]
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: {omega}, omega2: {omega}, lambda: {lam}}}
+initial: {{kind: amplitudes, values: {values}}}
+n_max: 60
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 7.0, steps: 15}}
+outputs: [fidelity]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "fidelity.csv")
+        p = np.array(values) ** 2 / np.sum(np.array(values) ** 2)
+        for t, fidelity in rows:
+            hop = np.exp(-1j * omega * t) * (-1j * math.sin(lam * t))
+            assert fidelity == pytest.approx(abs(np.sum(p * hop ** np.arange(61))) ** 2, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "params",
+        ["{omega1: 1.0e+300, omega2: 1.0, lambda: 1.0e-10}",
+         "{omega1: 1.0e+308, omega2: -1.0e+308, lambda: 1.0}"],
+        ids=["detuning-overflows", "difference-overflows"],
+    )
+    def test_overflowing_detuning_names_params(self, tmp_path, capsys, params):
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {params}
+initial: {{kind: fock, n: 1}}
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}}
+outputs: [fidelity]
+""",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert 'scenario field "params"' in capsys.readouterr().err
+
     def test_each_state_is_reduced_once_per_mode(self, tmp_path, monkeypatch):
         import oscswap.cli as cli_module
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from oscswap.core import (
     CouplingParams,
     DecoupledSystemError,
+    MixingParams,
     TruncationTooSmallError,
     TwoModeState,
     ZeroVectorError,
@@ -97,6 +98,15 @@ class TestDeriveMixing:
         c_values = [m.c for m in mixes]
         assert all(b < a for a, b in zip(s_values, s_values[1:]))
         assert all(b > a for a, b in zip(c_values, c_values[1:]))
+
+    @pytest.mark.parametrize("s, c", [(0.0, math.nan), (math.nan, math.nan), (math.inf, 0.0)])
+    def test_non_finite_mixing_is_rejected(self, s, c):
+        with pytest.raises(ValueError, match="finite"):
+            MixingParams(x=math.inf, s=s, c=c, omega1p=1.0, omega2p=1.0)
+
+    def test_overflowing_detuning_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            derive_mixing(CouplingParams(omega1=1e300, omega2=1.0, lam=1e-10))
 
     def test_strong_detuning_stays_clean(self):
         mix = mixing_for_detuning(1e8)

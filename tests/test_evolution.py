@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscswap.core import (
     CouplingParams,
+    NumericalIntegrityError,
     annihilation_expectation,
     decoupled_mixing,
     derive_mixing,
@@ -16,8 +18,8 @@ from oscswap.core import (
     unitarity_defect,
 )
 from oscswap.evolution import EvolutionOperator
-from oscswap.oracle import build_block, expm_evolution
-from conftest import params_for_detuning, random_state
+from oscswap.oracle import build_block, compare_to_analytic, expm_evolution
+from conftest import mp_rotation_element, params_for_detuning, random_state
 
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0)
 
@@ -163,6 +165,16 @@ class TestEvolve:
         assert out.amplitude(1, 0) == pytest.approx(cmath.exp(-2.0j * 1.5), abs=1e-12)
         assert out.amplitude(0, 1) == 0
 
+    @pytest.mark.parametrize("omega1, omega2", [(1.5, 0.7), (0.7, 1.5), (1.1, 1.1)])
+    def test_decoupled_blocks_are_bare_phases(self, omega1, omega2):
+        # eigenvectors pair with the frequencies by sort order, whichever mode is faster
+        params = CouplingParams(omega1=omega1, omega2=omega2, lam=0.0)
+        evo = EvolutionOperator(params, mix=decoupled_mixing(params))
+        t = 0.9
+        for n in (1, 2, 5):
+            phases = [cmath.exp(-1j * ((n - l) * omega1 + l * omega2) * t) for l in range(n + 1)]
+            np.testing.assert_allclose(evo.ut_block(n, t).entries, np.diag(phases), atol=1e-14)
+
 
 class TestHeisenbergPicture:
     def test_vacuum_expectation_is_zero(self, detuned):
@@ -199,3 +211,61 @@ class TestHeisenbergPicture:
             heisenberg = evo.heisenberg_mode_expectation(state, mode, t)
             schrodinger = annihilation_expectation(evolved, mode)
             assert heisenberg == pytest.approx(schrodinger, abs=1e-10)
+
+
+def mp_ut_elements(params, n, rows, times):
+    """<n - r, r| U(t) |n - c, c> for r, c in ``rows``, from the rotation's
+    finite sum and the normal-mode phases in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
+        x = (w1 - w2) / (2 * lam)
+        h = mpmath.sqrt(1 + x * x)
+        shift = lam * (h - x)  # lam s / c
+        freqs = [(n - k) * (w1 + shift) + k * (w2 - shift) for k in range(n + 1)]
+        # inverse rotation: (-1)**(k - l) times the forward element
+        w = {
+            l: [(-1) ** (k - l) * mp_rotation_element(x, n - l, l, n - k, k) for k in range(n + 1)]
+            for l in rows
+        }
+        return {
+            (r, c, t): complex(
+                mpmath.fsum(mpmath.expj(-f * t) * a * b for f, a, b in zip(freqs, w[r], w[c]))
+            )
+            for r in rows
+            for c in rows
+            for t in times
+        }
+
+
+class TestEigenPath:
+    """Blocks far beyond the closed form's reach, checked against independent routes."""
+
+    @pytest.mark.parametrize("x", (0.0, 1.0, -5.0))
+    def test_block_100_matches_mpmath(self, x):
+        params = params_for_detuning(x, lam=0.5, omega2=1.0)
+        evo = EvolutionOperator(params)
+        reference = mp_ut_elements(params, 100, rows=(0, 33, 50, 100), times=(0.7, 2.9))
+        for (r, c, t), expected in reference.items():
+            assert abs(evo.ut_element(100 - r, r, 100 - c, c, t) - expected) < 1e-13
+
+    @pytest.mark.parametrize("x", (0.0, 5.0))
+    def test_block_400_unitary_and_matches_pade(self, x):
+        params = params_for_detuning(x, lam=0.5, omega2=1.0)
+        assert unitarity_defect(EvolutionOperator(params).ut_block(400, 2.1).entries) <= 1e-12
+        assert compare_to_analytic(params, 400, [2.1]) <= 1e-12
+
+    def test_solver_failure_is_an_integrity_error(self, monkeypatch, resonant):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalIntegrityError, match="block 3"):
+            EvolutionOperator(resonant).ut_block(3, 1.0)
+
+    def test_non_finite_block_is_an_integrity_error(self):
+        # omega1 - omega2 overflows; the decoupled mixing itself is finite
+        params = CouplingParams(omega1=1e308, omega2=-1e308, lam=0.0)
+        evo = EvolutionOperator(params, mix=decoupled_mixing(params))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalIntegrityError, match="not finite"):
+                evo.ut_block(2, 1.0)

@@ -1,0 +1,44 @@
+"""Smoke tests: the example scenarios and scripts shipped with the repository run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from oscswap.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
+
+
+def test_every_scenario_is_covered():
+    assert {path.stem for path in SCENARIOS} >= {
+        "coherent_probe", "fock_transfer", "qubit_exchange", "verify_oracle"
+    }
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[path.stem for path in SCENARIOS])
+def test_scenario_runs(path, tmp_path, capsys):
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    if path.stem == "verify_oracle":
+        assert "result: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "script",
+    [["detuning_sweep.py", "--points", "3"], ["qubit_exchange_demo.py"]],
+    ids=["detuning_sweep", "qubit_exchange_demo"],
+)
+def test_script_runs(script, tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +7,14 @@ from scipy.linalg import expm
 
 from oscswap.core import BlockMatrix, derive_mixing, unitarity_defect
 from oscswap.rotation import (
+    _element_closed_form,
     u_minus_s_block,
     u_minus_s_element,
     us_block,
     us_element,
     verify_recursions,
 )
-from conftest import mixing_for_detuning
+from conftest import mixing_for_detuning, mp_element
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -133,30 +133,20 @@ class TestBlocks:
         for n in range(38, 45):
             assert unitarity_defect(us_block(mix, n).entries) < 1e-10
 
+    @pytest.mark.parametrize("x", X_GRID)
+    def test_block_equals_element_loop(self, x):
+        # the per-block tables keep the element-wise arithmetic, so equal to the last bit
+        mix = mixing_for_detuning(x)
+        for n in (0, 1, 5, 17, 30, 44):
+            looped = [
+                [_element_closed_form(mix.c, mix.s, n - lr, lr, n - lc, lc) for lc in range(n + 1)]
+                for lr in range(n + 1)
+            ]
+            assert np.array_equal(us_block(mix, n).entries, np.array(looped, dtype=complex))
+
     def test_block_beyond_double_range_names_the_block(self):
         with pytest.raises(ValueError, match="n_total = 1030"):
             us_element(mixing_for_detuning(0.0), 1030, 0, 515, 515)
-
-
-def mp_element(x, n1, n2, m1, m2):
-    """The finite sum in 50-digit arithmetic, with s and c derived from x."""
-    with mpmath.workdps(50):
-        x = mpmath.mpf(x)
-        h = mpmath.sqrt(1 + x * x)
-        c, s = mpmath.sqrt((h + x) / (2 * h)), mpmath.sqrt((h - x) / (2 * h))
-        total = mpmath.mpf(0)
-        for k in range(max(0, m2 - n1), min(n2, m2) + 1):
-            term = (
-                mpmath.binomial(m1, n2 - k)
-                * mpmath.binomial(m2, k)
-                * c ** (m1 - n2 + 2 * k)
-                * s ** (m2 + n2 - 2 * k)
-            )
-            total += -term if (n2 - k) % 2 else term
-        pref = mpmath.sqrt(
-            mpmath.factorial(n1) * mpmath.factorial(n2) / (mpmath.factorial(m1) * mpmath.factorial(m2))
-        )
-        return float(pref * total)
 
 
 class TestHighPrecisionReference:
