@@ -54,19 +54,29 @@ class ReducedDensityMatrix:
         arr = np.array(self.entries, dtype=np.complex128)
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"entries must have shape ({self.dim}, {self.dim}), got {arr.shape}")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if not herm <= _HERMITICITY_TOL:
-            raise NumericalIntegrityError(f"density matrix not Hermitian (defect {herm:.3e})")
-        trace = float(np.real(np.trace(arr)))
-        if not abs(trace - 1.0) <= _TRACE_TOL:
-            raise NumericalIntegrityError(f"density matrix trace is {trace!r}, expected 1")
-        lowest = float(np.min(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))))
-        if not lowest >= _EIGENVALUE_FLOOR:
-            raise NumericalIntegrityError(
-                f"density matrix has eigenvalue {lowest:.3e} below the floor {_EIGENVALUE_FLOOR}"
-            )
+        check_densities(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+
+
+def check_densities(rho: np.ndarray) -> None:
+    """Raise :class:`NumericalIntegrityError` unless every density matrix in
+    ``rho`` (one matrix, or a stack of them over leading axes) is Hermitian,
+    has unit trace and no eigenvalue below the floor. NaN fails every check.
+    """
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm = float(np.max(np.abs(rho - adjoint)))
+    if not herm <= _HERMITICITY_TOL:
+        raise NumericalIntegrityError(f"density matrix not Hermitian (defect {herm:.3e})")
+    traces = np.real(np.trace(rho, axis1=-2, axis2=-1)).ravel()
+    trace = float(traces[np.argmax(np.abs(traces - 1.0))])
+    if not abs(trace - 1.0) <= _TRACE_TOL:
+        raise NumericalIntegrityError(f"density matrix trace is {trace!r}, expected 1")
+    lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + adjoint))))
+    if not lowest >= _EIGENVALUE_FLOOR:
+        raise NumericalIntegrityError(
+            f"density matrix has eigenvalue {lowest:.3e} below the floor {_EIGENVALUE_FLOOR}"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,18 +128,24 @@ def reduce(state: TwoModeState, mode: int) -> ReducedDensityMatrix:
     Mode 1: rho[m, m'] = sum_j C[m, j] conj(C[m', j]); symmetrically for
     mode 2. The result is (n_max + 1) x (n_max + 1).
     """
+    rho = _partial_trace(state.table(), mode)
+    return ReducedDensityMatrix(mode=mode, dim=state.n_max + 1, entries=rho)
+
+
+def reduced_densities(tables: np.ndarray, mode: int) -> np.ndarray:
+    """:func:`reduce` for a stack of amplitude tables ``tables[k, n1, n2]``:
+    the checked density matrices ``rho[k]`` of one mode."""
+    rho = _partial_trace(tables, mode)
+    check_densities(rho)
+    return rho
+
+
+def _partial_trace(tables: np.ndarray, mode: int) -> np.ndarray:
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    dim = state.n_max + 1
-    table = np.zeros((dim, dim), dtype=np.complex128)  # table[n1, n2] = C[n1, n2]
-    for n, block in enumerate(state.blocks):
-        for l in range(n + 1):
-            table[n - l, l] = block[l]
     if mode == 1:
-        rho = table @ table.conj().T
-    else:
-        rho = table.T @ table.conj()
-    return ReducedDensityMatrix(mode=mode, dim=dim, entries=rho)
+        return tables @ tables.conj().swapaxes(-1, -2)
+    return tables.swapaxes(-1, -2) @ tables.conj()
 
 
 def exchange_fidelity(state_t: TwoModeState, target_phi: Sequence[complex]) -> float:
@@ -138,20 +154,21 @@ def exchange_fidelity(state_t: TwoModeState, target_phi: Sequence[complex]) -> f
     Global-phase invariant: equals 1 iff the state is |0> (x) |phi> up to
     an overall phase. ``target_phi`` is normalized on input.
     """
+    return float(exchange_fidelities(state_t.table()[np.newaxis], target_phi)[0])
+
+
+def exchange_fidelities(tables: np.ndarray, target_phi: Sequence[complex]) -> np.ndarray:
+    """:func:`exchange_fidelity` of every amplitude table ``tables[k, n1, n2]``."""
     phi = np.asarray(list(target_phi), dtype=np.complex128)
     total = np.linalg.norm(phi)
     if total == 0.0:
         raise ZeroVectorError("target_phi has zero norm")
-    phi = phi / total
-    top = min(len(phi) - 1, state_t.n_max)
-    overlap = 0j
-    for n in range(top + 1):
-        overlap += np.conj(phi[n]) * state_t.blocks[n][n]  # amplitude on |0, n>
-    fid = float(abs(overlap) ** 2)
+    top = min(len(phi), tables.shape[-1])
+    # the amplitudes on |0, n>
+    fid = np.abs(tables[:, 0, :top] @ np.conj(phi[:top] / total)) ** 2
     # rounding can push a perfect overlap a few ulp above 1; larger excess
     # means the state was not normalized and stays visible
-    if 1.0 < fid <= 1.0 + 1e-10:
-        return 1.0
+    fid[(1.0 < fid) & (fid <= 1.0 + 1e-10)] = 1.0
     return fid
 
 
@@ -236,7 +253,9 @@ def find_exchange_time(
     def fidelity(t: float) -> float:
         return exchange_fidelity(evo.evolve(state0, t), phi)
 
-    values = np.array([fidelity(t) for t in ts])
+    values = np.concatenate(
+        [exchange_fidelities(tables, phi) for _, tables in evo.evolve_grid(state0, ts)]
+    )
     best = int(np.argmax(values))
     t_best, f_best = float(ts[best]), float(values[best])
     low = float(ts[max(best - 1, 0)])

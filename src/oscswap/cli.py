@@ -16,6 +16,7 @@ from .core import (
     DecoupledSystemError,
     NumericalIntegrityError,
     TruncationTooSmallError,
+    TwoModeState,
     ZeroVectorError,
     decoupled_mixing,
     norm,
@@ -29,10 +30,16 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv_rows(rows: np.ndarray) -> str:
+    """CSV lines of a 2-D array, every value written as :func:`_fmt` writes it."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist())
+
+
+def _write_csv(path: Path, header: list[str], parts: list[str]) -> None:
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(parts)
 
 
 def _echo_lines(scenario: Scenario, evo: EvolutionOperator | None) -> list[str]:
@@ -70,51 +77,46 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
         print(f"coherent_tail_discarded={_fmt(discarded)}")
     sched = scenario.schedule
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
-    states = [evo.evolve(state0, float(t)) for t in ts]
-    fidelities = [analysis.exchange_fidelity(st, phi) for st in states]
+    dim = scenario.n_max + 1
+    occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
+    parts = {name: [] for name in scenario.outputs}
+    fidelities = []
+    for times, tables in evo.evolve_grid(state0, ts):
+        count = len(times)
+        fid = analysis.exchange_fidelities(tables, phi)
+        fidelities.append(fid)
+        columns = {"fidelity": fid.reshape(count, 1)}
+        if "number_distribution" in parts or "reduced_density" in parts:
+            rhos = np.stack([analysis.reduced_densities(tables, mode) for mode in (1, 2)], axis=1)
+            diagonals = np.diagonal(rhos, axis1=2, axis2=3).real
+            columns["number_distribution"] = diagonals.reshape(count, 2 * dim)
+            # mode, row, column, then re and im side by side
+            columns["reduced_density"] = rhos.view(np.float64).reshape(count, 4 * dim * dim)
+        if "transfer_profile" in parts:
+            probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, t)
+                     for t in times.tolist() for n in occupied]
+            columns["transfer_profile"] = np.array(probs).reshape(count, len(occupied))
+        for name in parts.keys() & columns.keys():
+            parts[name].append(_csv_rows(np.column_stack([times, columns[name]])))
+        final = tables[-1]
 
-    if "fidelity" in scenario.outputs:
-        rows = [[_fmt(float(t)), _fmt(f)] for t, f in zip(ts, fidelities)]
-        _write_csv(out_dir / "fidelity.csv", ["t", "fidelity"], rows)
-    want_numbers = "number_distribution" in scenario.outputs
-    want_density = "reduced_density" in scenario.outputs
-    if want_numbers or want_density:
-        dim = scenario.n_max + 1
-        number_rows, density_rows = [], []
-        for t, st in zip(ts, states):
-            rhos = [analysis.reduce(st, mode).entries for mode in (1, 2)]
-            if want_numbers:
-                row = [_fmt(float(t))]
-                for rho in rhos:
-                    row += [_fmt(v) for v in np.real(np.diag(rho))]
-                number_rows.append(row)
-            if want_density:
-                row = [_fmt(float(t))]
-                for rho in rhos:
-                    for i in range(dim):
-                        for j in range(dim):
-                            row += [_fmt(rho[i, j].real), _fmt(rho[i, j].imag)]
-                density_rows.append(row)
-        if want_numbers:
-            header = ["t"] + [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)]
-            _write_csv(out_dir / "number_distribution.csv", header, number_rows)
-        if want_density:
-            header = ["t"]
-            for mode in (1, 2):
-                for i in range(dim):
-                    for j in range(dim):
-                        header += [f"rho{mode}_{i}_{j}_re", f"rho{mode}_{i}_{j}_im"]
-            _write_csv(out_dir / "reduced_density.csv", header, density_rows)
-    if "transfer_profile" in scenario.outputs:
-        occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
+    if "fidelity" in parts:
+        _write_csv(out_dir / "fidelity.csv", ["t", "fidelity"], parts["fidelity"])
+    if "number_distribution" in parts:
+        header = ["t"] + [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)]
+        _write_csv(out_dir / "number_distribution.csv", header, parts["number_distribution"])
+    if "reduced_density" in parts:
+        header = ["t"]
+        for mode in (1, 2):
+            for i in range(dim):
+                for j in range(dim):
+                    header += [f"rho{mode}_{i}_{j}_re", f"rho{mode}_{i}_{j}_im"]
+        _write_csv(out_dir / "reduced_density.csv", header, parts["reduced_density"])
+    if "transfer_profile" in parts:
         header = ["t"] + [f"transfer_prob_{n}" for n in occupied]
-        rows = []
-        for t in ts:
-            probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, float(t))
-                     for n in occupied]
-            rows.append([_fmt(float(t))] + [_fmt(p) for p in probs])
-        _write_csv(out_dir / "transfer_profile.csv", header, rows)
+        _write_csv(out_dir / "transfer_profile.csv", header, parts["transfer_profile"])
 
+    fidelities = np.concatenate(fidelities)
     best = int(np.argmax(fidelities))
     if "report" in scenario.outputs:
         lines = ["schedule: time_grid"]
@@ -125,7 +127,7 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
             f"steps: {sched.steps}",
             f"max_fidelity: {_fmt(fidelities[best])}",
             f"t_at_max: {_fmt(float(ts[best]))}",
-            f"final_norm: {_fmt(norm(states[-1]))}",
+            f"final_norm: {_fmt(norm(TwoModeState.from_table(final)))}",
         ]
         if scenario.initial.kind == "coherent":
             lines.append(f"coherent_tail_discarded: {_fmt(discarded)}")
@@ -146,15 +148,10 @@ def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
     candidates: list[tuple[float, float]] = []
     for k, tau in enumerate(taus):
         report = analysis.verify_statistics_exchange(state0, evo, tau)
-        rows.append([
-            str(k),
-            _fmt(tau),
-            _fmt(report.fidelity_exchange),
-            _fmt(report.statistics_match),
-            _fmt(report.phase_defect),
-        ])
+        rows.append([k, tau, report.fidelity_exchange, report.statistics_match,
+                     report.phase_defect])
         candidates.append((tau, report.fidelity_exchange))
-    _write_csv(out_dir / "exchange_scan.csv", header, rows)
+    _write_csv(out_dir / "exchange_scan.csv", header, [_csv_rows(np.array(rows))])
 
     window_end = taus[-1] + evo.mix.s * evo.mix.c * math.pi / lam
     t_scan, f_scan = analysis.find_exchange_time(evo, phi, 0.0, window_end)

@@ -180,6 +180,26 @@ class TwoModeState:
             raise IndexError(f"(n1, n2) = ({n1}, {n2}) outside truncation n_max = {self.n_max}")
         return complex(self.blocks[n1 + n2][n2])
 
+    def table(self) -> np.ndarray:
+        """Amplitudes as an (n_max + 1) x (n_max + 1) array ``C[n1, n2]``,
+        zero where n1 + n2 > n_max."""
+        dim = self.n_max + 1
+        table = np.zeros((dim, dim), dtype=np.complex128)
+        for n, block in enumerate(self.blocks):
+            l = np.arange(n + 1)
+            table[n - l, l] = block
+        return table
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "TwoModeState":
+        """The state whose amplitudes are ``table[n1, n2]`` for n1 + n2 <= n_max,
+        with n_max + 1 the table's side; entries beyond the truncation are ignored."""
+        blocks = []
+        for n in range(table.shape[0]):
+            l = np.arange(n + 1)
+            blocks.append(table[n - l, l])
+        return cls(n_max=table.shape[0] - 1, blocks=tuple(blocks))
+
 
 def norm(state: TwoModeState) -> float:
     """Euclidean norm sqrt(sum |C|^2) over all amplitudes."""

@@ -35,13 +35,14 @@ _OUTPUTS_BY_SCHEDULE = {
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
-# An n_max = 200 run with every block occupied builds its blocks in about
-# half a second, but then spends about 30 ms per evolve, so what n_max
-# really bounds is steps x n_max**2; it stays capped until the budget does.
+# Evolving every block up to n_max costs about (n_max + 1)**3 / 3 complex
+# multiply-adds per time point (about 3-4 ms at n_max = 200), so the time
+# points of a run times (n_max + 1)**3 bounds its evolution work.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 200
 _CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
+_GRID_WORK_LIMIT = 2 * 10**10  # time points x (n_max + 1)**3
 _SUPPORT_FIELDS = {
     "fock": "initial.n",
     "qubit": "initial.n",
@@ -147,6 +148,19 @@ def parse_scenario(raw: object) -> Scenario:
         raise ScenarioError(
             n_max_field, f"n_max = {n_max} is above the limit {_N_MAX_LIMIT}{default_note}"
         )
+    if schedule.kind != "verify":
+        if schedule.kind == "time_grid":
+            points, field = schedule.steps, "schedule.steps"
+        else:
+            # find_exchange_time's coarse grid: 50 points per exchange period at any detuning
+            points, field = 50 * (schedule.k_max + 1), "schedule.k_max"
+        work = points * (n_max + 1) ** 3
+        if work > _GRID_WORK_LIMIT:
+            raise ScenarioError(
+                field,
+                f"{points} time points x (n_max + 1)**3 = {work} is above the limit"
+                f" {_GRID_WORK_LIMIT}; lower it or n_max = {n_max}",
+            )
     if schedule.kind == "time_grid":
         cells = schedule.steps * _csv_columns(outputs, n_max, initial.support)
         if cells > _CSV_CELLS_LIMIT:

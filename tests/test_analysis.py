@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oscswap.analysis import (
     NonPositiveRatioError,
+    ReducedDensityMatrix,
+    check_densities,
     complete_exchange_ratio,
     exchange_fidelity,
     exchange_times,
@@ -17,6 +20,7 @@ from oscswap.analysis import (
 from oscswap.core import (
     CouplingParams,
     DecoupledSystemError,
+    NumericalIntegrityError,
     ZeroVectorError,
     derive_mixing,
     make_product_state,
@@ -142,6 +146,28 @@ class TestReduce:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             reduce(make_product_state([1.0]), 0)
+
+
+class TestDensityChecks:
+    BREACHES = {
+        "hermiticity": (np.array([[0.5, 1e-9], [0.0, 0.5]]), "not Hermitian (defect 1.000e-09)"),
+        "trace": (np.diag([0.5, 0.5 + 2e-10]), "trace is 1.0000000002, expected 1"),
+        "eigenvalue": (np.array([[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]),
+                       "eigenvalue -1.000e-09 below the floor -1e-10"),
+        "nan": (np.full((2, 2), np.nan), "not Hermitian (defect nan)"),
+    }
+
+    @pytest.mark.parametrize("breach", sorted(BREACHES))
+    def test_one_interior_matrix_of_a_stack_fails_as_a_single_one(self, breach):
+        bad, message = self.BREACHES[breach]
+        stack = np.array([np.diag([1.0, 0.0]), bad, np.eye(2) / 2])
+        with pytest.raises(NumericalIntegrityError, match=re.escape(message)):
+            check_densities(stack)
+        with pytest.raises(NumericalIntegrityError, match=re.escape(message)):
+            ReducedDensityMatrix(mode=1, dim=2, entries=bad)
+
+    def test_valid_stack_passes(self):
+        check_densities(np.array([np.diag([1.0, 0.0]), np.eye(2) / 2]))
 
 
 class TestExchangeFidelity:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscswap.cli import main
+from oscswap.cli import _csv_rows, _fmt, main
 
 QUBIT_SCAN = """\
 params:
@@ -179,6 +179,34 @@ outputs: [number_distribution]
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
 
 
+    def test_density_breach_at_one_interior_time_exits_three(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import oscswap.cli as cli_module
+
+        evolve_grid = cli_module.EvolutionOperator.evolve_grid
+
+        def inflated(self, state, ts):
+            # scales the amplitudes at the second time only, after the norm check
+            for times, tables in evolve_grid(self, state, ts):
+                tables[1] *= 1.001
+                yield times, tables
+
+        monkeypatch.setattr(cli_module.EvolutionOperator, "evolve_grid", inflated)
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: fock, n: 2}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 4}
+outputs: [fidelity, reduced_density]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 3
+        assert ("numerical integrity failure: density matrix trace is 1.002001"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     def test_non_finite_evolution_exits_three(self, tmp_path, capsys):
         # omega t overflows, so every phase and the norm become NaN
         scenario = write_scenario(
@@ -266,11 +294,15 @@ outputs: [fidelity]
     def test_each_state_is_reduced_once_per_mode(self, tmp_path, monkeypatch):
         import oscswap.cli as cli_module
 
+        # the whole grid is reduced by one batched call per mode; no per-state reduce
         calls = []
-        reduce = cli_module.analysis.reduce
+        batched = cli_module.analysis.reduced_densities
         monkeypatch.setattr(
-            cli_module.analysis, "reduce", lambda st, mode: calls.append(mode) or reduce(st, mode)
+            cli_module.analysis,
+            "reduced_densities",
+            lambda tables, mode: calls.append((len(tables), mode)) or batched(tables, mode),
         )
+        monkeypatch.setattr(cli_module.analysis, "reduce", None)
         scenario = write_scenario(
             tmp_path,
             """\
@@ -281,7 +313,7 @@ outputs: [number_distribution, reduced_density]
 """,
         )
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
-        assert calls == [1, 2] * 4
+        assert calls == [(4, 1), (4, 2)]
 
 
 class TestValidation:
@@ -404,9 +436,15 @@ class TestCostBudget:
              "initial.truncation"),
             ("steps: 2}\noutputs: [fidelity]",
              "steps: 80001}\nn_max: 61\noutputs: [number_distribution]", "outputs"),
+            # 2463 x 201**3 and 50 x 50 x 201**3 time points x (n_max + 1)**3 exceed 2e10
+            ("steps: 2}\noutputs: [fidelity]", "steps: 2463}\nn_max: 200\noutputs: [fidelity]",
+             "schedule.steps"),
+            ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
+             "{kind: exchange_scan, k_max: 49}\nn_max: 200\noutputs: [report]",
+             "schedule.k_max"),
         ],
         ids=["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
-             "coherent", "csv-cells"],
+             "coherent", "csv-cells", "grid-work-steps", "grid-work-k_max"],
     )
     def test_over_budget_names_the_field(self, tmp_path, capsys, old, new, field):
         assert old in BUDGET_BASE
@@ -414,6 +452,15 @@ class TestCostBudget:
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert f'scenario field "{field}"' in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_formatter_matches_fmt(seed):
+    special = [0.0, -0.0, 5e-324, 1e-320, 1e308, math.nan, math.inf, -math.inf, 1.0 / 3.0]
+    rng = np.random.default_rng(seed)
+    rows = np.array([special, rng.normal(size=len(special)) * 10.0 ** rng.integers(-300, 300)])
+    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows.tolist())
+    assert _csv_rows(rows) == expected
 
 
 class TestVerifyCommand:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oscswap.core import (
     CouplingParams,
     NumericalIntegrityError,
+    TwoModeState,
     annihilation_expectation,
     decoupled_mixing,
     derive_mixing,
@@ -17,6 +18,8 @@ from oscswap.core import (
     norm,
     unitarity_defect,
 )
+from oscswap import evolution
+from oscswap.analysis import exchange_fidelities, exchange_fidelity, reduce, reduced_densities
 from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import build_block, compare_to_analytic, expm_evolution
 from conftest import mp_rotation_element, params_for_detuning, random_state
@@ -174,6 +177,84 @@ class TestEvolve:
         for n in (1, 2, 5):
             phases = [cmath.exp(-1j * ((n - l) * omega1 + l * omega2) * t) for l in range(n + 1)]
             np.testing.assert_allclose(evo.ut_block(n, t).entries, np.diag(phases), atol=1e-14)
+
+
+def state_with_empty_blocks(n_max, empty=(0, 3, 5)):
+    blocks = list(random_state(np.random.default_rng(n_max), n_max).blocks)
+    for n in empty:
+        blocks[n] = np.zeros(n + 1)
+    total = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks))
+    return TwoModeState(n_max=n_max, blocks=tuple(b / total for b in blocks))
+
+
+class TestEvolveGrid:
+    @pytest.mark.parametrize("n_max", (12, 60))
+    @pytest.mark.parametrize("x", (0.0, 1.0, -5.0))
+    def test_matches_evolve_loop_across_chunks(self, monkeypatch, n_max, x):
+        # seven times per chunk, so 17 times give chunks of 7, 7 and 3
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 7 * (n_max + 1) ** 2 + 3)
+        evo = EvolutionOperator(params_for_detuning(x, lam=0.7, omega2=1.3))
+        state = state_with_empty_blocks(n_max)
+        ts = np.linspace(0.0, 23.0, 17)
+        chunks = list(evo.evolve_grid(state, ts))
+        assert [len(times) for times, _ in chunks] == [7, 7, 3]
+        np.testing.assert_array_equal(np.concatenate([times for times, _ in chunks]), ts)
+        tables = np.concatenate([tables for _, tables in chunks])
+        assert tables.shape == (17, n_max + 1, n_max + 1)
+        for t, table in zip(ts, tables):
+            looped = evo.evolve(state, float(t))
+            assert np.max(np.abs(table - looped.table())) < 1e-14
+            assert np.max(np.abs(looped.table() - self.unbatched(evo, state, t))) < 1e-14
+
+    @staticmethod
+    def unbatched(evo, state, t):
+        # the per-block phase sandwich W diag(e^{-iEt}) W^T applied to one state
+        blocks = []
+        for n, vec in enumerate(state.blocks):
+            w, freqs = evo._block_data(n)
+            blocks.append((w * np.exp(-1j * freqs * t)) @ (w.T @ vec))
+        return TwoModeState(n_max=state.n_max, blocks=tuple(blocks)).table()
+
+    def test_empty_blocks_stay_exactly_zero(self, detuned):
+        evo = EvolutionOperator(detuned)
+        n_max = 8
+        state = state_with_empty_blocks(n_max)
+        for _, tables in evo.evolve_grid(state, np.linspace(0.0, 40.0, 9)):
+            n1, n2 = np.indices((n_max + 1, n_max + 1))
+            for n in (0, 3, 5):
+                assert np.all(tables[:, n1 + n2 == n] == 0)
+            assert np.all(tables[:, n1 + n2 > n_max] == 0)  # beyond the truncation
+
+    def test_chunks_cap_the_table_size(self, detuned):
+        evo = EvolutionOperator(detuned)
+        n_max = 60
+        per_chunk = evolution._CHUNK_AMPLITUDES // (n_max + 1) ** 2
+        ts = np.linspace(0.0, 5.0, 2 * per_chunk + 1)
+        state = make_product_state([1.0] * (n_max + 1))
+        sizes = [tables.size for _, tables in evo.evolve_grid(state, ts)]
+        assert len(sizes) == 3
+        assert max(sizes) <= evolution._CHUNK_AMPLITUDES
+
+    def test_batched_fidelity_and_densities_match_per_state(self, detuned):
+        evo = EvolutionOperator(detuned)
+        phi = [0.3, 0.0, 0.5j, -0.2, 0.7]
+        state = make_product_state(phi, n_max=6)
+        ts = np.linspace(0.0, 30.0, 11)
+        (_, tables), = evo.evolve_grid(state, ts)
+        fidelities = exchange_fidelities(tables, phi)
+        for mode in (1, 2):
+            rhos = reduced_densities(tables, mode)
+            for k, t in enumerate(ts):
+                out = evo.evolve(state, float(t))
+                assert fidelities[k] == pytest.approx(exchange_fidelity(out, phi), abs=1e-14)
+                assert np.max(np.abs(rhos[k] - reduce(out, mode).entries)) < 1e-14
+
+    def test_norm_breach_at_one_interior_time(self, detuned):
+        evo = EvolutionOperator(detuned)
+        state = make_product_state([0.6, 0.8])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by nan"):
+                list(evo.evolve_grid(state, [0.0, 1.0, math.nan, 2.0]))
 
 
 class TestHeisenbergPicture:

@@ -52,6 +52,19 @@ class TestCostBudgetLimitsParse:
         assert parse_scenario(raw).schedule.steps == 80000
 
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            # 2462 x 201**3 and 50 x 49 x 201**3 time points x (n_max + 1)**3 stay under 2e10
+            {"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 2462},
+            {"kind": "exchange_scan", "k_max": 48},
+        ],
+        ids=["time_grid", "exchange_scan"],
+    )
+    def test_grid_work_limit(self, schedule):
+        assert parse_scenario(raw_scenario(schedule=schedule, n_max=200)).n_max == 200
+
+
 class TestCoherentState:
     def test_large_truncation_is_finite_and_normalized(self):
         alpha, truncation = 12.0, 180
