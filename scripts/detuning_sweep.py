@@ -2,9 +2,9 @@
 """Sweep the detuning and compare the measured single-quantum transfer peak
 against the 1 / (1 + x^2) law.
 
-The peak is located numerically (grid plus golden-section refinement), so
-this doubles as an end-to-end check of the evolution pipeline away from
-resonance.
+The peak is located numerically (a grid, then a zoom on its best point,
+each grid one batched evolution), so this doubles as an end-to-end check of
+the evolution pipeline away from resonance.
 """
 
 import argparse

@@ -144,14 +144,10 @@ def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
     lam = scenario.params.lam
     taus = analysis.exchange_times(evo.mix, lam, scenario.schedule.k_max)
     header = ["k", "tau", "fidelity", "statistics_match", "phase_defect"]
-    rows = []
-    candidates: list[tuple[float, float]] = []
-    for k, tau in enumerate(taus):
-        report = analysis.verify_statistics_exchange(state0, evo, tau)
-        rows.append([k, tau, report.fidelity_exchange, report.statistics_match,
-                     report.phase_defect])
-        candidates.append((tau, report.fidelity_exchange))
-    _write_csv(out_dir / "exchange_scan.csv", header, [_csv_rows(np.array(rows))])
+    grades = analysis.statistics_exchanges(state0, evo, taus)
+    rows = np.column_stack([np.arange(len(taus)), taus, grades])
+    _write_csv(out_dir / "exchange_scan.csv", header, [_csv_rows(rows)])
+    candidates = list(zip(taus, grades[:, 0].tolist()))
 
     window_end = taus[-1] + evo.mix.s * evo.mix.c * math.pi / lam
     t_scan, f_scan = analysis.find_exchange_time(evo, phi, 0.0, window_end)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -10,10 +11,12 @@ from oscswap.analysis import (
     ReducedDensityMatrix,
     check_densities,
     complete_exchange_ratio,
+    exchange_fidelities,
     exchange_fidelity,
     exchange_times,
     find_exchange_time,
     reduce,
+    statistics_exchanges,
     transfer_probability,
     verify_statistics_exchange,
 )
@@ -26,6 +29,7 @@ from oscswap.core import (
     make_product_state,
     make_state,
 )
+from oscswap import analysis, evolution
 from oscswap.evolution import EvolutionOperator
 from conftest import mixing_for_detuning, params_for_detuning, random_phi, random_state
 
@@ -288,6 +292,47 @@ class TestStatisticsExchange:
         with pytest.raises(ValueError, match="product"):
             verify_statistics_exchange(state, evo, 0.5)
 
+    @pytest.mark.parametrize("x", [0.0, 0.7, -3.0])
+    def test_table_matches_loop_over_single_states(self, monkeypatch, x):
+        # three times per chunk, so ten times span four chunks
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 3 * 7**2)
+        rng = np.random.default_rng(41)
+        evo = EvolutionOperator(params_for_detuning(x, lam=0.6, omega2=1.9))
+        phi = random_phi(rng, 6)
+        phi[2] = 0.0  # a level below the amplitude floor is skipped by both
+        state0 = make_product_state(phi)
+        taus = exchange_times(evo.mix, 0.6, 5)
+        ts = np.array(taus + list(rng.uniform(0.0, 20.0, 4)))
+        table = statistics_exchanges(state0, evo, ts)
+        assert table.shape == (len(ts), 3)
+        for t, (fid, stats, defect) in zip(ts.tolist(), table.tolist()):
+            want = graded_by_loop(state0, evo, t)
+            assert fid == pytest.approx(want[0], abs=1e-14)
+            assert stats == pytest.approx(want[1], abs=1e-14)
+            assert abs(math.remainder(defect - want[2], math.tau)) < 1e-12
+            report = verify_statistics_exchange(state0, evo, t)
+            assert report.time == t
+            assert report.fidelity_exchange == pytest.approx(fid, abs=1e-14)
+            assert report.statistics_match == pytest.approx(stats, abs=1e-14)
+            assert abs(math.remainder(report.phase_defect - defect, math.tau)) < 1e-12
+
+
+def graded_by_loop(state0, evo, t, floor=1e-12):
+    """Reference for the batched grading: the exchange grades of one time by
+    a per-level loop over the blocks of one evolved state."""
+    phi0 = np.array([state0.blocks[n][0] for n in range(state0.n_max + 1)])
+    out = evo.evolve(state0, t)
+    swapped = np.array([out.blocks[n][n] for n in range(out.n_max + 1)])
+    stats = float(np.max(np.abs(np.abs(swapped) - np.abs(phi0))))
+    mean = 0.5 * (evo.params.omega1 + evo.params.omega2)
+    defect = 0.0
+    for n in range(out.n_max + 1):
+        if abs(swapped[n]) < floor or abs(phi0[n]) < floor:
+            continue
+        predicted = cmath.phase(phi0[n]) - (mean * t + 0.5 * math.pi) * n
+        defect = max(defect, abs(math.remainder(cmath.phase(swapped[n]) - predicted, math.tau)))
+    return exchange_fidelity(out, phi0), stats, defect
+
 
 class TestFindExchangeTime:
     def test_finds_matched_qubit_optimum(self):
@@ -308,3 +353,55 @@ class TestFindExchangeTime:
         evo = resonant_evolution(3.0)
         with pytest.raises(ValueError):
             find_exchange_time(evo, [1.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize(
+        "ratio, phi",
+        [(3.0, [0.6, 0.8]), (2.0, [0.0, 1.0]), (1.7, [0.0, 0.0, 0.0, 1.0]),
+         (3.0, [0.3, 0.5, 0.1, 0.7])],
+        ids=["matched-qubit", "fock-1", "fock-3", "any-state-ratio-3"],
+    )
+    def test_resonance_finds_quarter_period_within_old_xatol(self, lam, ratio, phi):
+        evo = resonant_evolution(ratio, lam)
+        tau0 = math.pi / (2.0 * lam)
+        # no coarse grid point falls on tau0, so the refinement has to find it
+        t_start, t_end = 0.3 * tau0, 1.7 * tau0
+        steps = math.ceil((t_end - t_start) / (math.pi / (50.0 * lam))) + 1
+        xatol = 2.0 * (t_end - t_start) / (steps - 1) * 1e-9  # the bounded search's
+        t_best, f_best = find_exchange_time(evo, phi, t_start, t_end)
+        assert abs(t_best - tau0) < xatol
+        assert f_best == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("zoom_points", [65, 2], ids=["zoom", "zoom-misses-the-peak"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fidelity_never_below_the_coarse_best(self, monkeypatch, seed, zoom_points):
+        # a two-point zoom evaluates only the best point's neighbours
+        monkeypatch.setattr(analysis, "_ZOOM_POINTS", zoom_points)
+        rng = np.random.default_rng(seed)
+        lam = float(rng.uniform(0.3, 2.0))
+        x = 0.0 if seed % 2 else float(rng.uniform(-2.0, 2.0))
+        evo = EvolutionOperator(params_for_detuning(x, lam=lam, omega2=float(rng.uniform(0.5, 4))))
+        phi = random_phi(rng, int(rng.integers(1, 5)))
+        t_start, t_end = sorted(rng.uniform(0.0, 15.0, 2))
+        step = (t_end - t_start) / 40.0 * (1.0 + 1e-12)  # a coarse grid of 41 times
+        t_best, f_best = find_exchange_time(evo, phi, t_start, t_end, grid_step=step)
+        state0 = make_product_state(phi)
+        # the coarse grid as find_exchange_time evaluates it, to the last bit
+        _, tables = next(evo.evolve_grid(state0, np.linspace(t_start, t_end, 41)))
+        assert f_best >= np.max(exchange_fidelities(tables, phi))
+        assert f_best == pytest.approx(exchange_fidelity(evo.evolve(state0, t_best), phi),
+                                       abs=1e-14)
+        assert t_start <= t_best <= t_end
+
+    @pytest.mark.parametrize("side", ["first", "last"])
+    def test_peak_at_a_window_edge(self, side):
+        evo = resonant_evolution(2.0)  # a Fock state: F = sin(t)**2, peak at pi / 2
+        window = (0.2, 1.4) if side == "last" else (1.75, 2.9)
+        t_best, f_best = find_exchange_time(evo, [0.0, 1.0], *window)
+        edge = window[1] if side == "last" else window[0]
+        assert t_best == edge
+        assert f_best == pytest.approx(math.sin(edge) ** 2, abs=1e-14)
+        # the coarse grid find_exchange_time scans: step at most pi / 50
+        ts = np.linspace(*window, math.ceil((window[1] - window[0]) / (math.pi / 50.0)) + 1)
+        _, tables = next(evo.evolve_grid(make_product_state([0.0, 1.0]), ts))
+        assert f_best >= np.max(exchange_fidelities(tables, [0.0, 1.0]))

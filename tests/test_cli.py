@@ -418,34 +418,36 @@ outputs: [fidelity]
 """
 
 
+# (text in BUDGET_BASE, its replacement, the field the error names)
+BUDGET_CASES = [
+    ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
+     "{kind: exchange_scan, k_max: 1001}", "schedule.k_max"),
+    ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
+     "{kind: exchange_scan, k_max: 100000000}", "schedule.k_max"),
+    ("steps: 2", "steps: 100001", "schedule.steps"),
+    ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity]", "n_max"),
+    ("{kind: fock, n: 1}", "{kind: fock, n: 201}", "initial.n"),
+    ("{kind: fock, n: 1}", "{kind: qubit, c0: 0.6, cn: 0.8, n: 201}", "initial.n"),
+    ("{kind: fock, n: 1}", "{kind: amplitudes, values: [%s]}" % ", ".join(["1"] * 202),
+     "initial.values"),
+    ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 201}",
+     "initial.truncation"),
+    ("steps: 2}\noutputs: [fidelity]",
+     "steps: 80001}\nn_max: 61\noutputs: [number_distribution]", "outputs"),
+    # 2463 x 201**3 and (51 x 41 + 390) x 201**3 time points x (n_max + 1)**3
+    # exceed 2e10
+    ("steps: 2}\noutputs: [fidelity]", "steps: 2463}\nn_max: 200\noutputs: [fidelity]",
+     "schedule.steps"),
+    ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
+     "{kind: exchange_scan, k_max: 40}\nn_max: 200\noutputs: [report]",
+     "schedule.k_max"),
+]
+BUDGET_IDS = ["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
+              "coherent", "csv-cells", "grid-work-steps", "grid-work-k_max"]
+
+
 class TestCostBudget:
-    @pytest.mark.parametrize(
-        "old, new, field",
-        [
-            ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
-             "{kind: exchange_scan, k_max: 1001}", "schedule.k_max"),
-            ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
-             "{kind: exchange_scan, k_max: 100000000}", "schedule.k_max"),
-            ("steps: 2", "steps: 100001", "schedule.steps"),
-            ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity]", "n_max"),
-            ("{kind: fock, n: 1}", "{kind: fock, n: 201}", "initial.n"),
-            ("{kind: fock, n: 1}", "{kind: qubit, c0: 0.6, cn: 0.8, n: 201}", "initial.n"),
-            ("{kind: fock, n: 1}", "{kind: amplitudes, values: [%s]}" % ", ".join(["1"] * 202),
-             "initial.values"),
-            ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 201}",
-             "initial.truncation"),
-            ("steps: 2}\noutputs: [fidelity]",
-             "steps: 80001}\nn_max: 61\noutputs: [number_distribution]", "outputs"),
-            # 2463 x 201**3 and 50 x 50 x 201**3 time points x (n_max + 1)**3 exceed 2e10
-            ("steps: 2}\noutputs: [fidelity]", "steps: 2463}\nn_max: 200\noutputs: [fidelity]",
-             "schedule.steps"),
-            ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
-             "{kind: exchange_scan, k_max: 49}\nn_max: 200\noutputs: [report]",
-             "schedule.k_max"),
-        ],
-        ids=["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
-             "coherent", "csv-cells", "grid-work-steps", "grid-work-k_max"],
-    )
+    @pytest.mark.parametrize("old, new, field", BUDGET_CASES, ids=BUDGET_IDS)
     def test_over_budget_names_the_field(self, tmp_path, capsys, old, new, field):
         assert old in BUDGET_BASE
         scenario = write_scenario(tmp_path, BUDGET_BASE.replace(old, new))

@@ -42,3 +42,37 @@ def test_script_runs(script, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+IMPORT_GUARD = """
+import sys
+import oscswap.analysis
+import oscswap.cli
+assert "scipy" not in sys.modules, "import oscswap.cli pulled in scipy"
+assert oscswap.cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "scipy" not in sys.modules, "an exchange_scan run pulled in scipy"
+try:
+    oscswap.analysis.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("analysis resolved an unknown name")
+assert "scipy" not in sys.modules
+assert callable(oscswap.analysis.optimize.minimize_scalar)  # resolved only on demand
+assert oscswap.cli.main(["verify", "oracle"]) == 0
+"""
+
+
+def test_cli_run_path_imports_no_scipy(tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(ROOT / "scenarios" / "qubit_exchange.yaml"),
+         str(tmp_path / "out")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "result: PASS" in result.stdout

@@ -1,10 +1,22 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import yaml
 
-from oscswap.scenario import build_initial_state, parse_scenario
+from oscswap.cli import main
+from oscswap.scenario import (
+    Scenario,
+    ScenarioError,
+    build_initial_state,
+    load_scenario,
+    parse_scenario,
+)
+from test_cli import BUDGET_BASE, BUDGET_CASES, FOCK_GRID, QUBIT_SCAN
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
 
 
 def raw_scenario(initial=None, schedule=None, **top):
@@ -55,9 +67,10 @@ class TestCostBudgetLimitsParse:
     @pytest.mark.parametrize(
         "schedule",
         [
-            # 2462 x 201**3 and 50 x 49 x 201**3 time points x (n_max + 1)**3 stay under 2e10
+            # 2462 x 201**3 and (51 x 40 + 390) x 201**3 time points x (n_max + 1)**3
+            # stay under 2e10
             {"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 2462},
-            {"kind": "exchange_scan", "k_max": 48},
+            {"kind": "exchange_scan", "k_max": 39},
         ],
         ids=["time_grid", "exchange_scan"],
     )
@@ -92,3 +105,113 @@ class TestCoherentState:
         expected = np.array([alpha**n / math.sqrt(math.factorial(n)) for n in range(21)])
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(phi, expected, rtol=1e-14)
+
+
+# Hostile inputs, each a (text in BUDGET_BASE, replacement) pair: the kinds
+# of error TestValidation in test_cli.py checks, then YAML-level oddities.
+HOSTILE_EDITS = [
+    ("lambda: 0.5", "lambda: -0.5"),
+    ("lambda: 0.5}", "lambda: 0.5, omega3: 2.0}"),
+    (", lambda: 0.5", ""),
+    ("outputs: [fidelity]", "n_max: 0\noutputs: [fidelity]"),
+    ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
+     "{kind: exchange_scan, k_max: 1}\noutputs: [reduced_density]"),
+    ("t_start: 0.0, t_end: 1.0", "t_start: 2.0, t_end: 1.0"),
+    ("omega1: 1.0", "omega1: .nan"),
+    ("omega1: 1.0", "omega1: .inf"),
+    ("omega1: 1.0", "omega1: 1e5"),  # YAML 1.1 reads a float without '.' as a string
+    ("omega1: 1.0", "omega1: yes"),
+    ("steps: 2", "steps: 0x10"),
+    ("steps: 2", "steps: 1_000"),
+    ("steps: 2", "steps: !!float 2"),
+    ("{kind: fock, n: 1}", "{kind: amplitudes, values: [[0.6, 0.8], 1, [0, 0.5]]}"),
+    ("{kind: fock, n: 1}", "{kind: coherent, alpha: [0.5, 0.25], truncation: 30}"),
+    ("{kind: fock, n: 1}", "{kind: fock, n: 1, n: 2}"),  # duplicate key: the last wins
+    ("params: {", "p: &p {omega1: 1.0, omega2: 1.0, lambda: 0.5}\nparams: {"),
+    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+     "params: !!python/object/apply:os.getcwd []"),
+    ("outputs: [fidelity]", "outputs: [fidelity]\n---\nparams: {}"),
+    ("outputs: [fidelity]", "outputs: fidelity"),
+]
+
+
+def hostile_texts():
+    texts = [QUBIT_SCAN, FOCK_GRID, "", "- 1\n- 2\n", "just text\n"]
+    texts += [BUDGET_BASE.replace(old, new) for old, new, _ in BUDGET_CASES]
+    for old, new in HOSTILE_EDITS:
+        assert old in BUDGET_BASE
+        texts.append(BUDGET_BASE.replace(old, new))
+    return texts
+
+
+def load_with(monkeypatch, path, libyaml):
+    """``load_scenario(path)``, or the field its error names, with or without libyaml."""
+    with monkeypatch.context() as patch:
+        if not libyaml:
+            patch.delattr(yaml, "CSafeLoader", raising=False)
+        try:
+            return load_scenario(path)
+        except ScenarioError as exc:
+            return exc.field
+
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml"
+)
+
+
+class TestYamlLoaders:
+    @needs_libyaml
+    @pytest.mark.parametrize("path", SCENARIOS, ids=[path.stem for path in SCENARIOS])
+    def test_both_loaders_give_equal_scenarios(self, monkeypatch, path):
+        fast = load_with(monkeypatch, path, libyaml=True)
+        assert isinstance(fast, Scenario)
+        assert fast == load_with(monkeypatch, path, libyaml=False)
+
+    @needs_libyaml
+    def test_both_loaders_agree_on_hostile_inputs(self, monkeypatch, tmp_path):
+        outcomes = {}
+        for i, text in enumerate(hostile_texts()):
+            path = tmp_path / f"hostile-{i}.yaml"
+            path.write_text(text)
+            outcomes[text] = load_with(monkeypatch, path, libyaml=True)
+            assert outcomes[text] == load_with(monkeypatch, path, libyaml=False), text
+        # both outcomes occur; a Python tag and a second document are refused as YAML
+        assert sum(isinstance(o, Scenario) for o in outcomes.values()) >= 5
+        assert "(top level)" in outcomes.values()
+        refused = [t for t, o in outcomes.items() if o == "(file)"]
+        assert any("!!python" in t for t in refused) and any("---" in t for t in refused)
+
+    @needs_libyaml
+    def test_libyaml_is_used_when_present(self, monkeypatch, tmp_path):
+        used = []
+
+        class Spy(yaml.CSafeLoader):
+            def __init__(self, stream):
+                used.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(QUBIT_SCAN)
+        load_scenario(path)
+        assert used == [QUBIT_SCAN]
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize(
+        "text",
+        ["params: {omega1: 1.0\n", "params:\n  omega1: 1.0\n omega2: 1.0\n",
+         "params:\n\tomega1: 1.0\n", "initial: 'fock\n", "a: b: c\n"],
+        ids=["unclosed-flow", "bad-indent", "tab", "open-quote", "nested-colon"],
+    )
+    def test_malformed_yaml_exits_two(self, monkeypatch, tmp_path, capsys, libyaml, text):
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert 'scenario field "(file)": not valid YAML' in err
+        assert not (tmp_path / "out").exists()
