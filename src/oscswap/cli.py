@@ -127,7 +127,7 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
             f"steps: {sched.steps}",
             f"max_fidelity: {_fmt(fidelities[best])}",
             f"t_at_max: {_fmt(float(ts[best]))}",
-            f"final_norm: {_fmt(norm(TwoModeState.from_table(final)))}",
+            f"final_norm: {_fmt(norm(TwoModeState(final)))}",
         ]
         if scenario.initial.kind == "coherent":
             lines.append(f"coherent_tail_discarded: {_fmt(discarded)}")

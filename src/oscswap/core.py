@@ -1,14 +1,13 @@
 """Domain types for two linearly coupled quantum harmonic oscillators.
 
 The bilinear hopping coupling conserves the total quantum number n1 + n2,
-so two-mode Fock amplitudes are stored block-wise by total quanta and the
-dynamics never mixes blocks. Within finite truncation the evolution is
-therefore exact for any state supported on at most ``n_max`` total quanta.
+so the dynamics never mixes blocks of fixed total quanta. A state is the
+table of its two-mode Fock amplitudes ``C[n1, n2]``, truncated to
+n1 + n2 <= ``n_max``; within that truncation the evolution is exact.
 
-Index convention (project-wide): inside the block of total quanta ``n``,
-index ``l`` maps to the pair ``(n1, n2) = (n - l, l)``, i.e. n1 descending.
-Every producer and consumer of block vectors and block matrices shares
-this convention.
+Index convention for block matrices (project-wide): inside the block of
+total quanta ``n``, index ``l`` maps to the pair ``(n1, n2) = (n - l, l)``,
+i.e. n1 descending. In a state table that block is ``C[n - l, l]``.
 """
 
 import math
@@ -149,61 +148,47 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoModeState:
-    """Two-mode Fock amplitudes stored block-wise by total quanta.
+    """Two-mode Fock amplitudes as a table ``C[n1, n2]``.
 
-    ``blocks[n][l]`` holds the amplitude on ``|n1, n2> = |n - l, l>``;
-    every pair with n1 + n2 <= n_max has exactly one slot. Instances are
-    immutable (the arrays are marked read-only) and safe to share across
+    ``table`` is a complex (n_max + 1) x (n_max + 1) array; the entries with
+    n1 + n2 > n_max lie beyond the truncation and must be zero. Instances
+    are immutable (the table is marked read-only) and safe to share across
     threads.
     """
 
-    n_max: int
-    blocks: tuple[np.ndarray, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if len(self.blocks) != self.n_max + 1:
-            raise ValueError(
-                f"expected {self.n_max + 1} blocks for n_max = {self.n_max}, got {len(self.blocks)}"
-            )
-        frozen = []
-        for n, block in enumerate(self.blocks):
-            arr = np.array(block, dtype=np.complex128)
-            if arr.shape != (n + 1,):
-                raise ValueError(f"block {n} must have shape ({n + 1},), got {arr.shape}")
-            frozen.append(_freeze(arr))
-        object.__setattr__(self, "blocks", tuple(frozen))
+        table = np.array(self.table, dtype=np.complex128)
+        if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+            raise ValueError(f"table must be a nonempty square array, got shape {table.shape}")
+        dim = table.shape[0]
+        if table[np.add.outer(np.arange(dim), np.arange(dim)) >= dim].any():
+            raise ValueError(f"table has a nonzero entry with n1 + n2 > n_max = {dim - 1}")
+        object.__setattr__(self, "table", _freeze(table))
+
+    @property
+    def n_max(self) -> int:
+        return self.table.shape[0] - 1
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        # Not used in src/. perfbench/spans.py counts evolved amplitudes by it,
+        # so it stays until the benchmark's tracer changes.
+        return tuple(
+            _freeze(self.table[n - np.arange(n + 1), np.arange(n + 1)])
+            for n in range(self.n_max + 1)
+        )
 
     def amplitude(self, n1: int, n2: int) -> complex:
         if n1 < 0 or n2 < 0 or n1 + n2 > self.n_max:
             raise IndexError(f"(n1, n2) = ({n1}, {n2}) outside truncation n_max = {self.n_max}")
-        return complex(self.blocks[n1 + n2][n2])
-
-    def table(self) -> np.ndarray:
-        """Amplitudes as an (n_max + 1) x (n_max + 1) array ``C[n1, n2]``,
-        zero where n1 + n2 > n_max."""
-        dim = self.n_max + 1
-        table = np.zeros((dim, dim), dtype=np.complex128)
-        for n, block in enumerate(self.blocks):
-            l = np.arange(n + 1)
-            table[n - l, l] = block
-        return table
-
-    @classmethod
-    def from_table(cls, table: np.ndarray) -> "TwoModeState":
-        """The state whose amplitudes are ``table[n1, n2]`` for n1 + n2 <= n_max,
-        with n_max + 1 the table's side; entries beyond the truncation are ignored."""
-        blocks = []
-        for n in range(table.shape[0]):
-            l = np.arange(n + 1)
-            blocks.append(table[n - l, l])
-        return cls(n_max=table.shape[0] - 1, blocks=tuple(blocks))
+        return complex(self.table[n1, n2])
 
 
 def norm(state: TwoModeState) -> float:
     """Euclidean norm sqrt(sum |C|^2) over all amplitudes."""
-    return math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in state.blocks))
+    return float(np.linalg.norm(state.table))
 
 
 def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoModeState:
@@ -227,10 +212,9 @@ def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoM
             f"phi has support on n = {support} but the truncation is n_max = {n_max}"
         )
     amps = amps / np.linalg.norm(amps)
-    blocks = [np.zeros(n + 1, dtype=np.complex128) for n in range(n_max + 1)]
-    for n in range(support + 1):
-        blocks[n][0] = amps[n]
-    return TwoModeState(n_max=n_max, blocks=tuple(blocks))
+    table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+    table[: support + 1, 0] = amps[: support + 1]
+    return TwoModeState(table)
 
 
 def make_state(
@@ -251,37 +235,28 @@ def make_state(
         raise TruncationTooSmallError(
             f"amplitudes reach total quanta {support} but the truncation is n_max = {n_max}"
         )
-    blocks = [np.zeros(n + 1, dtype=np.complex128) for n in range(n_max + 1)]
-    for (n1, n2), amp in amplitudes.items():
-        blocks[n1 + n2][n2] = amp
+    table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+    n1, n2 = np.array(list(amplitudes)).T
+    table[n1, n2] = list(amplitudes.values())
     if normalize:
-        total = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks))
+        total = np.linalg.norm(table)
         if total == 0.0:
             raise ZeroVectorError("amplitudes have zero norm and cannot be normalized")
-        blocks = [b / total for b in blocks]
-    return TwoModeState(n_max=n_max, blocks=tuple(blocks))
+        table /= total
+    return TwoModeState(table)
 
 
 def annihilation_expectation(state: TwoModeState, mode: int) -> complex:
     """Expectation <a_mode> from the amplitudes by the ladder rule.
 
-    Mode 1: <a1> = sum sqrt(n1) conj(C[n1-1, n2]) C[n1, n2], and
-    symmetrically for mode 2. Lowering one quantum in mode 1 keeps the
-    block index l = n2, lowering in mode 2 shifts it to l - 1.
+    Mode 1: <a1> = sum sqrt(n1) conj(C[n1-1, n2]) C[n1, n2], and the same
+    on the transposed table for mode 2.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    total = 0.0 + 0.0j
-    for n in range(1, state.n_max + 1):
-        upper = state.blocks[n]
-        lower = state.blocks[n - 1]
-        if mode == 1:
-            weights = np.sqrt(np.arange(n, 0, -1, dtype=float))
-            total += np.sum(weights * np.conj(lower) * upper[:n])
-        else:
-            weights = np.sqrt(np.arange(1, n + 1, dtype=float))
-            total += np.sum(weights * np.conj(lower) * upper[1:])
-    return complex(total)
+    table = state.table if mode == 1 else state.table.T
+    weights = np.sqrt(np.arange(1, table.shape[0], dtype=float))[:, np.newaxis]
+    return complex(np.sum(weights * np.conj(table[:-1]) * table[1:]))
 
 
 @dataclass(frozen=True)

@@ -123,10 +123,12 @@ class EvolutionOperator:
         ts = np.asarray(ts, dtype=float)
         dim = state.n_max + 1
         occupied = []
-        for n, vec in enumerate(state.blocks):
-            if np.any(vec):
+        for n in range(dim):
+            l = np.arange(n + 1)
+            vec = state.table[n - l, l]
+            if vec.any():
                 w, freqs = self._block_data(n)
-                occupied.append((n, np.arange(n + 1), w.T, freqs, w.T @ vec))
+                occupied.append((n, l, w.T, freqs, w.T @ vec))
         before = norm(state)
         per_chunk = max(1, _CHUNK_AMPLITUDES // (dim * dim))
         for start in range(0, len(ts), per_chunk):
@@ -143,7 +145,7 @@ class EvolutionOperator:
     def evolve(self, state: TwoModeState, t: float) -> TwoModeState:
         """Propagate a state to time t: the one-time case of :meth:`evolve_grid`."""
         _, tables = next(self.evolve_grid(state, [t]))
-        return TwoModeState.from_table(tables[0])
+        return TwoModeState(tables[0])
 
     def transfer_amplitude(self, n: int, t: float) -> complex:
         """Closed-form amplitude ratio C[0, n](t) / C[n, 0](0) for product

@@ -317,21 +317,21 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
     return checks, notes
 
 
-def _random_phi(rng: np.random.Generator, n_top: int) -> np.ndarray:
+def _random_phi(rng: "np.random.Generator", n_top: int) -> np.ndarray:
     phi = rng.normal(size=n_top + 1) + 1j * rng.normal(size=n_top + 1)
     phi[n_top] += 1.0  # pin the support so the draw never truncates early
     return phi / np.linalg.norm(phi)
 
 
-def _random_state(rng: np.random.Generator, n_max: int) -> TwoModeState:
-    blocks = []
-    total = 0.0
-    for n in range(n_max + 1):
-        vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        total += float(np.sum(np.abs(vec) ** 2))
-        blocks.append(vec)
-    scale = math.sqrt(total)
-    return TwoModeState(n_max=n_max, blocks=tuple(b / scale for b in blocks))
+def _random_state(rng: "np.random.Generator", n_max: int) -> TwoModeState:
+    # The draw order fixes the suite's samples: block by block, n = 0..n_max,
+    # the n + 1 real parts of C[n - l, l], then their n + 1 imaginary parts.
+    n, l = np.tril_indices(n_max + 1)
+    draws = rng.normal(size=2 * n.size)
+    start = n * (n + 1)  # draws taken by the blocks below n: 2 (1 + 2 + ... + n)
+    table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+    table[n - l, l] = draws[start + l] + 1j * draws[start + n + 1 + l]
+    return TwoModeState(table / np.linalg.norm(table))
 
 
 _SUITES = {

@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -32,10 +30,19 @@ def mixing_for_detuning(x, lam=1.0, omega2=1.0):
 
 
 def random_state(rng, n_max):
-    """Normalized state with amplitudes in every block up to n_max."""
-    blocks = [rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1) for n in range(n_max + 1)]
-    total = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks))
-    return TwoModeState(n_max=n_max, blocks=tuple(b / total for b in blocks))
+    """Normalized state with amplitudes on every (n1, n2) with n1 + n2 <= n_max,
+    drawn block by block: the real parts of C[n - l, l], l = 0..n, then their
+    imaginary parts."""
+    table = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for n in range(n_max + 1):
+        table[block_slots(n)] = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return TwoModeState(table / np.linalg.norm(table))
+
+
+def block_slots(n):
+    """Index of the block of n total quanta in a state table: slot l is C[n - l, l]."""
+    l = np.arange(n + 1)
+    return n - l, l
 
 
 def random_phi(rng, n_top):

@@ -259,13 +259,15 @@ class TestStatisticsExchange:
         rng = np.random.default_rng(29)
         omega, lam = 2.37, 0.53
         evo = resonant_evolution(omega / lam, lam)
-        tau0 = exchange_times(evo.mix, lam, 0)[0]
+        taus = exchange_times(evo.mix, lam, 4)
         for _ in range(10):
             state0 = make_product_state(random_phi(rng, int(rng.integers(1, 7))))
-            report = verify_statistics_exchange(state0, evo, tau0)
-            assert report.statistics_match < 1e-10
-            assert report.phase_defect < 1e-10
-            assert 0.0 <= report.fidelity_exchange <= 1.0
+            # the hop -2i s c sin(lam t) changes sign from one exchange time to the next
+            for tau in taus:
+                report = verify_statistics_exchange(state0, evo, tau)
+                assert report.statistics_match < 1e-10
+                assert report.phase_defect < 1e-10
+                assert 0.0 <= report.fidelity_exchange <= 1.0
 
     def test_no_transfer_at_start(self):
         evo = resonant_evolution(3.0)
@@ -319,17 +321,19 @@ class TestStatisticsExchange:
 
 def graded_by_loop(state0, evo, t, floor=1e-12):
     """Reference for the batched grading: the exchange grades of one time by
-    a per-level loop over the blocks of one evolved state."""
-    phi0 = np.array([state0.blocks[n][0] for n in range(state0.n_max + 1)])
+    a per-level loop over the amplitudes of one evolved state."""
+    phi0 = np.array([state0.amplitude(n, 0) for n in range(state0.n_max + 1)])
     out = evo.evolve(state0, t)
-    swapped = np.array([out.blocks[n][n] for n in range(out.n_max + 1)])
+    swapped = np.array([out.amplitude(0, n) for n in range(out.n_max + 1)])
     stats = float(np.max(np.abs(np.abs(swapped) - np.abs(phi0))))
     mean = 0.5 * (evo.params.omega1 + evo.params.omega2)
+    # the phase of the hop -2i s c sin(d t): -pi/2, or +pi/2 where the sine is negative
+    hop = -0.5 * math.pi if math.sin(evo.mix.half_splitting * t) >= 0 else 0.5 * math.pi
     defect = 0.0
     for n in range(out.n_max + 1):
         if abs(swapped[n]) < floor or abs(phi0[n]) < floor:
             continue
-        predicted = cmath.phase(phi0[n]) - (mean * t + 0.5 * math.pi) * n
+        predicted = cmath.phase(phi0[n]) + (hop - mean * t) * n
         defect = max(defect, abs(math.remainder(cmath.phase(swapped[n]) - predicted, math.tau)))
     return exchange_fidelity(out, phi0), stats, defect
 

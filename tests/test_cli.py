@@ -163,8 +163,8 @@ outputs: [report]
         from oscswap.core import TwoModeState
 
         def broken_initial(scenario):
-            blocks = (np.array([2.0 + 0j]), np.array([0.0j, 0.0j]))
-            return TwoModeState(n_max=1, blocks=blocks), np.array([1.0, 0.0]), 0.0
+            table = np.array([[2.0, 0.0], [0.0, 0.0]])
+            return TwoModeState(table), np.array([1.0, 0.0]), 0.0
 
         monkeypatch.setattr(cli_module, "build_initial_state", broken_initial)
         scenario = write_scenario(

@@ -115,16 +115,35 @@ class TestDeriveMixing:
 
 
 class TestTwoModeState:
-    def test_block_shapes_enforced(self):
-        with pytest.raises(ValueError):
-            TwoModeState(n_max=1, blocks=(np.zeros(1), np.zeros(3)))
-        with pytest.raises(ValueError):
-            TwoModeState(n_max=1, blocks=(np.zeros(1),))
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_non_square_table_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            TwoModeState(np.zeros(shape))
 
-    def test_blocks_are_read_only(self):
+    @pytest.mark.parametrize("table", [np.zeros((0, 0)), []])
+    def test_empty_table_rejected(self, table):
+        with pytest.raises(ValueError, match="nonempty"):
+            TwoModeState(table)
+
+    @pytest.mark.parametrize("n1, n2", [(2, 1), (1, 2), (2, 2)])
+    def test_entry_beyond_truncation_rejected(self, n1, n2):
+        table = np.zeros((3, 3), dtype=complex)
+        table[n1, n2] = 1e-300
+        with pytest.raises(ValueError, match="n1 \\+ n2 > n_max = 2"):
+            TwoModeState(table)
+
+    def test_table_is_read_only(self):
         state = make_product_state([1.0])
         with pytest.raises(ValueError):
-            state.blocks[0][0] = 5.0
+            state.table[0, 0] = 5.0
+
+    def test_table_is_copied_on_construction(self):
+        table = np.array([[1.0, 0.0], [0.0, 0.0]])
+        state = TwoModeState(table)
+        table[0, 0] = 5.0
+        assert state.amplitude(0, 0) == 1.0
+        assert state.n_max == 1
+        assert state.table.dtype == np.complex128
 
     def test_amplitude_indexing(self):
         state = make_state({(1, 0): 0.6, (0, 1): 0.8j})
@@ -184,12 +203,12 @@ class TestNorm:
         assert norm(make_product_state([1.0])) == 1.0
 
     def test_all_zero(self):
-        state = TwoModeState(n_max=2, blocks=tuple(np.zeros(n + 1) for n in range(3)))
+        state = TwoModeState(np.zeros((3, 3)))
         assert norm(state) == 0.0
 
     def test_homogeneity(self):
         base = make_state({(1, 0): 0.6, (0, 1): 0.8})
-        doubled = TwoModeState(n_max=1, blocks=tuple(2.0 * b for b in base.blocks))
+        doubled = TwoModeState(2.0 * base.table)
         assert norm(doubled) == pytest.approx(2.0, rel=1e-12)
 
 

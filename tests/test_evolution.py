@@ -18,11 +18,11 @@ from oscswap.core import (
     norm,
     unitarity_defect,
 )
-from oscswap import evolution
+from oscswap import evolution, suites
 from oscswap.analysis import exchange_fidelities, exchange_fidelity, reduce, reduced_densities
 from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import build_block, compare_to_analytic, expm_evolution
-from conftest import mp_rotation_element, params_for_detuning, random_state
+from conftest import block_slots, mp_rotation_element, params_for_detuning, random_state
 
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0)
 
@@ -138,15 +138,15 @@ class TestEvolve:
         t = 0.37
         evolved = evo.evolve(state, t)
         for n in range(6):
-            brute = expm_evolution(build_block(params, n), t).entries @ state.blocks[n]
-            assert np.max(np.abs(evolved.blocks[n] - brute)) < 1e-9
+            brute = expm_evolution(build_block(params, n), t).entries @ state.table[block_slots(n)]
+            assert np.max(np.abs(evolved.table[block_slots(n)] - brute)) < 1e-9
 
     def test_conserves_total_quanta(self, detuned):
         evo = EvolutionOperator(detuned)
         state = make_state({(2, 0): 1.0, (1, 1): 1.0}, n_max=6)
         out = evo.evolve(state, 3.3)
         for n in (0, 1, 3, 4, 5, 6):
-            assert np.all(out.blocks[n] == 0)
+            assert np.all(out.table[block_slots(n)] == 0)
 
     @settings(max_examples=30)
     @given(
@@ -180,11 +180,10 @@ class TestEvolve:
 
 
 def state_with_empty_blocks(n_max, empty=(0, 3, 5)):
-    blocks = list(random_state(np.random.default_rng(n_max), n_max).blocks)
+    table = random_state(np.random.default_rng(n_max), n_max).table.copy()
     for n in empty:
-        blocks[n] = np.zeros(n + 1)
-    total = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks))
-    return TwoModeState(n_max=n_max, blocks=tuple(b / total for b in blocks))
+        table[block_slots(n)] = 0.0
+    return TwoModeState(table / np.linalg.norm(table))
 
 
 class TestEvolveGrid:
@@ -203,17 +202,18 @@ class TestEvolveGrid:
         assert tables.shape == (17, n_max + 1, n_max + 1)
         for t, table in zip(ts, tables):
             looped = evo.evolve(state, float(t))
-            assert np.max(np.abs(table - looped.table())) < 1e-14
-            assert np.max(np.abs(looped.table() - self.unbatched(evo, state, t))) < 1e-14
+            assert np.max(np.abs(table - looped.table)) < 1e-14
+            assert np.max(np.abs(looped.table - self.unbatched(evo, state, t))) < 1e-14
 
     @staticmethod
     def unbatched(evo, state, t):
         # the per-block phase sandwich W diag(e^{-iEt}) W^T applied to one state
-        blocks = []
-        for n, vec in enumerate(state.blocks):
+        table = np.zeros_like(state.table)
+        for n in range(state.n_max + 1):
             w, freqs = evo._block_data(n)
-            blocks.append((w * np.exp(-1j * freqs * t)) @ (w.T @ vec))
-        return TwoModeState(n_max=state.n_max, blocks=tuple(blocks)).table()
+            slots = block_slots(n)
+            table[slots] = (w * np.exp(-1j * freqs * t)) @ (w.T @ state.table[slots])
+        return table
 
     def test_empty_blocks_stay_exactly_zero(self, detuned):
         evo = EvolutionOperator(detuned)
@@ -292,6 +292,14 @@ class TestHeisenbergPicture:
             heisenberg = evo.heisenberg_mode_expectation(state, mode, t)
             schrodinger = annihilation_expectation(evolved, mode)
             assert heisenberg == pytest.approx(schrodinger, abs=1e-10)
+
+    @pytest.mark.parametrize("n_max", (0, 4, 9))
+    def test_suite_sample_draws_block_by_block(self, n_max):
+        # the evolution suite's random states come from the same draws, in the
+        # same order, as this module's block-by-block reference
+        got = suites._random_state(np.random.default_rng(17), n_max)
+        want = random_state(np.random.default_rng(17), n_max)
+        assert np.max(np.abs(got.table - want.table)) <= 1e-15
 
 
 def mp_ut_elements(params, n, rows, times):

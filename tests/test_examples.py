@@ -49,8 +49,10 @@ import sys
 import oscswap.analysis
 import oscswap.cli
 assert "scipy" not in sys.modules, "import oscswap.cli pulled in scipy"
+assert "numpy.random" not in sys.modules, "import oscswap.cli pulled in numpy.random"
 assert oscswap.cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert "scipy" not in sys.modules, "an exchange_scan run pulled in scipy"
+assert "numpy.random" not in sys.modules, "an exchange_scan run pulled in numpy.random"
 try:
     oscswap.analysis.no_such_name
 except AttributeError:
@@ -76,3 +78,12 @@ def test_cli_run_path_imports_no_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "result: PASS" in result.stdout
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's "Library quick start" block, so its imports cannot drift from the package
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from oscswap import (" in code
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "1.0"
