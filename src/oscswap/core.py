@@ -211,7 +211,7 @@ def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoM
         raise TruncationTooSmallError(
             f"phi has support on n = {support} but the truncation is n_max = {n_max}"
         )
-    amps = amps / np.linalg.norm(amps)
+    amps = _normalized(amps)
     table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
     table[: support + 1, 0] = amps[: support + 1]
     return TwoModeState(table)
@@ -239,11 +239,25 @@ def make_state(
     n1, n2 = np.array(list(amplitudes)).T
     table[n1, n2] = list(amplitudes.values())
     if normalize:
-        total = np.linalg.norm(table)
-        if total == 0.0:
+        if not table.any():
             raise ZeroVectorError("amplitudes have zero norm and cannot be normalized")
-        table /= total
+        table = _normalized(table)
     return TwoModeState(table)
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """``amps / ||amps||`` for a nonzero contiguous complex array.
+
+    The array is first scaled by the power of two that brings its largest
+    real or imaginary part into [0.5, 1), so the norm neither overflows
+    (entries above about 1e154) nor underflows (below about 1e-154). That
+    scaling is exact for every entry it leaves in the normal range, so
+    there the result equals the plain division bit for bit.
+    """
+    parts = amps.view(np.float64)  # real and imaginary parts, interleaved
+    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+    scaled = np.ldexp(parts, -exponent).view(np.complex128)
+    return scaled / np.linalg.norm(scaled)
 
 
 def annihilation_expectation(state: TwoModeState, mode: int) -> complex:

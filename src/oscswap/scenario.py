@@ -204,7 +204,12 @@ def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, f
     elif init.kind == "amplitudes":
         phi = np.asarray(init.values, dtype=np.complex128)
     else:
-        intensity = abs(init.alpha) ** 2
+        try:
+            intensity = abs(init.alpha) ** 2
+        except OverflowError:
+            raise ScenarioError(
+                "initial.alpha", f"|alpha|**2 overflows a double for alpha = {init.alpha}"
+            ) from None
         weight = math.exp(-intensity)
         kept = 0.0
         amplitude = 1.0 + 0.0j  # alpha**n / sqrt(n!), built term by term
@@ -226,8 +231,7 @@ def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, f
         state = make_product_state(phi, n_max=scenario.n_max)
     except (ZeroVectorError, TruncationTooSmallError) as exc:
         raise ScenarioError("initial", str(exc)) from exc
-    total = np.linalg.norm(phi)
-    return state, phi / total, discarded
+    return state, state.table[: len(phi), 0], discarded
 
 
 def _parse_params(raw: object) -> CouplingParams:

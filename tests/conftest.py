@@ -1,9 +1,12 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from oscswap.core import CouplingParams, TwoModeState, derive_mixing
+from oscswap.suites import verify_suite
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -19,6 +22,22 @@ def resonant():
 def detuned():
     """Detuning x = 1 (omega difference equals twice the coupling)."""
     return CouplingParams(omega1=1.2, omega2=0.8, lam=0.2)
+
+
+@functools.cache
+def suite_report(name):
+    """The report of one verification suite, run once per session (reports are frozen)."""
+    return verify_suite(name)
+
+
+def assert_suite_checks(suite, names):
+    """Assert the named checks of one verification suite, each strictly below its tolerance."""
+    checks = {check.name: check for check in suite_report(suite).checks}
+    for name in names:
+        check = checks[name]
+        assert check.residual < check.tolerance, (
+            f"{suite}: {name}: residual {check.residual:.3e} (tol {check.tolerance:.1e})"
+        )
 
 
 def params_for_detuning(x, lam=1.0, omega2=1.0):

@@ -133,6 +133,44 @@ outputs: [fidelity]
         )
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize(
+        "initial",
+        ["{kind: amplitudes, values: [1.0e+200, 1.0]}",
+         "{kind: amplitudes, values: [1.0e-320, 0.0]}",
+         "{kind: qubit, c0: 1.0e+308, cn: 1.0, n: 1}"],
+        ids=["huge", "subnormal", "huge-qubit"],
+    )
+    def test_extreme_amplitudes_are_normalized(self, tmp_path, initial):
+        # their plain norm overflows or underflows
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: 1.0, omega2: 1.0, lambda: 0.5}}
+initial: {initial}
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 3.0, steps: 4}}
+outputs: [fidelity]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "fidelity.csv")
+        assert rows[0, 1] == pytest.approx(1.0, abs=1e-15)  # the state is its own target at t = 0
+
+    @pytest.mark.parametrize("alpha", ["1.0e+160", "[0.0, 1.0e+200]"], ids=["real", "imaginary"])
+    def test_huge_coherent_alpha_names_the_field(self, tmp_path, capsys, alpha):
+        # |alpha|**2 overflows a double
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: 1.0, omega2: 1.0, lambda: 0.5}}
+initial: {{kind: coherent, alpha: {alpha}, truncation: 10}}
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}}
+outputs: [fidelity]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert 'scenario field "initial.alpha"' in capsys.readouterr().err
+
     def test_decoupled_time_grid_is_allowed(self, tmp_path):
         scenario = write_scenario(
             tmp_path,

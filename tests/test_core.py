@@ -187,6 +187,18 @@ class TestMakeProductState:
         state = make_product_state([1.0, 1.0, 0.0, 0.0], n_max=1)
         assert state.n_max == 1
 
+    def test_huge_amplitudes_normalize_like_unit_ones(self):
+        # the plain norm of [1e200, 1e200] overflows
+        want = make_product_state([1.0, 1.0]).table
+        assert np.array_equal(make_product_state([1e200, 1e200]).table, want)
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_scale_changes_no_bit(self, exponent):
+        # the plain norm overflows (600, 1000) or underflows (-600, -1000)
+        phi = np.array([0.6, 0.3j, -0.1 + 0.2j, 0.7])
+        want = make_product_state(phi).table
+        assert np.array_equal(make_product_state(phi * 2.0**exponent).table, want)
+
     @given(
         st.lists(
             st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
@@ -227,6 +239,13 @@ class TestMakeState:
     def test_respects_truncation(self):
         with pytest.raises(TruncationTooSmallError):
             make_state({(2, 1): 1.0}, n_max=2)
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_scale_changes_no_bit(self, exponent):
+        amplitudes = {(1, 0): 0.6, (0, 1): -0.3 + 0.7j, (1, 1): 0.2j}
+        want = make_state(amplitudes).table
+        scaled = {key: value * 2.0**exponent for key, value in amplitudes.items()}
+        assert np.array_equal(make_state(scaled).table, want)
 
 
 class TestAnnihilationExpectation:

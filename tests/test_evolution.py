@@ -22,7 +22,13 @@ from oscswap import evolution, suites
 from oscswap.analysis import exchange_fidelities, exchange_fidelity, reduce, reduced_densities
 from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import build_block, compare_to_analytic, expm_evolution
-from conftest import block_slots, mp_rotation_element, params_for_detuning, random_state
+from conftest import (
+    assert_suite_checks,
+    block_slots,
+    mp_rotation_element,
+    params_for_detuning,
+    random_state,
+)
 
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0)
 
@@ -45,21 +51,16 @@ class TestOperatorBasics:
         evo = EvolutionOperator(detuned)
         assert evo.ut_element(1, 0, 2, 0, 0.7) == 0
 
-    @pytest.mark.parametrize("x", (0.0, 1.0, -5.0))
-    def test_unitarity_over_time(self, x):
-        evo = EvolutionOperator(params_for_detuning(x, lam=0.7, omega2=1.3))
-        for n in (1, 3, 7, 12):
-            for t in T_GRID:
-                assert unitarity_defect(evo.ut_block(n, t).entries) < 1e-10
-
-    @pytest.mark.parametrize("x", (0.0, 1.0))
-    def test_group_property(self, x):
-        evo = EvolutionOperator(params_for_detuning(x, lam=0.7, omega2=1.3))
-        for n in (1, 4, 9):
-            for t1, t2 in ((0.1, 0.37), (1.0, 2.9), (7.3, 0.1)):
-                combined = evo.ut_block(n, t1 + t2).entries
-                product = evo.ut_block(n, t1).entries @ evo.ut_block(n, t2).entries
-                assert np.max(np.abs(combined - product)) < 1e-10
+    def test_suite_covers_unitarity_group_closed_forms_and_periodicity(self):
+        assert_suite_checks(
+            "evolution",
+            [
+                "block unitarity over time grid",
+                "group property U(t1) U(t2) = U(t1+t2)",
+                "closed-form transfer/survival vs generic sum, n <= 20",
+                "transfer modulus periodicity",
+            ],
+        )
 
 
 class TestClosedForms:
@@ -86,32 +87,11 @@ class TestClosedForms:
             evo.ut_element(0, 2, 2, 0, t), abs=1e-12
         )
 
-    @pytest.mark.parametrize("x", (0.0, 1.0, -1.0, 5.0, -5.0))
-    def test_closed_forms_match_generic_sums(self, x):
-        lam = 0.7
-        evo = EvolutionOperator(params_for_detuning(x, lam=lam, omega2=1.3))
-        for lam_t in (0.3, 1.0, 2.2, 5.0):
-            t = lam_t / lam
-            for n in (1, 2, 5, 11, 20):
-                assert abs(evo.transfer_amplitude(n, t) - evo.ut_element(0, n, n, 0, t)) < 1e-10
-                assert abs(evo.survival_amplitude(n, t) - evo.ut_element(n, 0, n, 0, t)) < 1e-10
-
     def test_single_quantum_probability_conservation(self, detuned):
         evo = EvolutionOperator(detuned)
         for t in T_GRID:
             total = abs(evo.transfer_amplitude(1, t)) ** 2 + abs(evo.survival_amplitude(1, t)) ** 2
             assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_transfer_modulus_periodicity(self):
-        lam = 0.7
-        evo = EvolutionOperator(params_for_detuning(1.0, lam=lam, omega2=1.3))
-        mix = evo.mix
-        period = 2.0 * math.pi * mix.c * mix.s / lam
-        for t in (0.1, 0.9, 2.3):
-            for n in (1, 2, 5):
-                assert abs(evo.ut_element(0, n, n, 0, t + period)) == pytest.approx(
-                    abs(evo.ut_element(0, n, n, 0, t)), abs=1e-10
-                )
 
 
 class TestEvolve:

@@ -1,5 +1,6 @@
 """Smoke tests: the example scenarios and scripts shipped with the repository run."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from oscswap.cli import main
+from oscswap.core import make_product_state
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
@@ -87,3 +89,22 @@ def test_readme_quick_start_runs(capsys):
     assert "from oscswap import (" in code
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "1.0"
+
+
+def test_benchmark_trace_names_resolve():
+    # perfbench/spans.py wraps these names from outside src/, so a rename there
+    # breaks `perfbench/run.py --trace 1` without failing any other test here
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, path, *_ in spans.WRAPS:
+        owner = importlib.import_module(module)
+        try:
+            for part in path.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            missing.append(f"{module}.{path}")
+    assert not missing, f"names in perfbench/spans.py WRAPS not found: {missing}"
+    # blocks 0 and 2 are occupied, block 1 is empty
+    assert spans._evolved_amplitudes(None, make_product_state([0.6, 0.0, 0.8])) == 1 + 3
