@@ -19,6 +19,7 @@ from .core import (
     NumericalIntegrityError,
     TwoModeState,
     ZeroVectorError,
+    _freeze,
     make_product_state,
 )
 from .evolution import EvolutionOperator
@@ -38,31 +39,6 @@ ZOOM_TIMES = _ZOOM_POINTS * _ZOOM_ROUNDS  # times the refinement evaluates, for 
 
 class NonPositiveRatioError(ValueError):
     """The requested exchange condition has no positive frequency ratio."""
-
-
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """Single-mode density matrix obtained by partial trace.
-
-    Validated on construction: Hermitian, unit trace, and positive
-    semidefinite up to a small negative eigenvalue floor (rounding
-    produces tiny negative eigenvalues; a hard zero threshold would
-    flake).
-    """
-
-    mode: int
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.mode not in (1, 2):
-            raise ValueError(f"mode must be 1 or 2, got {self.mode}")
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must have shape ({self.dim}, {self.dim}), got {arr.shape}")
-        check_densities(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
 
 
 def check_densities(rho: np.ndarray) -> None:
@@ -128,14 +104,13 @@ def transfer_probability(mix: MixingParams, lam: float, n: int, t: float) -> flo
     return float(abs(amp) ** (2 * n))
 
 
-def reduce(state: TwoModeState, mode: int) -> ReducedDensityMatrix:
-    """Partial trace onto one mode.
+def reduce(state: TwoModeState, mode: int) -> np.ndarray:
+    """Partial trace onto one mode, checked by :func:`check_densities`.
 
     Mode 1: rho[m, m'] = sum_j C[m, j] conj(C[m', j]); symmetrically for
-    mode 2. The result is (n_max + 1) x (n_max + 1).
+    mode 2. The result is a read-only (n_max + 1) x (n_max + 1) array.
     """
-    rho = _partial_trace(state.table, mode)
-    return ReducedDensityMatrix(mode=mode, dim=state.n_max + 1, entries=rho)
+    return _freeze(reduced_densities(state.table, mode))
 
 
 def reduced_densities(tables: np.ndarray, mode: int) -> np.ndarray:
@@ -197,10 +172,7 @@ def complete_exchange_ratio(level: int, turns: int) -> float:
 
 
 def verify_statistics_exchange(
-    state0: TwoModeState,
-    evo: EvolutionOperator,
-    t: float,
-    amplitude_floor: float = _AMPLITUDE_FLOOR,
+    state0: TwoModeState, evo: EvolutionOperator, t: float
 ) -> ExchangeReport:
     """Evolve a product state |phi> (x) |0> to time t and grade the exchange:
     the one-time case of :func:`statistics_exchanges`.
@@ -208,12 +180,12 @@ def verify_statistics_exchange(
     The phase prediction applies, per transferred quantum, the phase of the
     single-quantum transfer amplitude, -(mean_frequency * t + pi/2) plus pi
     where sin(half_splitting * t) < 0; deviations are measured wrap-aware
-    and only where both moduli exceed ``amplitude_floor`` (phases of
-    vanishing amplitudes are meaningless). The prediction is exact for
+    and only where both moduli are at least 1e-12 (phases of vanishing
+    amplitudes are meaningless). The prediction is exact for
     product states, so the phase defect stays at rounding level at every t;
     the statistics mismatch vanishes at every exchange time on resonance.
     """
-    fid, stats, defect = statistics_exchanges(state0, evo, [t], amplitude_floor)[0].tolist()
+    fid, stats, defect = statistics_exchanges(state0, evo, [t])[0].tolist()
     return ExchangeReport(
         time=t, fidelity_exchange=fid, statistics_match=stats, phase_defect=defect
     )
@@ -223,7 +195,6 @@ def statistics_exchanges(
     state0: TwoModeState,
     evo: EvolutionOperator,
     ts: Sequence[float] | np.ndarray,
-    amplitude_floor: float = _AMPLITUDE_FLOOR,
 ) -> np.ndarray:
     """:func:`verify_statistics_exchange` at every time in ``ts``, from one
     batched evolution. Row k is (fidelity_exchange, statistics_match,
@@ -236,7 +207,7 @@ def statistics_exchanges(
         swapped = tables[:, 0, :]  # the amplitudes on |0, n>
         stats = np.max(np.abs(np.abs(swapped) - np.abs(phi0)), axis=1)
         defects = np.zeros(len(times))
-        graded = (np.abs(swapped) >= amplitude_floor) & (np.abs(phi0) >= amplitude_floor)
+        graded = (np.abs(swapped) >= _AMPLITUDE_FLOOR) & (np.abs(phi0) >= _AMPLITUDE_FLOOR)
         kicks = [cmath.phase(evo.transfer_amplitude(1, t)) for t in times.tolist()]
         for k, n in zip(*np.nonzero(graded)):
             predicted = phases0[n] + kicks[k] * n
@@ -251,15 +222,16 @@ def find_exchange_time(
     phi: Sequence[complex],
     t_start: float,
     t_end: float,
-    grid_step: float | None = None,
 ) -> tuple[float, float]:
     """Numerically locate the time of maximal exchange fidelity in a window.
 
-    Coarse grid scan (step at most pi / (50 lambda) for coupled systems),
-    then a zoom: the two grid steps around the best point are evaluated
-    again on a grid of 65 times, six times over, which narrows the bracket
-    below 1e-9 of its starting width. Every grid is one batched evolution.
-    The zoom follows the least leak 1 - F, computed as the weight of the
+    Coarse grid scan, then a zoom. The coarse step is derived from the
+    coupling: pi / (50 max(lambda, half_splitting)), 50 points per half
+    period of the transfer modulus, or 1/200 of the window in the decoupled
+    limit. The zoom evaluates the two grid steps around the best point again
+    on a grid of 65 times, six times over, which narrows the bracket below
+    1e-9 of its starting width. Every grid is one batched evolution. The
+    zoom follows the least leak 1 - F, computed as the weight of the
     state outside |0> (x) |phi>, which keeps its relative precision where F
     rounds to 1. Its last point is returned only if its fidelity is at
     least the coarse grid's best; otherwise that grid point is. Useful
@@ -268,15 +240,14 @@ def find_exchange_time(
     """
     if not t_end > t_start:
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    if grid_step is None:
-        if evo.params.lam > 0:
-            # the transfer modulus oscillates at the half splitting, which is
-            # at least lam; 50 points per half period keeps the scan aliasing-free
-            # and the step at or below pi / (50 lam)
-            grid_step = math.pi / (50.0 * max(evo.params.lam, evo.mix.half_splitting))
-        else:
-            grid_step = (t_end - t_start) / 200.0
-    steps = max(3, int(math.ceil((t_end - t_start) / grid_step)) + 1)
+    if evo.params.lam > 0:
+        # the transfer modulus oscillates at the half splitting, which is
+        # at least lam; 50 points per half period keeps the scan aliasing-free
+        # and the step at or below pi / (50 lam)
+        step = math.pi / (50.0 * max(evo.params.lam, evo.mix.half_splitting))
+    else:
+        step = (t_end - t_start) / 200.0
+    steps = max(3, int(math.ceil((t_end - t_start) / step)) + 1)
     state0 = make_product_state(phi)
     target = _product_amplitudes(state0)  # phi, normalized
 

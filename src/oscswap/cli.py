@@ -22,7 +22,7 @@ from .core import (
     norm,
 )
 from .evolution import EvolutionOperator
-from .scenario import Scenario, ScenarioError, build_initial_state, load_scenario
+from .scenario import Scenario, ScenarioError, build_initial_state, csv_header, load_scenario
 from .suites import UnknownSuiteError, verify_suite
 
 
@@ -79,7 +79,7 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
     dim = scenario.n_max + 1
     occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
-    parts = {name: [] for name in scenario.outputs}
+    parts = {name: [] for name in scenario.outputs if name != "report"}
     fidelities = []
     for times, tables in evo.evolve_grid(state0, ts):
         count = len(times)
@@ -90,7 +90,7 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
             rhos = np.stack([analysis.reduced_densities(tables, mode) for mode in (1, 2)], axis=1)
             diagonals = np.diagonal(rhos, axis1=2, axis2=3).real
             columns["number_distribution"] = diagonals.reshape(count, 2 * dim)
-            # mode, row, column, then re and im side by side
+            # csv_header's order: mode, row, column, then re and im side by side
             columns["reduced_density"] = rhos.view(np.float64).reshape(count, 4 * dim * dim)
         if "transfer_profile" in parts:
             probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, t)
@@ -100,21 +100,8 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
             parts[name].append(_csv_rows(np.column_stack([times, columns[name]])))
         final = tables[-1]
 
-    if "fidelity" in parts:
-        _write_csv(out_dir / "fidelity.csv", ["t", "fidelity"], parts["fidelity"])
-    if "number_distribution" in parts:
-        header = ["t"] + [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)]
-        _write_csv(out_dir / "number_distribution.csv", header, parts["number_distribution"])
-    if "reduced_density" in parts:
-        header = ["t"]
-        for mode in (1, 2):
-            for i in range(dim):
-                for j in range(dim):
-                    header += [f"rho{mode}_{i}_{j}_re", f"rho{mode}_{i}_{j}_im"]
-        _write_csv(out_dir / "reduced_density.csv", header, parts["reduced_density"])
-    if "transfer_profile" in parts:
-        header = ["t"] + [f"transfer_prob_{n}" for n in occupied]
-        _write_csv(out_dir / "transfer_profile.csv", header, parts["transfer_profile"])
+    for name, rows in parts.items():
+        _write_csv(out_dir / f"{name}.csv", csv_header(name, scenario.n_max, occupied), rows)
 
     fidelities = np.concatenate(fidelities)
     best = int(np.argmax(fidelities))

@@ -12,7 +12,7 @@ i.e. n1 descending. In a state table that block is ``C[n - l, l]``.
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -217,34 +217,6 @@ def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoM
     return TwoModeState(table)
 
 
-def make_state(
-    amplitudes: Mapping[tuple[int, int], complex],
-    n_max: int | None = None,
-    normalize: bool = True,
-) -> TwoModeState:
-    """Build a state from a ``{(n1, n2): amplitude}`` mapping."""
-    if not amplitudes:
-        raise ZeroVectorError("no amplitudes given")
-    for n1, n2 in amplitudes:
-        if n1 < 0 or n2 < 0:
-            raise ValueError(f"Fock indices must be >= 0, got ({n1}, {n2})")
-    support = max(n1 + n2 for n1, n2 in amplitudes)
-    if n_max is None:
-        n_max = support
-    if support > n_max:
-        raise TruncationTooSmallError(
-            f"amplitudes reach total quanta {support} but the truncation is n_max = {n_max}"
-        )
-    table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-    n1, n2 = np.array(list(amplitudes)).T
-    table[n1, n2] = list(amplitudes.values())
-    if normalize:
-        if not table.any():
-            raise ZeroVectorError("amplitudes have zero norm and cannot be normalized")
-        table = _normalized(table)
-    return TwoModeState(table)
-
-
 def _normalized(amps: np.ndarray) -> np.ndarray:
     """``amps / ||amps||`` for a nonzero contiguous complex array.
 
@@ -271,26 +243,6 @@ def annihilation_expectation(state: TwoModeState, mode: int) -> complex:
     table = state.table if mode == 1 else state.table.T
     weights = np.sqrt(np.arange(1, table.shape[0], dtype=float))[:, np.newaxis]
     return complex(np.sum(weights * np.conj(table[:-1]) * table[1:]))
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Complex square matrix acting within one fixed-total-quanta block.
-
-    Rows and columns follow the project convention l -> (n_total - l, l).
-    """
-
-    n_total: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.n_total < 0:
-            raise ValueError(f"n_total must be >= 0, got {self.n_total}")
-        dim = self.n_total + 1
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"entries must have shape ({dim}, {dim}), got {arr.shape}")
-        object.__setattr__(self, "entries", _freeze(arr))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:

@@ -28,11 +28,11 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    BlockMatrix,
     CouplingParams,
     MixingParams,
     NumericalIntegrityError,
     TwoModeState,
+    _freeze,
     annihilation_expectation,
     derive_mixing,
     norm,
@@ -89,9 +89,7 @@ class EvolutionOperator:
                     )
                 # eigh returns ascending eigenvalues; the spectrum is the same up to a shift
                 freqs = np.sort((n_total - l) * self.mix.omega1p + l * self.mix.omega2p)
-                w.flags.writeable = False
-                freqs.flags.writeable = False
-                data = (w, freqs)
+                data = (_freeze(w), _freeze(freqs))
                 self._blocks[n_total] = data
         return data
 
@@ -104,11 +102,11 @@ class EvolutionOperator:
         w, freqs = self._block_data(n1 + n2)
         return complex(np.sum(np.exp(-1j * freqs * t) * w[n2] * w[m2]))
 
-    def ut_block(self, n_total: int, t: float) -> BlockMatrix:
-        """Evolution operator restricted to one total-quanta block."""
+    def ut_block(self, n_total: int, t: float) -> np.ndarray:
+        """Evolution operator restricted to one total-quanta block: a
+        read-only complex (n_total + 1) x (n_total + 1) array."""
         w, freqs = self._block_data(n_total)
-        entries = (w * np.exp(-1j * freqs * t)) @ w.T
-        return BlockMatrix(n_total=n_total, entries=entries)
+        return _freeze((w * np.exp(-1j * freqs * t)) @ w.T)
 
     def evolve_grid(
         self, state: TwoModeState, ts: Sequence[float] | np.ndarray

@@ -14,38 +14,23 @@ it checks the analytic spectrum that the evolution relies on.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import BlockMatrix, CouplingParams, derive_mixing
+from .core import CouplingParams, _freeze, derive_mixing
 from .evolution import EvolutionOperator
 
 
-@dataclass(frozen=True)
-class HamiltonianBlock:
-    """Hamiltonian over hbar restricted to one total-quanta block.
+def build_block(params: CouplingParams, n_total: int) -> np.ndarray:
+    """Hamiltonian over hbar restricted to one total-quanta block, assembled
+    from the ladder-operator matrix elements.
 
-    Real symmetric and tridiagonal in the block index: the diagonal holds
-    n1 omega1 + n2 omega2, the off-diagonal the hop lam sqrt(n1 (n2 + 1))
-    between (n1, n2) and (n1 - 1, n2 + 1).
+    A read-only real (n_total + 1) x (n_total + 1) array, symmetric and
+    tridiagonal in the block index: the diagonal holds n1 omega1 + n2 omega2,
+    the off-diagonal the hop lam sqrt(n1 (n2 + 1)) between (n1, n2) and
+    (n1 - 1, n2 + 1).
     """
-
-    n_total: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = self.n_total + 1
-        arr = np.array(self.matrix, dtype=float)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"matrix must have shape ({dim}, {dim}), got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
-
-
-def build_block(params: CouplingParams, n_total: int) -> HamiltonianBlock:
-    """Assemble the Hamiltonian block from the ladder-operator matrix elements."""
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
     dim = n_total + 1
@@ -57,20 +42,21 @@ def build_block(params: CouplingParams, n_total: int) -> HamiltonianBlock:
             hop = params.lam * math.sqrt(n1 * (n2 + 1))
             h[l + 1, l] = hop
             h[l, l + 1] = hop
-    return HamiltonianBlock(n_total=n_total, matrix=h)
+    return _freeze(h)
 
 
-def expm_evolution(block: HamiltonianBlock, t: float) -> BlockMatrix:
-    """exp(-i H t) by Pade approximation with scaling and squaring."""
+def expm_evolution(hamiltonian: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) of a Hamiltonian block by Pade approximation with scaling
+    and squaring: a read-only complex array of the block's shape."""
     from scipy.linalg import expm  # deferred: importing oscswap needs no scipy.linalg
 
-    return BlockMatrix(n_total=block.n_total, entries=expm(-1j * t * block.matrix))
+    return _freeze(expm(-1j * t * hamiltonian))
 
 
 def spectrum_deviation(params: CouplingParams, n_total: int) -> float:
     """Distance of the Hamiltonian block spectrum from the normal-mode
     combination frequencies {k1 omega1' + k2 omega2' : k1 + k2 = n_total}."""
-    eps = np.linalg.eigvalsh(build_block(params, n_total).matrix)
+    eps = np.linalg.eigvalsh(build_block(params, n_total))
     mix = derive_mixing(params)
     k = np.arange(n_total + 1, dtype=float)
     expected = (n_total - k) * mix.omega1p + k * mix.omega2p
@@ -88,7 +74,7 @@ def compare_to_analytic(
     block = build_block(params, n_total)
     worst = 0.0
     for t in t_grid:
-        analytic = evo.ut_block(n_total, t).entries
-        brute = expm_evolution(block, t).entries
+        analytic = evo.ut_block(n_total, t)
+        brute = expm_evolution(block, t)
         worst = max(worst, float(np.max(np.abs(analytic - brute))))
     return worst

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .core import BlockMatrix, MixingParams
+from .core import MixingParams, _freeze
 
 
 def us_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> complex:
@@ -59,8 +59,9 @@ def u_minus_s_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> 
     return -value if (m2 - n2) % 2 else value
 
 
-def us_block(mix: MixingParams, n_total: int) -> BlockMatrix:
-    """Mixing rotation restricted to one total-quanta block.
+def us_block(mix: MixingParams, n_total: int) -> np.ndarray:
+    """Mixing rotation restricted to one total-quanta block: a read-only
+    complex (n_total + 1) x (n_total + 1) array.
 
     Evaluates the same sum as :func:`us_element`, with the factorials,
     binomials and powers of c and s built once per block; the integer
@@ -93,18 +94,18 @@ def us_block(mix: MixingParams, n_total: int) -> BlockMatrix:
                 entries[n2, m2] = pref * total
     except OverflowError:
         raise _too_large(n_total) from None
-    return BlockMatrix(n_total=n_total, entries=entries.astype(np.complex128))
+    return _freeze(entries.astype(np.complex128))
 
 
-def u_minus_s_block(mix: MixingParams, n_total: int) -> BlockMatrix:
+def u_minus_s_block(mix: MixingParams, n_total: int) -> np.ndarray:
     """Inverse rotation block; equals the transpose of the forward block."""
-    forward = us_block(mix, n_total).entries
+    forward = us_block(mix, n_total)
     parity = (np.subtract.outer(-np.arange(n_total + 1), -np.arange(n_total + 1))) % 2
     signs = np.where(parity, -1.0, 1.0)  # (-1)**(m2 - n2) with n2 = row, m2 = column
-    return BlockMatrix(n_total=n_total, entries=signs * forward)
+    return _freeze(signs * forward)
 
 
-def verify_recursions(mix: MixingParams, prev: BlockMatrix, cur: BlockMatrix) -> float:
+def verify_recursions(mix: MixingParams, prev: np.ndarray, cur: np.ndarray) -> float:
     """Max absolute residual of both ladder recursions between adjacent blocks.
 
     ``prev`` and ``cur`` are rotation blocks of n - 1 and n total quanta.
@@ -112,11 +113,11 @@ def verify_recursions(mix: MixingParams, prev: BlockMatrix, cur: BlockMatrix) ->
     either row mode reproduces the elements of ``prev``. Used as a
     self-test of the stabilized closed form.
     """
-    n = cur.n_total
-    if n != prev.n_total + 1:
-        raise ValueError(f"need blocks of n - 1 and n quanta, got {prev.n_total} and {n}")
+    n = len(cur) - 1
+    if len(prev) != n:
+        raise ValueError(f"need blocks of n - 1 and n quanta, got {len(prev) - 1} and {n}")
     c, s = mix.c, mix.s
-    big, small = cur.entries.real, prev.entries.real
+    big, small = cur.real, prev.real
     l = np.arange(n + 1)
     m1, m2 = n - l[:n], l[1:]  # column quanta where each lowered term exists
     # lower one quantum in row mode 1: rows l = 0..n-1, n1 = n - l

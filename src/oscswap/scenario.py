@@ -12,6 +12,7 @@ list ``[re, im]``.
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -37,13 +38,17 @@ _DEFAULT_TAIL_THRESHOLD = 1e-10
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
 # Evolving every block up to n_max costs about (n_max + 1)**3 / 3 complex
-# multiply-adds per time point (about 3-4 ms at n_max = 200), so the time
-# points of a run times (n_max + 1)**3 bounds its evolution work.
+# multiply-adds per time point, so the time points of a run times
+# (n_max + 1)**3 bounds its evolution work. The density outputs add, per time
+# point and mode, a partial trace and an eigvalsh of an (n_max + 1)-square
+# matrix: (n_max + 1)**3 more per mode, plus a fixed amount for the
+# eigvalsh's poorer speed on small matrices.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 200
 _CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
-_GRID_WORK_LIMIT = 2 * 10**10  # time points x (n_max + 1)**3
+_GRID_WORK_LIMIT = 2 * 10**10  # time points x (n_max + 1)**3, and the density work
+_DENSITY_POINT_WORK = 500_000
 _SUPPORT_FIELDS = {
     "fock": "initial.n",
     "qubit": "initial.n",
@@ -159,15 +164,22 @@ def parse_scenario(raw: object) -> Scenario:
             # the k_max + 1 exchange times, find_exchange_time's coarse grid (50 points
             # per exchange period at any detuning) and its zoom
             points, field = 51 * (schedule.k_max + 1) + ZOOM_TIMES, "schedule.k_max"
-        work = points * (n_max + 1) ** 3
+        per_point, cost = (n_max + 1) ** 3, "(n_max + 1)**3"
+        if {"number_distribution", "reduced_density"} & set(outputs):
+            per_point = 3 * per_point + _DENSITY_POINT_WORK
+            cost = f"(3 (n_max + 1)**3 + {_DENSITY_POINT_WORK})"
+        work = points * per_point
         if work > _GRID_WORK_LIMIT:
             raise ScenarioError(
                 field,
-                f"{points} time points x (n_max + 1)**3 = {work} is above the limit"
+                f"{points} time points x {cost} = {work} is above the limit"
                 f" {_GRID_WORK_LIMIT}; lower it or n_max = {n_max}",
             )
     if schedule.kind == "time_grid":
-        cells = schedule.steps * _csv_columns(outputs, n_max, initial.support)
+        # transfer_profile counted at its widest, before the initial state is built
+        levels = range(1, initial.support + 1)
+        columns = sum(len(csv_header(name, n_max, levels)) for name in outputs if name != "report")
+        cells = schedule.steps * columns
         if cells > _CSV_CELLS_LIMIT:
             raise ScenarioError(
                 "outputs",
@@ -182,6 +194,26 @@ def parse_scenario(raw: object) -> Scenario:
         n_max=n_max,
         coherent_tail_threshold=threshold,
     )
+
+
+def csv_header(output: str, n_max: int, levels: Sequence[int]) -> list[str]:
+    """Column names of a time grid's CSV output ``output``, one row per time.
+
+    ``levels`` are the mode-1 levels whose transfer probability
+    ``transfer_profile`` writes.
+    """
+    dim = n_max + 1
+    if output == "fidelity":
+        return ["t", "fidelity"]
+    if output == "number_distribution":
+        return ["t"] + [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)]
+    if output == "reduced_density":
+        # mode, row, column, then re and im side by side
+        return ["t"] + [
+            f"rho{mode}_{i}_{j}_{part}"
+            for mode in (1, 2) for i in range(dim) for j in range(dim) for part in ("re", "im")
+        ]
+    return ["t"] + [f"transfer_prob_{n}" for n in levels]
 
 
 def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, float]:
@@ -354,7 +386,10 @@ def _reject_unknown(mapping: dict, parent: str) -> None:
 def _as_number(raw: object, field: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(field, f"must be a number, got {raw!r}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the range of a double
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(field, f"must be finite, got {raw!r}")
     return value
@@ -368,29 +403,9 @@ def _as_int(raw: object, field: str, minimum: int) -> int:
     return raw
 
 
-def _csv_columns(outputs: tuple[str, ...], n_max: int, support: int) -> int:
-    """Columns written per time step, the leading ``t`` of each file included.
-
-    ``transfer_profile`` is counted at its widest, one column per level
-    1..support, before the initial state is built.
-    """
-    dim = n_max + 1
-    widths = {
-        "fidelity": 2,
-        "number_distribution": 1 + 2 * dim,
-        "reduced_density": 1 + 4 * dim * dim,
-        "transfer_profile": 1 + support,
-    }
-    return sum(widths.get(name, 0) for name in outputs)
-
-
 def _as_complex(raw: object, field: str) -> complex:
-    if isinstance(raw, bool):
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise ScenarioError(field, f"must be a number or [re, im], got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if isinstance(raw, list) and len(raw) == 2:
-        re, im = raw
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            return complex(re, im)
-    raise ScenarioError(field, f"must be a number or [re, im], got {raw!r}")
+    re, im = (_as_number(v, field) for v in parts)
+    return complex(re, im)

@@ -92,8 +92,8 @@ def _rotation_suite() -> tuple[list[CheckResult], list[str]]:
         prev = None
         for n in range(n_top + 1):
             block = us_block(mix, n)
-            forward = block.entries.real
-            inverse = u_minus_s_block(mix, n).entries.real
+            forward = block.real
+            inverse = u_minus_s_block(mix, n).real
             worst_unitary = max(worst_unitary, unitarity_defect(forward))
             worst_inverse = max(
                 worst_inverse, float(np.max(np.abs(inverse @ forward - np.eye(n + 1))))
@@ -130,13 +130,13 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         for n in range(13):
             worst_identity = max(
                 worst_identity,
-                float(np.max(np.abs(evo.ut_block(n, 0.0).entries - np.eye(n + 1)))),
+                float(np.max(np.abs(evo.ut_block(n, 0.0) - np.eye(n + 1)))),
             )
             for t in t_grid:
-                worst_unitary = max(worst_unitary, unitarity_defect(evo.ut_block(n, t).entries))
+                worst_unitary = max(worst_unitary, unitarity_defect(evo.ut_block(n, t)))
             for t1, t2 in ((0.1, 0.37), (1.0, 2.9), (7.3, 0.1)):
-                combined = evo.ut_block(n, t1 + t2).entries
-                product = evo.ut_block(n, t1).entries @ evo.ut_block(n, t2).entries
+                combined = evo.ut_block(n, t1 + t2)
+                product = evo.ut_block(n, t1) @ evo.ut_block(n, t2)
                 worst_group = max(worst_group, float(np.max(np.abs(combined - product))))
     worst_closed = 0.0
     for x in (0.0, 1.0, -1.0, 5.0, -5.0):
@@ -202,9 +202,9 @@ def _oracle_suite() -> tuple[list[CheckResult], list[str]]:
             worst_dev = max(worst_dev, oracle.compare_to_analytic(params, n, t_grid))
             worst_spec = max(worst_spec, oracle.spectrum_deviation(params, n))
             block = oracle.build_block(params, n)
-            worst_sym = max(worst_sym, float(np.max(np.abs(block.matrix - block.matrix.T))))
+            worst_sym = max(worst_sym, float(np.max(np.abs(block - block.T))))
             worst_unit = max(
-                worst_unit, unitarity_defect(oracle.expm_evolution(block, float(t_grid[0])).entries)
+                worst_unit, unitarity_defect(oracle.expm_evolution(block, float(t_grid[0])))
             )
     checks = [
         CheckResult("analytic vs Pade exponential evolution, n <= 12", worst_dev, 1e-9),
@@ -229,8 +229,8 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         state0 = make_product_state(phi)
         report = analysis.verify_statistics_exchange(state0, evo, tau0)
         worst_stats = max(worst_stats, report.statistics_match)
-        rho1_initial = analysis.reduce(state0, 1).entries
-        rho2_final = analysis.reduce(evo.evolve(state0, tau0), 2).entries
+        rho1_initial = analysis.reduce(state0, 1)
+        rho2_final = analysis.reduce(evo.evolve(state0, tau0), 2)
         kick = np.exp(-1j * (omega * tau0 + 0.5 * math.pi) * np.arange(rho1_initial.shape[0]))
         predicted = np.outer(kick, kick.conj()) * rho1_initial
         worst_rho = max(worst_rho, float(np.max(np.abs(rho2_final - predicted))))

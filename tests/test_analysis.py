@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from oscswap.analysis import (
     NonPositiveRatioError,
-    ReducedDensityMatrix,
     check_densities,
     complete_exchange_ratio,
     exchange_fidelities,
@@ -24,10 +23,10 @@ from oscswap.core import (
     CouplingParams,
     DecoupledSystemError,
     NumericalIntegrityError,
+    TwoModeState,
     ZeroVectorError,
     derive_mixing,
     make_product_state,
-    make_state,
 )
 from oscswap import analysis, evolution
 from oscswap.evolution import EvolutionOperator
@@ -106,15 +105,15 @@ class TestReduce:
         state = make_product_state(phi)
         rho1 = reduce(state, 1)
         rho2 = reduce(state, 2)
-        np.testing.assert_allclose(rho1.entries, np.outer(phi, phi.conj()), atol=1e-14)
+        np.testing.assert_allclose(rho1, np.outer(phi, phi.conj()), atol=1e-14)
         expected_vacuum = np.zeros((3, 3))
         expected_vacuum[0, 0] = 1.0
-        np.testing.assert_allclose(rho2.entries, expected_vacuum, atol=1e-14)
+        np.testing.assert_allclose(rho2, expected_vacuum, atol=1e-14)
 
     def test_bell_like_state_mixes_maximally(self):
-        state = make_state({(1, 0): 1.0, (0, 1): 1.0})
+        state = TwoModeState(np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0))
         rho1 = reduce(state, 1)
-        np.testing.assert_allclose(rho1.entries, 0.5 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(rho1, 0.5 * np.eye(2), atol=1e-14)
 
     def test_phase_kick_relation_at_exchange_time(self):
         # after a resonant exchange, mode 2 carries mode 1's initial matrix
@@ -126,8 +125,8 @@ class TestReduce:
         for _ in range(5):
             phi = random_phi(rng, 5)
             state0 = make_product_state(phi)
-            rho1_initial = reduce(state0, 1).entries
-            rho2_final = reduce(evo.evolve(state0, tau0), 2).entries
+            rho1_initial = reduce(state0, 1)
+            rho2_final = reduce(evo.evolve(state0, tau0), 2)
             kick = np.exp(-1j * (omega * tau0 + 0.5 * math.pi) * np.arange(6))
             predicted = np.outer(kick, kick.conj()) * rho1_initial
             assert np.max(np.abs(rho2_final - predicted)) < 1e-10
@@ -141,8 +140,7 @@ class TestReduce:
     def test_density_matrix_contracts(self, seed):
         state = random_state(np.random.default_rng(seed), n_max=4)
         for mode in (1, 2):
-            rho = reduce(state, mode)
-            arr = rho.entries
+            arr = reduce(state, mode)
             assert np.max(np.abs(arr - arr.conj().T)) < 1e-12
             assert np.trace(arr).real == pytest.approx(1.0, abs=1e-10)
             assert np.min(np.linalg.eigvalsh(arr)) > -1e-10
@@ -167,8 +165,16 @@ class TestDensityChecks:
         stack = np.array([np.diag([1.0, 0.0]), bad, np.eye(2) / 2])
         with pytest.raises(NumericalIntegrityError, match=re.escape(message)):
             check_densities(stack)
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    @pytest.mark.parametrize(
+        "table, message",
+        [([[1.0 + 1e-10]], "trace is 1.0000000002"), ([[np.nan]], "not Hermitian (defect nan)")],
+        ids=["trace", "nan"],
+    )
+    def test_reduce_checks_the_density_it_returns(self, table, message, mode):
         with pytest.raises(NumericalIntegrityError, match=re.escape(message)):
-            ReducedDensityMatrix(mode=1, dim=2, entries=bad)
+            reduce(TwoModeState(table), mode)
 
     def test_valid_stack_passes(self):
         check_densities(np.array([np.diag([1.0, 0.0]), np.eye(2) / 2]))
@@ -177,7 +183,7 @@ class TestDensityChecks:
 class TestExchangeFidelity:
     def test_exchanged_state_scores_one(self):
         phi = [0.6, 0.8]
-        state = make_state({(0, 0): 0.6, (0, 1): 0.8}, n_max=1, normalize=False)
+        state = TwoModeState([[0.6, 0.8], [0.0, 0.0]])
         assert exchange_fidelity(state, phi) == pytest.approx(1.0, abs=1e-14)
 
     def test_unexchanged_fock_state_scores_zero(self):
@@ -290,7 +296,7 @@ class TestStatisticsExchange:
 
     def test_rejects_entangled_input(self):
         evo = resonant_evolution(3.0)
-        state = make_state({(1, 0): 1.0, (0, 1): 1.0})
+        state = TwoModeState(np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0))
         with pytest.raises(ValueError, match="product"):
             verify_statistics_exchange(state, evo, 0.5)
 
@@ -387,12 +393,14 @@ class TestFindExchangeTime:
         evo = EvolutionOperator(params_for_detuning(x, lam=lam, omega2=float(rng.uniform(0.5, 4))))
         phi = random_phi(rng, int(rng.integers(1, 5)))
         t_start, t_end = sorted(rng.uniform(0.0, 15.0, 2))
-        step = (t_end - t_start) / 40.0 * (1.0 + 1e-12)  # a coarse grid of 41 times
-        t_best, f_best = find_exchange_time(evo, phi, t_start, t_end, grid_step=step)
+        t_best, f_best = find_exchange_time(evo, phi, t_start, t_end)
         state0 = make_product_state(phi)
-        # the coarse grid as find_exchange_time evaluates it, to the last bit
-        _, tables = next(evo.evolve_grid(state0, np.linspace(t_start, t_end, 41)))
-        assert f_best >= np.max(exchange_fidelities(tables, phi))
+        # the coarse grid find_exchange_time scans, to the last bit: step at most
+        # pi / (50 max(lam, half_splitting))
+        step = math.pi / (50.0 * max(lam, evo.mix.half_splitting))
+        ts = np.linspace(t_start, t_end, max(3, math.ceil((t_end - t_start) / step) + 1))
+        coarse = [exchange_fidelities(tables, phi) for _, tables in evo.evolve_grid(state0, ts)]
+        assert f_best >= np.max(np.concatenate(coarse))
         assert f_best == pytest.approx(exchange_fidelity(evo.evolve(state0, t_best), phi),
                                        abs=1e-14)
         assert t_start <= t_best <= t_end

@@ -38,6 +38,33 @@ outputs: [fidelity, transfer_profile, number_distribution, report]
 """
 
 
+# (initial state, the field its error names, the error's text): amplitudes
+# that are not finite, or not a number or [re, im]
+BAD_AMPLITUDES = [
+    ("{kind: amplitudes, values: [.inf, 1.0]}", "initial.values[0]", "must be finite, got inf"),
+    ("{kind: amplitudes, values: [1.0e+400, 1.0]}", "initial.values[0]",
+     "must be finite, got inf"),
+    ("{kind: amplitudes, values: [1%s, 1.0]}" % ("0" * 400), "initial.values[0]",
+     "must be finite, got 1000"),
+    ("{kind: amplitudes, values: [1.0, [0.5, .nan]]}", "initial.values[1]",
+     "must be finite, got nan"),
+    ("{kind: coherent, alpha: .inf, truncation: 10}", "initial.alpha", "must be finite, got inf"),
+    ("{kind: coherent, alpha: [0.5, -.inf], truncation: 10}", "initial.alpha",
+     "must be finite, got -inf"),
+    ("{kind: qubit, c0: .nan, cn: 1.0, n: 1}", "initial.c0", "must be finite, got nan"),
+    ("{kind: qubit, c0: 1.0, cn: [.inf, 0.0], n: 1}", "initial.cn", "must be finite, got inf"),
+    ("{kind: amplitudes, values: [[1.0, 2.0, 3.0], 1.0]}", "initial.values[0]",
+     "must be a number or [re, im], got [1.0, 2.0, 3.0]"),
+    ("{kind: amplitudes, values: [1.0, [true, 0.0]]}", "initial.values[1]",
+     "must be a number or [re, im], got [True, 0.0]"),
+    ("{kind: qubit, c0: yes, cn: 1.0, n: 1}", "initial.c0",
+     "must be a number or [re, im], got True"),
+]
+BAD_AMPLITUDE_IDS = ["inf", "overflowing-float", "overflowing-int", "nan-imaginary-part",
+                     "alpha-inf", "alpha-inf-imaginary-part", "c0-nan", "cn-inf",
+                     "three-parts", "bool-part", "c0-bool"]
+
+
 def write_scenario(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -170,6 +197,23 @@ outputs: [fidelity]
         )
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert 'scenario field "initial.alpha"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial, field, message", BAD_AMPLITUDES, ids=BAD_AMPLITUDE_IDS)
+    def test_bad_amplitude_names_the_field(self, tmp_path, capsys, initial, field, message):
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: 1.0, omega2: 1.0, lambda: 0.5}}
+initial: {initial}
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}}
+outputs: [fidelity]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f'error: scenario field "{field}": {message}' in err
+        assert not (tmp_path / "out").exists()
 
     def test_decoupled_time_grid_is_allowed(self, tmp_path):
         scenario = write_scenario(
@@ -471,17 +515,23 @@ BUDGET_CASES = [
     ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 201}",
      "initial.truncation"),
     ("steps: 2}\noutputs: [fidelity]",
-     "steps: 80001}\nn_max: 61\noutputs: [number_distribution]", "outputs"),
+     "steps: 651}\nn_max: 61\noutputs: [reduced_density]", "outputs"),
     # 2463 x 201**3 and (51 x 41 + 390) x 201**3 time points x (n_max + 1)**3
-    # exceed 2e10
+    # exceed 2e10, and so do 805 x (3 x 201**3 + 500000) and
+    # 37895 x (3 x 21**3 + 500000) with a density output
     ("steps: 2}\noutputs: [fidelity]", "steps: 2463}\nn_max: 200\noutputs: [fidelity]",
      "schedule.steps"),
+    ("steps: 2}\noutputs: [fidelity]",
+     "steps: 805}\nn_max: 200\noutputs: [number_distribution]", "schedule.steps"),
+    ("steps: 2}\noutputs: [fidelity]",
+     "steps: 37895}\nn_max: 20\noutputs: [fidelity, reduced_density]", "schedule.steps"),
     ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
      "{kind: exchange_scan, k_max: 40}\nn_max: 200\noutputs: [report]",
      "schedule.k_max"),
 ]
 BUDGET_IDS = ["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
-              "coherent", "csv-cells", "grid-work-steps", "grid-work-k_max"]
+              "coherent", "csv-cells", "grid-work-steps", "grid-work-density-n_max-200",
+              "grid-work-density-n_max-20", "grid-work-k_max"]
 
 
 class TestCostBudget:

@@ -15,7 +15,6 @@ from oscswap.core import (
     decoupled_mixing,
     derive_mixing,
     make_product_state,
-    make_state,
     norm,
 )
 from conftest import mixing_for_detuning
@@ -146,7 +145,7 @@ class TestTwoModeState:
         assert state.table.dtype == np.complex128
 
     def test_amplitude_indexing(self):
-        state = make_state({(1, 0): 0.6, (0, 1): 0.8j})
+        state = TwoModeState([[0.0, 0.8j], [0.6, 0.0]])
         assert state.amplitude(1, 0) == pytest.approx(0.6)
         assert state.amplitude(0, 1) == pytest.approx(0.8j)
         assert state.amplitude(0, 0) == 0
@@ -219,33 +218,9 @@ class TestNorm:
         assert norm(state) == 0.0
 
     def test_homogeneity(self):
-        base = make_state({(1, 0): 0.6, (0, 1): 0.8})
+        base = TwoModeState([[0.0, 0.8], [0.6, 0.0]])
         doubled = TwoModeState(2.0 * base.table)
         assert norm(doubled) == pytest.approx(2.0, rel=1e-12)
-
-
-class TestMakeState:
-    def test_bell_like(self):
-        state = make_state({(1, 0): 1.0, (0, 1): 1.0})
-        assert state.amplitude(1, 0) == pytest.approx(INV_SQRT2)
-        assert norm(state) == pytest.approx(1.0, abs=1e-14)
-
-    def test_rejects_empty_and_zero(self):
-        with pytest.raises(ZeroVectorError):
-            make_state({})
-        with pytest.raises(ZeroVectorError):
-            make_state({(0, 0): 0.0})
-
-    def test_respects_truncation(self):
-        with pytest.raises(TruncationTooSmallError):
-            make_state({(2, 1): 1.0}, n_max=2)
-
-    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
-    def test_power_of_two_scale_changes_no_bit(self, exponent):
-        amplitudes = {(1, 0): 0.6, (0, 1): -0.3 + 0.7j, (1, 1): 0.2j}
-        want = make_state(amplitudes).table
-        scaled = {key: value * 2.0**exponent for key, value in amplitudes.items()}
-        assert np.array_equal(make_state(scaled).table, want)
 
 
 class TestAnnihilationExpectation:
@@ -268,9 +243,10 @@ class TestAnnihilationExpectation:
         index = {pair: i for i, pair in enumerate(pairs)}
         vec = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
         vec /= np.linalg.norm(vec)
-        state = make_state(
-            {pair: vec[i] for pair, i in index.items()}, n_max=n_max, normalize=False
-        )
+        table = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        for pair, i in index.items():
+            table[pair] = vec[i]
+        state = TwoModeState(table)
         for mode in (1, 2):
             dense = np.zeros((len(pairs), len(pairs)), dtype=complex)
             for (n1, n2), col in index.items():

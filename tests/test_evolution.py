@@ -14,7 +14,6 @@ from oscswap.core import (
     decoupled_mixing,
     derive_mixing,
     make_product_state,
-    make_state,
     norm,
     unitarity_defect,
 )
@@ -22,6 +21,7 @@ from oscswap import evolution, suites
 from oscswap.analysis import exchange_fidelities, exchange_fidelity, reduce, reduced_densities
 from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import build_block, compare_to_analytic, expm_evolution
+from oscswap.rotation import u_minus_s_block, us_block
 from conftest import (
     assert_suite_checks,
     block_slots,
@@ -32,12 +32,32 @@ from conftest import (
 
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0)
 
+BLOCK_MAKERS = {
+    "us_block": lambda p, n: us_block(derive_mixing(p), n),
+    "u_minus_s_block": lambda p, n: u_minus_s_block(derive_mixing(p), n),
+    "ut_block": lambda p, n: EvolutionOperator(p).ut_block(n, 0.7),
+    "build_block": build_block,
+    "expm_evolution": lambda p, n: expm_evolution(build_block(p, n), 0.7),
+    "reduce": lambda p, n: reduce(random_state(np.random.default_rng(n), n_max=n), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MAKERS))
+@pytest.mark.parametrize("n", [0, 4])
+def test_blocks_and_densities_are_read_only_arrays(detuned, name, n):
+    made = BLOCK_MAKERS[name](detuned, n)
+    assert type(made) is np.ndarray
+    assert made.shape == (n + 1, n + 1)
+    assert made.dtype == (np.float64 if name == "build_block" else np.complex128)
+    with pytest.raises(ValueError, match="read-only"):
+        made[0, 0] = 1.0
+
 
 class TestOperatorBasics:
     def test_identity_at_time_zero(self, detuned):
         evo = EvolutionOperator(detuned)
         for n in range(6):
-            block = evo.ut_block(n, 0.0).entries
+            block = evo.ut_block(n, 0.0)
             assert np.max(np.abs(block - np.eye(n + 1))) < 1e-12
         assert evo.ut_element(2, 1, 1, 2, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert evo.ut_element(2, 1, 2, 1, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -118,12 +138,14 @@ class TestEvolve:
         t = 0.37
         evolved = evo.evolve(state, t)
         for n in range(6):
-            brute = expm_evolution(build_block(params, n), t).entries @ state.table[block_slots(n)]
+            brute = expm_evolution(build_block(params, n), t) @ state.table[block_slots(n)]
             assert np.max(np.abs(evolved.table[block_slots(n)] - brute)) < 1e-9
 
     def test_conserves_total_quanta(self, detuned):
         evo = EvolutionOperator(detuned)
-        state = make_state({(2, 0): 1.0, (1, 1): 1.0}, n_max=6)
+        table = np.zeros((7, 7))
+        table[2, 0] = table[1, 1] = math.sqrt(0.5)
+        state = TwoModeState(table)
         out = evo.evolve(state, 3.3)
         for n in (0, 1, 3, 4, 5, 6):
             assert np.all(out.table[block_slots(n)] == 0)
@@ -156,7 +178,7 @@ class TestEvolve:
         t = 0.9
         for n in (1, 2, 5):
             phases = [cmath.exp(-1j * ((n - l) * omega1 + l * omega2) * t) for l in range(n + 1)]
-            np.testing.assert_allclose(evo.ut_block(n, t).entries, np.diag(phases), atol=1e-14)
+            np.testing.assert_allclose(evo.ut_block(n, t), np.diag(phases), atol=1e-14)
 
 
 def state_with_empty_blocks(n_max, empty=(0, 3, 5)):
@@ -227,7 +249,7 @@ class TestEvolveGrid:
             for k, t in enumerate(ts):
                 out = evo.evolve(state, float(t))
                 assert fidelities[k] == pytest.approx(exchange_fidelity(out, phi), abs=1e-14)
-                assert np.max(np.abs(rhos[k] - reduce(out, mode).entries)) < 1e-14
+                assert np.max(np.abs(rhos[k] - reduce(out, mode))) < 1e-14
 
     def test_norm_breach_at_one_interior_time(self, detuned):
         evo = EvolutionOperator(detuned)
@@ -320,7 +342,7 @@ class TestEigenPath:
     @pytest.mark.parametrize("x", (0.0, 5.0))
     def test_block_400_unitary_and_matches_pade(self, x):
         params = params_for_detuning(x, lam=0.5, omega2=1.0)
-        assert unitarity_defect(EvolutionOperator(params).ut_block(400, 2.1).entries) <= 1e-12
+        assert unitarity_defect(EvolutionOperator(params).ut_block(400, 2.1)) <= 1e-12
         assert compare_to_analytic(params, 400, [2.1]) <= 1e-12
 
     def test_solver_failure_is_an_integrity_error(self, monkeypatch, resonant):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from oscswap.core import BlockMatrix, derive_mixing, unitarity_defect
+from oscswap.core import derive_mixing, unitarity_defect
 from oscswap.rotation import (
     _element_closed_form,
     u_minus_s_block,
@@ -82,8 +82,8 @@ class TestInverseElements:
     @pytest.mark.parametrize("n", [1, 4, 9, 20])
     def test_inverse_is_transpose_and_actual_inverse(self, x, n):
         mix = mixing_for_detuning(x)
-        forward = us_block(mix, n).entries
-        inverse = u_minus_s_block(mix, n).entries
+        forward = us_block(mix, n)
+        inverse = u_minus_s_block(mix, n)
         np.testing.assert_allclose(inverse, forward.T, atol=1e-12)
         np.testing.assert_allclose(inverse @ forward, np.eye(n + 1), atol=1e-10)
 
@@ -91,18 +91,18 @@ class TestInverseElements:
 class TestBlocks:
     def test_trivial_block(self, resonant):
         block = us_block(derive_mixing(resonant), 0)
-        np.testing.assert_array_equal(block.entries, [[1.0]])
+        np.testing.assert_array_equal(block, [[1.0]])
 
     def test_one_quantum_block_at_resonance(self, resonant):
         block = us_block(derive_mixing(resonant), 1)
         expected = [[INV_SQRT2, INV_SQRT2], [-INV_SQRT2, INV_SQRT2]]
-        np.testing.assert_allclose(block.entries.real, expected, atol=1e-15)
+        np.testing.assert_allclose(block.real, expected, atol=1e-15)
 
     @pytest.mark.parametrize("x", X_GRID)
     def test_unitarity_up_to_30(self, x):
         mix = mixing_for_detuning(x)
         for n in (1, 2, 5, 12, 21, 30):
-            assert unitarity_defect(us_block(mix, n).entries) < 1e-10
+            assert unitarity_defect(us_block(mix, n)) < 1e-10
 
     @settings(max_examples=25)
     @given(
@@ -114,12 +114,12 @@ class TestBlocks:
         mix = mixing_for_detuning(x)
         theta = math.atan2(mix.s, mix.c)
         brute = expm(theta * beam_splitter_generator(n))
-        np.testing.assert_allclose(us_block(mix, n).entries.real, brute, atol=1e-10)
+        np.testing.assert_allclose(us_block(mix, n).real, brute, atol=1e-10)
 
     def test_strong_detuning_limit_is_identity(self):
         mix = mixing_for_detuning(1e6)
         for n in (1, 3, 5):
-            entries = us_block(mix, n).entries.real
+            entries = us_block(mix, n).real
             off_diagonal = entries - np.diag(np.diag(entries))
             assert np.max(np.abs(off_diagonal)) < 1e-5
             np.testing.assert_allclose(np.diag(entries), 1.0, atol=1e-5)
@@ -131,7 +131,7 @@ class TestBlocks:
     def test_resonant_blocks_orthogonal_up_to_44(self):
         mix = mixing_for_detuning(0.0)
         for n in range(38, 45):
-            assert unitarity_defect(us_block(mix, n).entries) < 1e-10
+            assert unitarity_defect(us_block(mix, n)) < 1e-10
 
     @pytest.mark.parametrize("x", X_GRID)
     def test_block_equals_element_loop(self, x):
@@ -142,7 +142,7 @@ class TestBlocks:
                 [_element_closed_form(mix.c, mix.s, n - lr, lr, n - lc, lc) for lc in range(n + 1)]
                 for lr in range(n + 1)
             ]
-            assert np.array_equal(us_block(mix, n).entries, np.array(looped, dtype=complex))
+            assert np.array_equal(us_block(mix, n), np.array(looped, dtype=complex))
 
     def test_block_beyond_double_range_names_the_block(self):
         with pytest.raises(ValueError, match="n_total = 1030"):
@@ -153,7 +153,7 @@ class TestHighPrecisionReference:
     @pytest.mark.parametrize("x", (0.0, 1.0, 5.0))
     @pytest.mark.parametrize("n, tol", [(21, 1e-12), (30, 1e-12), (44, 1e-9)])
     def test_sampled_rows_match_mpmath(self, x, n, tol):
-        entries = us_block(mixing_for_detuning(x), n).entries.real
+        entries = us_block(mixing_for_detuning(x), n).real
         for row in (n // 3, n // 2):
             reference = [mp_element(x, n - row, row, n - col, col) for col in range(n + 1)]
             assert np.max(np.abs(entries[row] - reference)) < tol
@@ -174,8 +174,8 @@ def ladder_residual(mix, n):
 def looped_ladder_residual(mix, prev, cur):
     """Element-by-element form of verify_recursions, kept as its reference."""
     c, s = mix.c, mix.s
-    small, big = prev.entries.real, cur.entries.real
-    n = cur.n_total
+    small, big = prev.real, cur.real
+    n = len(cur) - 1
     worst = 0.0
     for lr in range(n + 1):
         n1, n2 = n - lr, lr
@@ -215,25 +215,22 @@ class TestRecursionResiduals:
         mix = mixing_for_detuning(x)
         rng = np.random.default_rng(17)
         for n in (1, 2, 7, 21, 30):
-            arbitrary = (
-                BlockMatrix(n - 1, rng.normal(size=(n, n))),
-                BlockMatrix(n, rng.normal(size=(n + 1, n + 1))),
-            )
+            arbitrary = (rng.normal(size=(n, n)), rng.normal(size=(n + 1, n + 1)))
             for prev, cur in ((us_block(mix, n - 1), us_block(mix, n)), arbitrary):
                 assert verify_recursions(mix, prev, cur) == looped_ladder_residual(mix, prev, cur)
 
     def test_one_shifted_element_is_detected(self):
         mix = mixing_for_detuning(0.5)
-        prev, cur = us_block(mix, 7), us_block(mix, 8).entries.copy()
+        prev, cur = us_block(mix, 7), us_block(mix, 8).copy()
         cur[3, 5] += 1e-8
-        assert verify_recursions(mix, prev, BlockMatrix(8, cur)) >= 1e-9
+        assert verify_recursions(mix, prev, cur) >= 1e-9
 
     def test_one_flipped_sign_is_detected(self):
         mix = mixing_for_detuning(0.0)
-        prev, cur = us_block(mix, 7), us_block(mix, 8).entries.copy()
+        prev, cur = us_block(mix, 7), us_block(mix, 8).copy()
         cur[2, 6] = -cur[2, 6]
         assert abs(cur[2, 6]) > 0.1
-        assert verify_recursions(mix, prev, BlockMatrix(8, cur)) > 0.1
+        assert verify_recursions(mix, prev, cur) > 0.1
 
     def test_requires_positive_block(self, resonant):
         mix = derive_mixing(resonant)

@@ -14,7 +14,7 @@ from oscswap.scenario import (
     load_scenario,
     parse_scenario,
 )
-from test_cli import BUDGET_BASE, BUDGET_CASES, FOCK_GRID, QUBIT_SCAN
+from test_cli import BAD_AMPLITUDES, BUDGET_BASE, BUDGET_CASES, FOCK_GRID, QUBIT_SCAN
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
 
@@ -55,27 +55,34 @@ class TestCostBudgetLimitsParse:
         assert parse_scenario(raw_scenario(initial=initial, **top)).n_max == 200
 
     def test_csv_cells_limit(self):
-        # 80000 steps x (1 + 2 * 62) number_distribution columns = 10**7 cells
+        # 650 steps x (1 + 4 * 62**2) reduced_density columns = 9995050 <= 10**7 cells
         raw = raw_scenario(
-            schedule={"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 80000},
+            schedule={"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 650},
             n_max=61,
-            outputs=["number_distribution", "report"],
+            outputs=["reduced_density", "report"],
         )
-        assert parse_scenario(raw).schedule.steps == 80000
+        assert parse_scenario(raw).schedule.steps == 650
 
 
     @pytest.mark.parametrize(
-        "schedule",
+        "schedule, n_max, outputs",
         [
             # 2462 x 201**3 and (51 x 40 + 390) x 201**3 time points x (n_max + 1)**3
             # stay under 2e10
-            {"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 2462},
-            {"kind": "exchange_scan", "k_max": 39},
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 2462}, 200, []),
+            ({"kind": "exchange_scan", "k_max": 39}, 200, []),
+            # with a density output: 804 x (3 x 201**3 + 500000) and
+            # 37894 x (3 x 21**3 + 500000) stay under 2e10
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 804}, 200,
+             ["number_distribution"]),
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 37894}, 20,
+             ["fidelity", "number_distribution"]),
         ],
-        ids=["time_grid", "exchange_scan"],
+        ids=["time_grid", "exchange_scan", "density-n_max-200", "density-n_max-20"],
     )
-    def test_grid_work_limit(self, schedule):
-        assert parse_scenario(raw_scenario(schedule=schedule, n_max=200)).n_max == 200
+    def test_grid_work_limit(self, schedule, n_max, outputs):
+        raw = raw_scenario(schedule=schedule, n_max=n_max, outputs=outputs)
+        assert parse_scenario(raw).n_max == n_max
 
 
 class TestCoherentState:
@@ -138,6 +145,7 @@ HOSTILE_EDITS = [
 def hostile_texts():
     texts = [QUBIT_SCAN, FOCK_GRID, "", "- 1\n- 2\n", "just text\n"]
     texts += [BUDGET_BASE.replace(old, new) for old, new, _ in BUDGET_CASES]
+    texts += [BUDGET_BASE.replace("{kind: fock, n: 1}", new) for new, _, _ in BAD_AMPLITUDES]
     for old, new in HOSTILE_EDITS:
         assert old in BUDGET_BASE
         texts.append(BUDGET_BASE.replace(old, new))
