@@ -92,16 +92,19 @@ def exchange_times(mix: MixingParams, lam: float, k_max: int) -> list[float]:
     return [base * (2 * k + 1) for k in range(k_max + 1)]
 
 
-def transfer_probability(mix: MixingParams, lam: float, n: int, t: float) -> float:
-    """|2 s c sin(lam t / (2 c s))|**(2n), the n-quanta transfer weight ratio."""
+def transfer_probability(mix: MixingParams, lam: float, n: int,
+                         t: float | np.ndarray) -> float | np.ndarray:
+    """|2 s c sin(lam t / (2 c s))|**(2n), the n-quanta transfer weight ratio,
+    at one time ``t`` or at every time of an array."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if lam > 0 and mix.s > 0:
         half = lam / (2.0 * mix.c * mix.s)
     else:
         half = mix.half_splitting  # decoupled limit; the prefactor is 0 anyway
-    amp = 2.0 * mix.s * mix.c * math.sin(half * t)
-    return float(abs(amp) ** (2 * n))
+    amp = 2.0 * mix.s * mix.c * np.sin(half * np.asarray(t, dtype=float))
+    # float_power evaluates C's pow, as Python's ** does; numpy's ** may differ by 1 ulp
+    return np.float_power(np.abs(amp), 2 * n)
 
 
 def reduce(state: TwoModeState, mode: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from .core import (
     TruncationTooSmallError,
     TwoModeState,
     ZeroVectorError,
-    decoupled_mixing,
     norm,
 )
 from .evolution import EvolutionOperator
@@ -42,36 +41,24 @@ def _write_csv(path: Path, header: list[str], parts: list[str]) -> None:
         out.writelines(parts)
 
 
-def _echo_lines(scenario: Scenario, evo: EvolutionOperator | None) -> list[str]:
-    p = scenario.params
-    lines = [
+def _echo_lines(scenario: Scenario, evo: EvolutionOperator) -> list[str]:
+    p, mix = scenario.params, evo.mix
+    return [
         f"omega1: {_fmt(p.omega1)}",
         f"omega2: {_fmt(p.omega2)}",
         f"lambda: {_fmt(p.lam)}",
+        f"mixing_x: {_fmt(mix.x)}",
+        f"mixing_s: {_fmt(mix.s)}",
+        f"mixing_c: {_fmt(mix.c)}",
+        f"omega1p: {_fmt(mix.omega1p)}",
+        f"omega2p: {_fmt(mix.omega2p)}",
         f"initial: {scenario.initial.kind}",
         f"n_max: {scenario.n_max}",
     ]
-    if evo is not None:
-        mix = evo.mix
-        lines[3:3] = [
-            f"mixing_x: {_fmt(mix.x)}",
-            f"mixing_s: {_fmt(mix.s)}",
-            f"mixing_c: {_fmt(mix.c)}",
-            f"omega1p: {_fmt(mix.omega1p)}",
-            f"omega2p: {_fmt(mix.omega2p)}",
-        ]
-    return lines
-
-
-def _make_evolution(scenario: Scenario) -> EvolutionOperator:
-    params = scenario.params
-    if params.is_decoupled:
-        return EvolutionOperator(params, mix=decoupled_mixing(params))
-    return EvolutionOperator(params)
 
 
 def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
-    evo = _make_evolution(scenario)
+    evo = EvolutionOperator(scenario.params)
     state0, phi, discarded = build_initial_state(scenario)
     if scenario.initial.kind == "coherent":
         print(f"coherent_tail_discarded={_fmt(discarded)}")
@@ -93,9 +80,9 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
             # csv_header's order: mode, row, column, then re and im side by side
             columns["reduced_density"] = rhos.view(np.float64).reshape(count, 4 * dim * dim)
         if "transfer_profile" in parts:
-            probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, t)
-                     for t in times.tolist() for n in occupied]
-            columns["transfer_profile"] = np.array(probs).reshape(count, len(occupied))
+            probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, times)
+                     for n in occupied]
+            columns["transfer_profile"] = np.reshape(probs, (len(occupied), count)).T
         for name in parts.keys() & columns.keys():
             parts[name].append(_csv_rows(np.column_stack([times, columns[name]])))
         final = tables[-1]
@@ -124,7 +111,7 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
 
 
 def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
-    evo = _make_evolution(scenario)
+    evo = EvolutionOperator(scenario.params)
     state0, phi, discarded = build_initial_state(scenario)
     if scenario.initial.kind == "coherent":
         print(f"coherent_tail_discarded={_fmt(discarded)}")

@@ -180,11 +180,6 @@ class TwoModeState:
             for n in range(self.n_max + 1)
         )
 
-    def amplitude(self, n1: int, n2: int) -> complex:
-        if n1 < 0 or n2 < 0 or n1 + n2 > self.n_max:
-            raise IndexError(f"(n1, n2) = ({n1}, {n2}) outside truncation n_max = {self.n_max}")
-        return complex(self.table[n1, n2])
-
 
 def norm(state: TwoModeState) -> float:
     """Euclidean norm sqrt(sum |C|^2) over all amplitudes."""

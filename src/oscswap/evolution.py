@@ -14,10 +14,11 @@ paper's alternating finite sum loses about n log10(2) digits.
 Each block is built once; evaluating it at a time t then costs a single
 diagonal phase sandwich W diag(e^{-iEt}) W^T, in which the sign of each
 eigenvector cancels. There is no time stepping and no integration error.
-A state is propagated over a whole grid of times at once: each occupied
-block is evaluated for every time of a chunk by one array expression and
+Every propagator goes through one array expression of that sandwich on
+eigenbasis coefficients. A state is propagated over a whole grid of times
+at once: each occupied block is evaluated for every time of a chunk and
 scattered into amplitude tables C[k, n1, n2]. Evolving to one time is the
-one-point case of the same path.
+one-point case, and a block U(t) takes the rows of W as coefficients.
 """
 
 import cmath
@@ -29,11 +30,11 @@ import numpy as np
 
 from .core import (
     CouplingParams,
-    MixingParams,
     NumericalIntegrityError,
     TwoModeState,
     _freeze,
     annihilation_expectation,
+    decoupled_mixing,
     derive_mixing,
     norm,
     unitarity_defect,
@@ -55,13 +56,13 @@ class EvolutionOperator:
     Blocks are materialized lazily under a lock and are immutable
     afterwards; evaluations at distinct times are independent.
 
-    For decoupled parameter sets (lambda = 0) pass the explicit limit from
-    :func:`oscswap.core.decoupled_mixing` as ``mix``.
+    ``mix`` is :func:`oscswap.core.derive_mixing` of the parameters, or the
+    free limit :func:`oscswap.core.decoupled_mixing` where lambda = 0.
     """
 
-    def __init__(self, params: CouplingParams, mix: MixingParams | None = None):
+    def __init__(self, params: CouplingParams):
         self.params = params
-        self.mix = derive_mixing(params) if mix is None else mix
+        self.mix = decoupled_mixing(params) if params.is_decoupled else derive_mixing(params)
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._lock = threading.Lock()
 
@@ -93,20 +94,28 @@ class EvolutionOperator:
                 self._blocks[n_total] = data
         return data
 
+    def _propagate(self, n_total: int, times, coeffs: np.ndarray) -> np.ndarray:
+        """W diag(e^{-iEt}) on eigenbasis coefficients c, the module's one
+        expression of the propagator. ``times`` is one time or a column of
+        times, broadcast against the rows of ``coeffs``: row k of the result
+        is sum_j W[:, j] e^{-i E_j t_k} c_kj."""
+        w, freqs = self._block_data(n_total)
+        return (np.exp(-1j * (times * freqs)) * coeffs) @ w.T
+
     def ut_element(self, n1: int, n2: int, m1: int, m2: int, t: float) -> complex:
-        """Element <n1, n2| U(t) |m1, m2>; zero unless n1 + n2 == m1 + m2."""
+        """Element <n1, n2| U(t) |m1, m2>, read from column m2 of U (coefficients
+        W[m2, :]); zero unless n1 + n2 == m1 + m2."""
         if min(n1, n2, m1, m2) < 0:
             raise ValueError("Fock indices must be >= 0")
         if n1 + n2 != m1 + m2:
             return 0j
-        w, freqs = self._block_data(n1 + n2)
-        return complex(np.sum(np.exp(-1j * freqs * t) * w[n2] * w[m2]))
+        return complex(self._propagate(n1 + n2, t, self._block_data(n1 + n2)[0][m2])[n2])
 
     def ut_block(self, n_total: int, t: float) -> np.ndarray:
         """Evolution operator restricted to one total-quanta block: a
-        read-only complex (n_total + 1) x (n_total + 1) array."""
-        w, freqs = self._block_data(n_total)
-        return _freeze((w * np.exp(-1j * freqs * t)) @ w.T)
+        read-only complex (n_total + 1) x (n_total + 1) array. Row l propagates
+        the coefficients W[l, :], which gives U^T; that is U, as W is real."""
+        return _freeze(self._propagate(n_total, t, self._block_data(n_total)[0]))
 
     def evolve_grid(
         self, state: TwoModeState, ts: Sequence[float] | np.ndarray
@@ -125,15 +134,14 @@ class EvolutionOperator:
             l = np.arange(n + 1)
             vec = state.table[n - l, l]
             if vec.any():
-                w, freqs = self._block_data(n)
-                occupied.append((n, l, w.T, freqs, w.T @ vec))
+                occupied.append((n, l, self._block_data(n)[0].T @ vec))
         before = norm(state)
         per_chunk = max(1, _CHUNK_AMPLITUDES // (dim * dim))
         for start in range(0, len(ts), per_chunk):
             times = ts[start:start + per_chunk]
             tables = np.zeros((len(times), dim, dim), dtype=np.complex128)
-            for n, l, wt, freqs, coeff in occupied:
-                tables[:, n - l, l] = (np.exp(-1j * np.outer(times, freqs)) * coeff) @ wt
+            for n, l, coeffs in occupied:
+                tables[:, n - l, l] = self._propagate(n, times[:, np.newaxis], coeffs)
             norms = np.linalg.norm(tables.reshape(len(times), -1), axis=1)
             drift = float(np.max(np.abs(norms - before)))  # NaN anywhere gives NaN
             if not drift <= 1e-10 * max(1.0, before):

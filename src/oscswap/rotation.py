@@ -33,6 +33,7 @@ The inverse rotation (s -> -s) differs only by the sign rule
 (-1)**(m2 - n2) and equals the transpose of the forward block.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -53,47 +54,22 @@ def us_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> complex
     return complex(_element_closed_form(mix.c, mix.s, n1, n2, m1, m2))
 
 
-def u_minus_s_element(mix: MixingParams, n1: int, n2: int, m1: int, m2: int) -> complex:
-    """Element of the inverse rotation: (-1)**(m2 - n2) times the forward one."""
-    value = us_element(mix, n1, n2, m1, m2)
-    return -value if (m2 - n2) % 2 else value
-
-
+@functools.lru_cache(maxsize=1)
 def us_block(mix: MixingParams, n_total: int) -> np.ndarray:
     """Mixing rotation restricted to one total-quanta block: a read-only
     complex (n_total + 1) x (n_total + 1) array.
 
-    Evaluates the same sum as :func:`us_element`, with the factorials,
-    binomials and powers of c and s built once per block; the integer
-    products and float operations keep their order, so every entry equals
-    the element-wise result to the last bit.
+    Every entry is :func:`us_element`'s sum. Only the most recent block is
+    cached (17 MB at the largest n_total), so that :func:`u_minus_s_block`
+    right after it costs no rebuild.
     """
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
-    dim = n_total + 1
-    fact = [math.factorial(j) for j in range(dim)]
-    comb = [[math.comb(m, j) for j in range(m + 1)] for m in range(dim)]
-    c_pow = [mix.c**p for p in range(dim)]
-    s_pow = [mix.s**p for p in range(dim)]
-    entries = np.empty((dim, dim), dtype=float)
-    try:
-        for n2 in range(dim):
-            n1 = n_total - n2
-            for m2 in range(dim):
-                m1 = n_total - m2
-                pref = math.sqrt(fact[n1] * fact[n2] / (fact[m1] * fact[m2]))
-                total = 0.0
-                for k in range(max(0, m2 - n1), min(n2, m2) + 1):
-                    term = (
-                        comb[m1][n2 - k]
-                        * comb[m2][k]
-                        * c_pow[m1 - n2 + 2 * k]
-                        * s_pow[m2 + n2 - 2 * k]
-                    )
-                    total += -term if (n2 - k) % 2 else term
-                entries[n2, m2] = pref * total
-    except OverflowError:
-        raise _too_large(n_total) from None
+    n = n_total
+    entries = np.empty((n + 1, n + 1), dtype=float)
+    for n2 in range(n + 1):
+        for m2 in range(n + 1):
+            entries[n2, m2] = _element_closed_form(mix.c, mix.s, n - n2, n2, n - m2, m2)
     return _freeze(entries.astype(np.complex128))
 
 

@@ -328,9 +328,9 @@ class TestStatisticsExchange:
 def graded_by_loop(state0, evo, t, floor=1e-12):
     """Reference for the batched grading: the exchange grades of one time by
     a per-level loop over the amplitudes of one evolved state."""
-    phi0 = np.array([state0.amplitude(n, 0) for n in range(state0.n_max + 1)])
+    phi0 = state0.table[:, 0]
     out = evo.evolve(state0, t)
-    swapped = np.array([out.amplitude(0, n) for n in range(out.n_max + 1)])
+    swapped = out.table[0, :]
     stats = float(np.max(np.abs(np.abs(swapped) - np.abs(phi0))))
     mean = 0.5 * (evo.params.omega1 + evo.params.omega2)
     # the phase of the hop -2i s c sin(d t): -pi/2, or +pi/2 where the sine is negative

@@ -140,30 +140,28 @@ class TestTwoModeState:
         table = np.array([[1.0, 0.0], [0.0, 0.0]])
         state = TwoModeState(table)
         table[0, 0] = 5.0
-        assert state.amplitude(0, 0) == 1.0
+        assert state.table[0, 0] == 1.0
         assert state.n_max == 1
         assert state.table.dtype == np.complex128
 
     def test_amplitude_indexing(self):
         state = TwoModeState([[0.0, 0.8j], [0.6, 0.0]])
-        assert state.amplitude(1, 0) == pytest.approx(0.6)
-        assert state.amplitude(0, 1) == pytest.approx(0.8j)
-        assert state.amplitude(0, 0) == 0
-        with pytest.raises(IndexError):
-            state.amplitude(2, 0)
+        assert state.table[1, 0] == pytest.approx(0.6)
+        assert state.table[0, 1] == pytest.approx(0.8j)
+        assert state.table[0, 0] == 0
 
 
 class TestMakeProductState:
     def test_vacuum(self):
         state = make_product_state([1.0])
         assert state.n_max == 0
-        assert state.amplitude(0, 0) == 1.0
+        assert state.table[0, 0] == 1.0
 
     def test_two_component(self):
         state = make_product_state([0.6, 0.8])
-        assert state.amplitude(0, 0) == pytest.approx(0.6)
-        assert state.amplitude(1, 0) == pytest.approx(0.8)
-        assert state.amplitude(0, 1) == 0
+        assert state.table[0, 0] == pytest.approx(0.6)
+        assert state.table[1, 0] == pytest.approx(0.8)
+        assert state.table[0, 1] == 0
         assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_plus_peak(self):
@@ -171,8 +169,8 @@ class TestMakeProductState:
         phi = [0.6, 0.0, 0.0, 0.8]
         state = make_product_state(phi)
         assert state.n_max == 3
-        assert state.amplitude(3, 0) == pytest.approx(0.8)
-        assert state.amplitude(1, 0) == 0
+        assert state.table[3, 0] == pytest.approx(0.8)
+        assert state.table[1, 0] == 0
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):

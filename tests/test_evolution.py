@@ -119,15 +119,15 @@ class TestEvolve:
         evo = EvolutionOperator(detuned)
         state = make_product_state([1.0], n_max=3)
         out = evo.evolve(state, 4.2)
-        assert out.amplitude(0, 0) == pytest.approx(1.0, abs=1e-14)
+        assert out.table[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_transfer_of_one_quantum_at_resonance(self, resonant):
         evo = EvolutionOperator(resonant)
         tau0 = math.pi / (2.0 * resonant.lam)
         out = evo.evolve(make_product_state([0.0, 1.0]), tau0)
-        assert abs(out.amplitude(0, 1)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(out.amplitude(1, 0)) == pytest.approx(0.0, abs=1e-12)
+        assert abs(out.table[0, 1]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(out.table[1, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_exact_diagonalization(self):
         # five-quanta random state against the brute-force route
@@ -162,19 +162,19 @@ class TestEvolve:
         state = random_state(rng, n_max=4)
         assert norm(evo.evolve(state, t)) == pytest.approx(1.0, abs=1e-10)
 
-    def test_decoupled_evolution_via_explicit_limit(self):
+    def test_decoupled_evolution_takes_the_free_limit(self):
         params = CouplingParams(omega1=1.5, omega2=0.7, lam=0.0)
-        evo = EvolutionOperator(params, mix=decoupled_mixing(params))
+        evo = EvolutionOperator(params)
+        assert evo.mix == decoupled_mixing(params)
         out = evo.evolve(make_product_state([0.0, 1.0]), 2.0)
         # free rotation: |1, 0> only picks up the phase e^{-i omega1 t}
-        assert out.amplitude(1, 0) == pytest.approx(cmath.exp(-2.0j * 1.5), abs=1e-12)
-        assert out.amplitude(0, 1) == 0
+        assert out.table[1, 0] == pytest.approx(cmath.exp(-2.0j * 1.5), abs=1e-12)
+        assert out.table[0, 1] == 0
 
     @pytest.mark.parametrize("omega1, omega2", [(1.5, 0.7), (0.7, 1.5), (1.1, 1.1)])
     def test_decoupled_blocks_are_bare_phases(self, omega1, omega2):
         # eigenvectors pair with the frequencies by sort order, whichever mode is faster
-        params = CouplingParams(omega1=omega1, omega2=omega2, lam=0.0)
-        evo = EvolutionOperator(params, mix=decoupled_mixing(params))
+        evo = EvolutionOperator(CouplingParams(omega1=omega1, omega2=omega2, lam=0.0))
         t = 0.9
         for n in (1, 2, 5):
             phases = [cmath.exp(-1j * ((n - l) * omega1 + l * omega2) * t) for l in range(n + 1)]
@@ -250,6 +250,21 @@ class TestEvolveGrid:
                 out = evo.evolve(state, float(t))
                 assert fidelities[k] == pytest.approx(exchange_fidelity(out, phi), abs=1e-14)
                 assert np.max(np.abs(rhos[k] - reduce(out, mode))) < 1e-14
+
+    def test_faulty_propagator_shows_in_the_oracle_and_the_grid(self, monkeypatch, detuned):
+        # ut_block, which the Pade oracle checks, and evolve_grid share one expression
+        state = make_product_state([0.6, 0.0, 0.8])
+        ts = np.linspace(0.0, 5.0, 4)
+        (_, good), = EvolutionOperator(detuned).evolve_grid(state, ts)
+
+        def reversed_phases(self, n_total, times, coeffs):
+            w, freqs = self._block_data(n_total)
+            return (np.exp(1j * (times * freqs)) * coeffs) @ w.T
+
+        monkeypatch.setattr(EvolutionOperator, "_propagate", reversed_phases)
+        assert compare_to_analytic(detuned, 2, [1.0]) > 1e-9
+        (_, bad), = EvolutionOperator(detuned).evolve_grid(state, ts)
+        assert np.max(np.abs(bad[1:] - good[1:])) > 1e-9
 
     def test_norm_breach_at_one_interior_time(self, detuned):
         evo = EvolutionOperator(detuned)
@@ -355,8 +370,7 @@ class TestEigenPath:
 
     def test_non_finite_block_is_an_integrity_error(self):
         # omega1 - omega2 overflows; the decoupled mixing itself is finite
-        params = CouplingParams(omega1=1e308, omega2=-1e308, lam=0.0)
-        evo = EvolutionOperator(params, mix=decoupled_mixing(params))
+        evo = EvolutionOperator(CouplingParams(omega1=1e308, omega2=-1e308, lam=0.0))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalIntegrityError, match="not finite"):
                 evo.ut_block(2, 1.0)

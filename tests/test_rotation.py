@@ -9,7 +9,6 @@ from oscswap.core import derive_mixing, unitarity_defect
 from oscswap.rotation import (
     _element_closed_form,
     u_minus_s_block,
-    u_minus_s_element,
     us_block,
     us_element,
     verify_recursions,
@@ -71,12 +70,13 @@ class TestSingleElements:
 
 class TestInverseElements:
     def test_identity_element(self, detuned):
-        assert u_minus_s_element(derive_mixing(detuned), 0, 0, 0, 0) == 1.0
+        assert u_minus_s_block(derive_mixing(detuned), 0)[0, 0] == 1.0
 
     def test_sign_rule_on_one_quantum_block(self, detuned):
         mix = derive_mixing(detuned)
-        assert u_minus_s_element(mix, 0, 1, 1, 0) == pytest.approx(mix.s, rel=1e-14)
-        assert u_minus_s_element(mix, 1, 0, 0, 1) == pytest.approx(-mix.s, rel=1e-14)
+        block = u_minus_s_block(mix, 1)  # row n2, column m2
+        assert block[1, 0] == pytest.approx(mix.s, rel=1e-14)
+        assert block[0, 1] == pytest.approx(-mix.s, rel=1e-14)
 
     @pytest.mark.parametrize("x", (0.0, 1.0, -5.0))
     @pytest.mark.parametrize("n", [1, 4, 9, 20])
@@ -135,7 +135,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("x", X_GRID)
     def test_block_equals_element_loop(self, x):
-        # the per-block tables keep the element-wise arithmetic, so equal to the last bit
+        # every entry is the one element sum, at row n2 and column m2
         mix = mixing_for_detuning(x)
         for n in (0, 1, 5, 17, 30, 44):
             looped = [
@@ -143,6 +143,18 @@ class TestBlocks:
                 for lr in range(n + 1)
             ]
             assert np.array_equal(us_block(mix, n), np.array(looped, dtype=complex))
+
+    def test_cache_never_serves_a_stale_block(self):
+        # the cache holds one block; interleave two mixes at the same n
+        mixes = [mixing_for_detuning(x) for x in (0.5, -0.5)]
+        fresh = {}
+        for build in (us_block, u_minus_s_block):
+            for mix in mixes:
+                us_block.cache_clear()
+                fresh[build, mix] = build(mix, 6)
+        for mix in mixes + mixes[::-1] + mixes:
+            for build in (us_block, u_minus_s_block):
+                assert np.array_equal(build(mix, 6), fresh[build, mix])
 
     def test_block_beyond_double_range_names_the_block(self):
         with pytest.raises(ValueError, match="n_total = 1030"):
