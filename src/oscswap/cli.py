@@ -20,7 +20,7 @@ from .core import (
     ZeroVectorError,
     norm,
 )
-from .evolution import EvolutionOperator
+from .evolution import EvolutionOperator, _chunks
 from .scenario import Scenario, ScenarioError, build_initial_state, csv_header, load_scenario
 from .suites import UnknownSuiteError, verify_suite
 
@@ -66,33 +66,41 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
     dim = scenario.n_max + 1
     occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
+    fidelities = analysis.exchange_fidelities(state0, evo, ts)
     parts = {name: [] for name in scenario.outputs if name != "report"}
-    fidelities = []
-    for times, tables in evo.evolve_grid(state0, ts):
-        count = len(times)
-        fid = analysis.exchange_fidelities(tables, phi)
-        fidelities.append(fid)
-        columns = {"fidelity": fid.reshape(count, 1)}
-        if "number_distribution" in parts or "reduced_density" in parts:
-            rhos = np.stack([analysis.reduced_densities(tables, mode) for mode in (1, 2)], axis=1)
-            diagonals = np.diagonal(rhos, axis1=2, axis2=3).real
-            columns["number_distribution"] = diagonals.reshape(count, 2 * dim)
-            # csv_header's order: mode, row, column, then re and im side by side
-            columns["reduced_density"] = rhos.view(np.float64).reshape(count, 4 * dim * dim)
-        if "transfer_profile" in parts:
+    if "fidelity" in parts:
+        parts["fidelity"].append(_csv_rows(np.column_stack([ts, fidelities])))
+    if "transfer_profile" in parts:
+        for times in _chunks(ts, max(1, len(occupied))):
             probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, times)
                      for n in occupied]
-            columns["transfer_profile"] = np.reshape(probs, (len(occupied), count)).T
-        for name in parts.keys() & columns.keys():
-            parts[name].append(_csv_rows(np.column_stack([times, columns[name]])))
-        final = tables[-1]
+            profile = np.reshape(probs, (len(occupied), len(times))).T
+            parts["transfer_profile"].append(_csv_rows(np.column_stack([times, profile])))
+    # amplitude tables only for the densities, and for the report's final norm
+    final = None
+    column = state0.table[:, 0]  # phi, normalized and padded to n_max + 1
+    if "number_distribution" in parts or "reduced_density" in parts:
+        for times, tables in evo.product_grid(column, ts):
+            count = len(times)
+            rhos = np.stack([analysis.reduced_densities(tables, mode) for mode in (1, 2)], axis=1)
+            diagonals = np.diagonal(rhos, axis1=2, axis2=3).real
+            columns = {
+                "number_distribution": diagonals.reshape(count, 2 * dim),
+                # csv_header's order: mode, row, column, then re and im side by side
+                "reduced_density": rhos.view(np.float64).reshape(count, 4 * dim * dim),
+            }
+            for name in parts.keys() & columns.keys():
+                parts[name].append(_csv_rows(np.column_stack([times, columns[name]])))
+            final = tables[-1]
 
     for name, rows in parts.items():
         _write_csv(out_dir / f"{name}.csv", csv_header(name, scenario.n_max, occupied), rows)
 
-    fidelities = np.concatenate(fidelities)
     best = int(np.argmax(fidelities))
     if "report" in scenario.outputs:
+        if final is None:
+            _, tables = next(evo.product_grid(column, ts[-1:]))
+            final = tables[0]
         lines = ["schedule: time_grid"]
         lines += _echo_lines(scenario, evo)
         lines += [
@@ -115,15 +123,14 @@ def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
     state0, phi, discarded = build_initial_state(scenario)
     if scenario.initial.kind == "coherent":
         print(f"coherent_tail_discarded={_fmt(discarded)}")
-    lam = scenario.params.lam
-    taus = analysis.exchange_times(evo.mix, lam, scenario.schedule.k_max)
+    taus = analysis.exchange_times(evo.mix, scenario.params.lam, scenario.schedule.k_max)
     header = ["k", "tau", "fidelity", "statistics_match", "phase_defect"]
     grades = analysis.statistics_exchanges(state0, evo, taus)
     rows = np.column_stack([np.arange(len(taus)), taus, grades])
     _write_csv(out_dir / "exchange_scan.csv", header, [_csv_rows(rows)])
     candidates = list(zip(taus, grades[:, 0].tolist()))
 
-    window_end = taus[-1] + evo.mix.s * evo.mix.c * math.pi / lam
+    window_end = taus[-1] + taus[0]  # half an exchange period past the last tau_k
     t_scan, f_scan = analysis.find_exchange_time(evo, phi, 0.0, window_end)
     candidates.append((t_scan, f_scan))
     best_f = max(f for _, f in candidates)

@@ -1,5 +1,24 @@
 """Exact time evolution in the two-mode Fock basis.
 
+Two routes give the amplitudes, and each checks the other.
+
+**Product states in closed form: the run path.** Every initial state a
+scenario builds is a product |phi> (x) |0>. The coupling conserves quanta,
+so a1^dagger evolves to S a1^dagger + T a2^dagger, where S and T are the
+single-quantum survival and transfer amplitudes: the SU(2) beam splitter
+of Campos, Saleh and Teich, Phys. Rev. A 40, 1371 (1989). Hence
+
+    C[n1, n2](t) = phi_{n1+n2} sqrt(binom(n1 + n2, n2)) S^{n1} T^{n2}.
+
+No eigensolver is needed, and every term is a product of factors of
+modulus at most 1, so nothing cancels and the accuracy does not degrade
+with n. :meth:`EvolutionOperator.product_hops` yields the powers T^n, from
+which the exchange diagnostics cost O(n_max) per time without any table;
+:meth:`EvolutionOperator.product_grid` builds the amplitude tables, in
+O(n_max^2) per time, with magnitudes taken from lgamma so that no binomial
+overflows.
+
+**Any state from eigendecomposed blocks: the library and check path.**
 The evolution operator is block diagonal in total quanta. Within the block
 of n quanta the Hamiltonian is n (omega1 + omega2) / 2 plus a real
 symmetric tridiagonal matrix: diagonal (n - 2l)(omega1 - omega2) / 2 and
@@ -19,6 +38,8 @@ eigenbasis coefficients. A state is propagated over a whole grid of times
 at once: each occupied block is evaluated for every time of a chunk and
 scattered into amplitude tables C[k, n1, n2]. Evolving to one time is the
 one-point case, and a block U(t) takes the rows of W as coefficients.
+
+Both routes check the norm at every time they evaluate.
 """
 
 import cmath
@@ -45,16 +66,19 @@ from .core import (
 from .rotation import u_minus_s_block  # noqa: F401
 
 _UNITARITY_TOL = 1e-10
-# Amplitude-table entries evolve_grid holds at once (8 MiB of complex128), so
-# its memory does not grow with the number of times.
+_NORM_TOL = 1e-10
+# Amplitudes (table entries, or powers T^n) a grid holds at once (8 MiB of
+# complex128), so that its memory does not grow with the number of times.
 _CHUNK_AMPLITUDES = 1 << 19
 
 
 class EvolutionOperator:
     """Analytic evolution operator of the coupled pair.
 
-    Blocks are materialized lazily under a lock and are immutable
-    afterwards; evaluations at distinct times are independent.
+    Product states evolve in closed form (:meth:`product_hops`,
+    :meth:`product_grid`), any state through the eigen blocks
+    (:meth:`evolve_grid`). Blocks are materialized lazily under a lock and
+    are immutable afterwards; evaluations at distinct times are independent.
 
     ``mix`` is :func:`oscswap.core.derive_mixing` of the parameters, or the
     free limit :func:`oscswap.core.decoupled_mixing` where lambda = 0.
@@ -78,7 +102,7 @@ class EvolutionOperator:
                 if not np.isfinite(block).all():
                     raise NumericalIntegrityError(f"Hamiltonian block {n_total} is not finite")
                 try:
-                    w = np.linalg.eigh(block).eigenvectors
+                    _, w = np.linalg.eigh(block)
                 except np.linalg.LinAlgError as exc:
                     raise NumericalIntegrityError(
                         f"eigendecomposition of block {n_total} failed: {exc}"
@@ -136,16 +160,11 @@ class EvolutionOperator:
             if vec.any():
                 occupied.append((n, l, self._block_data(n)[0].T @ vec))
         before = norm(state)
-        per_chunk = max(1, _CHUNK_AMPLITUDES // (dim * dim))
-        for start in range(0, len(ts), per_chunk):
-            times = ts[start:start + per_chunk]
+        for times in _chunks(ts, dim * dim):
             tables = np.zeros((len(times), dim, dim), dtype=np.complex128)
             for n, l, coeffs in occupied:
                 tables[:, n - l, l] = self._propagate(n, times[:, np.newaxis], coeffs)
-            norms = np.linalg.norm(tables.reshape(len(times), -1), axis=1)
-            drift = float(np.max(np.abs(norms - before)))  # NaN anywhere gives NaN
-            if not drift <= 1e-10 * max(1.0, before):
-                raise NumericalIntegrityError(f"evolution changed the norm by {drift:.3e}")
+            _check_norms(np.linalg.norm(tables.reshape(len(times), -1), axis=1), before)
             yield times, tables
 
     def evolve(self, state: TwoModeState, t: float) -> TwoModeState:
@@ -153,28 +172,80 @@ class EvolutionOperator:
         _, tables = next(self.evolve_grid(state, [t]))
         return TwoModeState(tables[0])
 
-    def transfer_amplitude(self, n: int, t: float) -> complex:
+    def transfer_amplitude(self, n: int, t: float | np.ndarray) -> complex | np.ndarray:
         """Closed-form amplitude ratio C[0, n](t) / C[n, 0](0) for product
-        initial states: a mean-frequency phase times the n-th power of the
-        single-quantum hop -2i s c sin(half_splitting t)."""
+        initial states, at one time or at every time of an array: a
+        mean-frequency phase times the n-th power of the single-quantum hop
+        -2i s c sin(half_splitting t)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         mix = self.mix
-        mean = 0.5 * (self.params.omega1 + self.params.omega2)
-        hop = -2j * mix.s * mix.c * math.sin(mix.half_splitting * t)
-        return cmath.exp(-1j * mean * n * t) * hop**n
+        t = np.asarray(t, dtype=float)
+        hop = -2j * mix.s * mix.c * np.sin(mix.half_splitting * t)
+        return self._mean_phase(n, t) * hop**n
 
-    def survival_amplitude(self, n: int, t: float) -> complex:
+    def survival_amplitude(self, n: int, t: float | np.ndarray) -> complex | np.ndarray:
         """Closed-form ratio C[n, 0](t) / C[n, 0](0) for product initial
-        states: the n-th power of c^2 e^{-i d t} + s^2 e^{+i d t} with d the
-        half normal-mode splitting, times the mean-frequency phase."""
+        states, at one time or at every time of an array: the n-th power of
+        c^2 e^{-i d t} + s^2 e^{+i d t} with d the half normal-mode
+        splitting, times the mean-frequency phase."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         mix = self.mix
-        mean = 0.5 * (self.params.omega1 + self.params.omega2)
+        t = np.asarray(t, dtype=float)
         d = mix.half_splitting
-        stay = mix.c**2 * cmath.exp(-1j * d * t) + mix.s**2 * cmath.exp(1j * d * t)
-        return cmath.exp(-1j * mean * n * t) * stay**n
+        stay = mix.c**2 * np.exp(-1j * d * t) + mix.s**2 * np.exp(1j * d * t)
+        return self._mean_phase(n, t) * stay**n
+
+    def _mean_phase(self, n: int, t: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * (0.5 * (self.params.omega1 + self.params.omega2)) * n * t)
+
+    def product_hops(
+        self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Closed-form evolution of the product state |phi> (x) |0>, without
+        tables: yields ``(times, hops)`` chunk by chunk, in the order of
+        ``ts``, with ``hops[k, n] = T(times[k])**n`` for n < len(phi). The
+        amplitude on |0, n> is phi_n T^n.
+
+        ``phi`` must be normalized. The norm, sqrt(sum_n |phi_n|^2
+        (|S|^2 + |T|^2)^n), is checked against 1 at every time.
+        """
+        ts = np.asarray(ts, dtype=float)
+        weights = np.abs(phi) ** 2
+        for times in _chunks(ts, len(phi)):
+            hop = self.transfer_amplitude(1, times)
+            stay = self.survival_amplitude(1, times)
+            kept = np.abs(stay) ** 2 + np.abs(hop) ** 2
+            _check_norms(np.sqrt(_powers(kept, len(phi)) @ weights), 1.0)
+            yield times, _powers(hop, len(phi))
+
+    def product_grid(
+        self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`evolve_grid` for the product state |phi> (x) |0>, in closed
+        form: ``tables[k, n1, n2]`` is
+        phi_{n1+n2} sqrt(binom(n1 + n2, n2)) S^{n1} T^{n2} at ``times[k]``,
+        for n1 + n2 < len(phi), and zero beyond.
+
+        The binomials are taken from lgamma, so that none overflows, and the
+        powers by repeated multiplication, with 0^0 = 1. ``phi`` must be
+        normalized; the norm of every table is checked against 1.
+        """
+        ts = np.asarray(ts, dtype=float)
+        dim = len(phi)
+        n1, n2 = np.indices((dim, dim))
+        inside = n1 + n2 < dim
+        level = np.where(inside, n1 + n2, 0)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+        root_binom = np.exp(0.5 * (log_fact[level] - log_fact[n1] - log_fact[n2]))
+        scale = np.where(inside, phi[level] * root_binom, 0.0)
+        for times in _chunks(ts, dim * dim):
+            stays = _powers(self.survival_amplitude(1, times), dim)
+            hops = _powers(self.transfer_amplitude(1, times), dim)
+            tables = scale * stays[:, :, np.newaxis] * hops[:, np.newaxis, :]
+            _check_norms(np.linalg.norm(tables.reshape(len(times), -1), axis=1), 1.0)
+            yield times, tables
 
     def heisenberg_mode_expectation(self, state0: TwoModeState, mode: int, t: float) -> complex:
         """<a_mode(t)> from the closed-form ladder-operator solution.
@@ -193,3 +264,25 @@ class EvolutionOperator:
         if mode == 1:
             return (mix.c**2 * e1 + mix.s**2 * e2) * a1 + cross * a2
         return (mix.c**2 * e2 + mix.s**2 * e1) * a2 + cross * a1
+
+
+def _chunks(ts: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """``ts`` in consecutive slices of at most _CHUNK_AMPLITUDES // width times."""
+    per_chunk = max(1, _CHUNK_AMPLITUDES // width)
+    for start in range(0, len(ts), per_chunk):
+        yield ts[start:start + per_chunk]
+
+
+def _check_norms(norms: np.ndarray, before: float) -> None:
+    drift = float(np.max(np.abs(norms - before)))  # NaN anywhere gives NaN
+    if not drift <= _NORM_TOL * max(1.0, before):
+        raise NumericalIntegrityError(f"evolution changed the norm by {drift:.3e}")
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """``out[k, n] = z[k]**n`` for n < count, by repeated multiplication (0^0 = 1)."""
+    out = np.empty((len(z), count), dtype=z.dtype)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, np.newaxis]
+    return np.cumprod(out, axis=1, out=out)
+

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .analysis import ZOOM_TIMES
+from .analysis import ZOOM_TIMES, exchange_times
 from .core import (
     CouplingParams,
     TruncationTooSmallError,
@@ -37,17 +37,21 @@ _OUTPUTS_BY_SCHEDULE = {
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
-# Evolving every block up to n_max costs about (n_max + 1)**3 / 3 complex
-# multiply-adds per time point, so the time points of a run times
-# (n_max + 1)**3 bounds its evolution work. The density outputs add, per time
-# point and mode, a partial trace and an eigvalsh of an (n_max + 1)-square
-# matrix: (n_max + 1)**3 more per mode, plus a fixed amount for the
-# eigvalsh's poorer speed on small matrices.
+# Product states evolve in closed form, so the fidelity, the transfer profile
+# and the exchange scan cost O(n_max) per time point: the n_max + 1 powers
+# T^n. Only the density outputs build amplitude tables, (n_max + 1)**2
+# entries per time point, and add per mode a partial trace and an eigvalsh of
+# an (n_max + 1)-square matrix: (n_max + 1)**3 each, plus a fixed amount for
+# the eigvalsh's poorer speed on small matrices. The density work is weighed
+# as 3 (n_max + 1)**3 per time point, tables included, and the density
+# outputs keep the lower truncation limit of the cubic work.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
-_N_MAX_LIMIT = 200
+_N_MAX_LIMIT = 1000
+_DENSITY_N_MAX_LIMIT = 200
+_DENSITY_OUTPUTS = ("number_distribution", "reduced_density")
 _CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
-_GRID_WORK_LIMIT = 2 * 10**10  # time points x (n_max + 1)**3, and the density work
+_GRID_WORK_LIMIT = 2 * 10**10  # time points x the work per point below
 _DENSITY_POINT_WORK = 500_000
 _SUPPORT_FIELDS = {
     "fock": "initial.n",
@@ -152,11 +156,17 @@ def parse_scenario(raw: object) -> Scenario:
             )
     else:
         n_max = n_max if n_max is not None else 0
-    if n_max > _N_MAX_LIMIT:
+    densities = [name for name in _DENSITY_OUTPUTS if name in outputs]
+    limit = _DENSITY_N_MAX_LIMIT if densities else _N_MAX_LIMIT
+    if n_max > limit:
         default_note = "" if n_max_field == "n_max" else " (n_max defaults to the initial support)"
+        with_outputs = f" with outputs {', '.join(densities)}" if densities else ""
         raise ScenarioError(
-            n_max_field, f"n_max = {n_max} is above the limit {_N_MAX_LIMIT}{default_note}"
+            n_max_field,
+            f"n_max = {n_max} is above the limit {limit}{with_outputs}{default_note}",
         )
+    if schedule.kind == "exchange_scan" and params.lam > 0:
+        _check_exchange_window(params, schedule.k_max)
     if schedule.kind != "verify":
         if schedule.kind == "time_grid":
             points, field = schedule.steps, "schedule.steps"
@@ -164,9 +174,9 @@ def parse_scenario(raw: object) -> Scenario:
             # the k_max + 1 exchange times, find_exchange_time's coarse grid (50 points
             # per exchange period at any detuning) and its zoom
             points, field = 51 * (schedule.k_max + 1) + ZOOM_TIMES, "schedule.k_max"
-        per_point, cost = (n_max + 1) ** 3, "(n_max + 1)**3"
-        if {"number_distribution", "reduced_density"} & set(outputs):
-            per_point = 3 * per_point + _DENSITY_POINT_WORK
+        per_point, cost = n_max + 1, "(n_max + 1)"
+        if densities:
+            per_point = 3 * (n_max + 1) ** 3 + _DENSITY_POINT_WORK
             cost = f"(3 (n_max + 1)**3 + {_DENSITY_POINT_WORK})"
         work = points * per_point
         if work > _GRID_WORK_LIMIT:
@@ -194,6 +204,23 @@ def parse_scenario(raw: object) -> Scenario:
         n_max=n_max,
         coherent_tail_threshold=threshold,
     )
+
+
+def _check_exchange_window(params: CouplingParams, k_max: int) -> None:
+    """Reject couplings whose exchange times, or the scan window half an
+    exchange period past the last of them, are not finite and positive:
+    s c pi (2k + 1) / lambda underflows to 0 where the detuning is huge and
+    overflows where lambda is tiny."""
+    taus = exchange_times(derive_mixing(params), params.lam, k_max)
+    window_end = taus[-1] + taus[0]
+    if not (taus[0] > 0.0 and math.isfinite(window_end)):
+        raise ScenarioError(
+            "params",
+            f"exchange times s c pi (2k + 1) / lambda from {taus[0]!r} to {taus[-1]!r}"
+            f" and a scan window ending at {window_end!r} must be finite and positive;"
+            " params.omega1 - params.omega2 is too large for params.lambda,"
+            " or params.lambda is too small",
+        )
 
 
 def csv_header(output: str, n_max: int, levels: Sequence[int]) -> list[str]:

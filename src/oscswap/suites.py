@@ -124,9 +124,19 @@ def _rotation_suite() -> tuple[list[CheckResult], list[str]]:
 
 def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
     t_grid = (0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0)
-    worst_identity = worst_unitary = worst_group = 0.0
+    worst_identity = worst_unitary = worst_group = worst_product = 0.0
+    product_rng = np.random.default_rng(20261018)
+    # one operator per detuning, so that each block is built once for all checks
+    operators = {
+        x: EvolutionOperator(_params_for_detuning(x, lam=0.7, omega2=1.3))
+        for x in (0.0, 1.0, -1.0, 5.0, -5.0)
+    }
     for x in (0.0, 1.0, -5.0):
-        evo = EvolutionOperator(_params_for_detuning(x, lam=0.7, omega2=1.3))
+        evo = operators[x]
+        state = make_product_state(_random_phi(product_rng, 20))
+        (_, eigen), = evo.evolve_grid(state, t_grid)
+        (_, closed), = evo.product_grid(state.table[:, 0], t_grid)
+        worst_product = max(worst_product, float(np.max(np.abs(closed - eigen))))
         for n in range(13):
             worst_identity = max(
                 worst_identity,
@@ -139,17 +149,16 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
                 product = evo.ut_block(n, t1) @ evo.ut_block(n, t2)
                 worst_group = max(worst_group, float(np.max(np.abs(combined - product))))
     worst_closed = 0.0
-    for x in (0.0, 1.0, -1.0, 5.0, -5.0):
-        lam = 0.7
-        evo = EvolutionOperator(_params_for_detuning(x, lam=lam, omega2=1.3))
-        for lam_t in (0.0, 0.3, 1.0, 2.2, 5.0, 9.1):
-            t = lam_t / lam
-            for n in range(21):
-                worst_closed = max(
-                    worst_closed,
-                    abs(evo.transfer_amplitude(n, t) - evo.ut_element(0, n, n, 0, t)),
-                    abs(evo.survival_amplitude(n, t) - evo.ut_element(n, 0, n, 0, t)),
-                )
+    for evo in operators.values():
+        ts = np.array([0.0, 0.3, 1.0, 2.2, 5.0, 9.1]) / evo.params.lam
+        for n in range(21):
+            generic = np.array([
+                [evo.ut_element(0, n, n, 0, t), evo.ut_element(n, 0, n, 0, t)] for t in ts
+            ])
+            closed = np.column_stack(
+                [evo.transfer_amplitude(n, ts), evo.survival_amplitude(n, ts)]
+            )
+            worst_closed = max(worst_closed, float(np.max(np.abs(closed - generic))))
     rng = np.random.default_rng(20240817)
     worst_picture = 0.0
     for _ in range(10):
@@ -166,10 +175,9 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
                 worst_picture = max(worst_picture, abs(heis - schro))
     worst_period = 0.0
     for x in (0.0, 1.0):
-        lam = 0.7
-        evo = EvolutionOperator(_params_for_detuning(x, lam=lam, omega2=1.3))
+        evo = operators[x]
         mix = evo.mix
-        period = math.pi * 2.0 * mix.c * mix.s / lam
+        period = math.pi * 2.0 * mix.c * mix.s / evo.params.lam
         for t in (0.1, 0.9, 2.3):
             for n in (1, 2, 5):
                 worst_period = max(
@@ -184,6 +192,8 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         CheckResult("block unitarity over time grid", worst_unitary, 1e-10),
         CheckResult("group property U(t1) U(t2) = U(t1+t2)", worst_group, 1e-10),
         CheckResult("closed-form transfer/survival vs generic sum, n <= 20", worst_closed, 1e-10),
+        CheckResult("closed-form product tables vs eigen tables, n_max <= 20", worst_product,
+                    1e-12),
         CheckResult("Heisenberg vs Schrodinger mode expectations", worst_picture, 1e-10),
         CheckResult("transfer modulus periodicity", worst_period, 1e-10),
     ]
@@ -234,6 +244,19 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         kick = np.exp(-1j * (omega * tau0 + 0.5 * math.pi) * np.arange(rho1_initial.shape[0]))
         predicted = np.outer(kick, kick.conj()) * rho1_initial
         worst_rho = max(worst_rho, float(np.max(np.abs(rho2_final - predicted))))
+
+    # the closed form's grades against the same grading of eigen-path tables
+    worst_grades = 0.0
+    grades_rng = np.random.default_rng(20261018)
+    evo_g = EvolutionOperator(_params_for_detuning(0.7, lam=0.6, omega2=1.9))
+    ts = np.array(analysis.exchange_times(evo_g.mix, 0.6, 2) + [0.4, 3.3, 11.9])
+    for _ in range(3):
+        state0 = make_product_state(_random_phi(grades_rng, grades_rng.integers(1, 7)))
+        phi = state0.table[:, 0]
+        (_, tables), = evo_g.evolve_grid(state0, ts)
+        eigen = analysis.grade_exchanges(phi, tables[:, 0, :], evo_g.transfer_amplitude(1, ts))
+        closed = analysis.statistics_exchanges(state0, evo_g, ts)
+        worst_grades = max(worst_grades, float(np.max(np.abs(closed - eigen))))
 
     worst_exact = 0.0
     worst_margin = -math.inf  # perturbed-ratio fidelity minus the allowed ceiling
@@ -301,6 +324,7 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
     checks = [
         CheckResult("modulus transfer at the first exchange time", worst_stats, 1e-10),
         CheckResult("reduced-density phase-kick relation", worst_rho, 1e-10),
+        CheckResult("exchange grades: closed form vs eigen tables", worst_grades, 1e-12),
         CheckResult("exact qubit exchange at the matched ratio", worst_exact, 1e-9),
         CheckResult("ratio +-5% drops fidelity below 1 - 1e-4", worst_margin, 0.0),
         CheckResult("nonpositive ratio is rejected", ratio_guard, 0.5),

@@ -92,6 +92,22 @@ def mp_rotation_element(x, n1, n2, m1, m2):
     return pref * total
 
 
+def mp_exchange_fidelity(params, weights, t, dps=50):
+    """|sum_n p_n T(t)**n|**2 in ``dps``-digit arithmetic, with p_n the
+    ``weights`` normalized and T(t) = exp(-i (w1 + w2) t / 2) (-i sin(d t) lam / d),
+    d = sqrt(lam**2 + (w1 - w2)**2 / 4), the single-quantum transfer amplitude."""
+    with mpmath.workdps(dps):
+        w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
+        d = mpmath.sqrt(lam**2 + ((w1 - w2) / 2) ** 2)
+        t = mpmath.mpf(t)
+        hop = mpmath.expj(-(w1 + w2) * t / 2) * (-1j * mpmath.sin(d * t) * lam / d)
+        total, power = mpmath.mpc(0), mpmath.mpc(1)
+        for p in weights:
+            total += mpmath.mpf(p) * power
+            power *= hop
+        return float(abs(total / mpmath.fsum(mpmath.mpf(p) for p in weights)) ** 2)
+
+
 def mp_element(x, n1, n2, m1, m2):
     """The finite sum in 50-digit arithmetic, rounded to a double."""
     with mpmath.workdps(50):

@@ -30,7 +30,13 @@ from oscswap.core import (
 )
 from oscswap import analysis, evolution
 from oscswap.evolution import EvolutionOperator
-from conftest import mixing_for_detuning, params_for_detuning, random_phi, random_state
+from conftest import (
+    assert_suite_checks,
+    mixing_for_detuning,
+    params_for_detuning,
+    random_phi,
+    random_state,
+)
 
 
 def resonant_evolution(ratio, lam=1.0):
@@ -294,6 +300,9 @@ class TestStatisticsExchange:
                     report = verify_statistics_exchange(state0, evo, tau)
                     assert report.fidelity_exchange == pytest.approx(1.0, abs=1e-9)
 
+    def test_suite_checks_the_grades_against_eigen_tables(self):
+        assert_suite_checks("exchange", ["exchange grades: closed form vs eigen tables"])
+
     def test_rejects_entangled_input(self):
         evo = resonant_evolution(3.0)
         state = TwoModeState(np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0))
@@ -302,8 +311,8 @@ class TestStatisticsExchange:
 
     @pytest.mark.parametrize("x", [0.0, 0.7, -3.0])
     def test_table_matches_loop_over_single_states(self, monkeypatch, x):
-        # three times per chunk, so ten times span four chunks
-        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 3 * 7**2)
+        # three times per chunk of the seven powers T^n, so ten times span four chunks
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 3 * 7)
         rng = np.random.default_rng(41)
         evo = EvolutionOperator(params_for_detuning(x, lam=0.6, omega2=1.9))
         phi = random_phi(rng, 6)
@@ -396,11 +405,10 @@ class TestFindExchangeTime:
         t_best, f_best = find_exchange_time(evo, phi, t_start, t_end)
         state0 = make_product_state(phi)
         # the coarse grid find_exchange_time scans, to the last bit: step at most
-        # pi / (50 max(lam, half_splitting))
+        # pi / (50 max(lam, half_splitting)), each time in closed form
         step = math.pi / (50.0 * max(lam, evo.mix.half_splitting))
         ts = np.linspace(t_start, t_end, max(3, math.ceil((t_end - t_start) / step) + 1))
-        coarse = [exchange_fidelities(tables, phi) for _, tables in evo.evolve_grid(state0, ts)]
-        assert f_best >= np.max(np.concatenate(coarse))
+        assert f_best >= np.max(exchange_fidelities(state0, evo, ts))
         assert f_best == pytest.approx(exchange_fidelity(evo.evolve(state0, t_best), phi),
                                        abs=1e-14)
         assert t_start <= t_best <= t_end
@@ -415,5 +423,4 @@ class TestFindExchangeTime:
         assert f_best == pytest.approx(math.sin(edge) ** 2, abs=1e-14)
         # the coarse grid find_exchange_time scans: step at most pi / 50
         ts = np.linspace(*window, math.ceil((window[1] - window[0]) / (math.pi / 50.0)) + 1)
-        _, tables = next(evo.evolve_grid(make_product_state([0.0, 1.0]), ts))
-        assert f_best >= np.max(exchange_fidelities(tables, [0.0, 1.0]))
+        assert f_best >= np.max(exchange_fidelities(make_product_state([0.0, 1.0]), evo, ts))

@@ -1,9 +1,13 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from oscswap.cli import _csv_rows, _fmt, main
+from oscswap.core import CouplingParams
+from conftest import mp_exchange_fidelity
 
 QUBIT_SCAN = """\
 params:
@@ -265,15 +269,15 @@ outputs: [number_distribution]
                                                               monkeypatch):
         import oscswap.cli as cli_module
 
-        evolve_grid = cli_module.EvolutionOperator.evolve_grid
+        product_grid = cli_module.EvolutionOperator.product_grid
 
-        def inflated(self, state, ts):
+        def inflated(self, phi, ts):
             # scales the amplitudes at the second time only, after the norm check
-            for times, tables in evolve_grid(self, state, ts):
+            for times, tables in product_grid(self, phi, ts):
                 tables[1] *= 1.001
                 yield times, tables
 
-        monkeypatch.setattr(cli_module.EvolutionOperator, "evolve_grid", inflated)
+        monkeypatch.setattr(cli_module.EvolutionOperator, "product_grid", inflated)
         scenario = write_scenario(
             tmp_path,
             """\
@@ -303,6 +307,69 @@ outputs: [fidelity, report]
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
         assert "changed the norm by nan" in capsys.readouterr().err
+
+    def test_huge_detuning_exchange_scan_names_params(self, tmp_path, capsys):
+        # s underflows to 0, so every exchange time and the scan window are 0
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0e+300, omega2: 1, lambda: 1}
+initial: {kind: fock, n: 1}
+schedule: {kind: exchange_scan, k_max: 2}
+outputs: [report]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith('error: scenario field "params": exchange times')
+        assert "params.omega1" in err and "params.lambda" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tiny_lambda_exchange_scan_names_params(self, tmp_path, capsys):
+        # s c pi / lambda overflows, so every exchange time and the scan window are inf
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1, omega2: 1, lambda: 1.0e-320}
+initial: {kind: fock, n: 1}
+schedule: {kind: exchange_scan, k_max: 2}
+outputs: [report]
+""",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith('error: scenario field "params": exchange times')
+        assert "params.omega1" in err and "params.lambda" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_coherent_alpha_20_at_truncation_534_matches_mpmath(self, tmp_path):
+        # the tail beyond n = 534 is below the 1e-10 threshold; with omega / lambda = 3
+        # the exchange is complete at t = pi / 2
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 3.0, omega2: 3.0, lambda: 1.0}
+initial: {kind: coherent, alpha: 20, truncation: 534}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 3.141592653589793, steps: 11}
+outputs: [fidelity, report]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "fidelity.csv")
+        with mpmath.workdps(50):
+            poisson = [mpmath.exp(-400) * mpmath.mpf(400) ** n / mpmath.factorial(n)
+                       for n in range(535)]
+        params = CouplingParams(omega1=3.0, omega2=3.0, lam=1.0)
+        for t, fidelity in rows:
+            assert fidelity == pytest.approx(mp_exchange_fidelity(params, poisson, t), abs=1e-12)
+        assert rows[5, 1] == pytest.approx(1.0, abs=1e-12)
+        report = (out / "report.txt").read_text()
+        assert "n_max: 534\n" in report
+        final_norm = float(report.split("final_norm: ")[1].split()[0])
+        assert final_norm == pytest.approx(1.0, abs=1e-12)
 
     def test_resonant_run_reaches_block_44(self, tmp_path):
         values = ", ".join(["1.0"] * 45)
@@ -507,31 +574,35 @@ BUDGET_CASES = [
     ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
      "{kind: exchange_scan, k_max: 100000000}", "schedule.k_max"),
     ("steps: 2", "steps: 100001", "schedule.steps"),
-    ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity]", "n_max"),
-    ("{kind: fock, n: 1}", "{kind: fock, n: 201}", "initial.n"),
-    ("{kind: fock, n: 1}", "{kind: qubit, c0: 0.6, cn: 0.8, n: 201}", "initial.n"),
-    ("{kind: fock, n: 1}", "{kind: amplitudes, values: [%s]}" % ", ".join(["1"] * 202),
+    ("outputs: [fidelity]", "n_max: 1001\noutputs: [fidelity]", "n_max"),
+    ("{kind: fock, n: 1}", "{kind: fock, n: 1001}", "initial.n"),
+    ("{kind: fock, n: 1}", "{kind: qubit, c0: 0.6, cn: 0.8, n: 1001}", "initial.n"),
+    ("{kind: fock, n: 1}", "{kind: amplitudes, values: [%s]}" % ", ".join(["1"] * 1002),
      "initial.values"),
-    ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 201}",
+    ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 1001}",
      "initial.truncation"),
+    # the density outputs keep the limit n_max <= 200
+    ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity, number_distribution]", "n_max"),
+    ("{kind: fock, n: 1}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
+     "outputs: [fidelity]",
+     "{kind: fock, n: 201}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
+     "outputs: [reduced_density]", "initial.n"),
     ("steps: 2}\noutputs: [fidelity]",
      "steps: 651}\nn_max: 61\noutputs: [reduced_density]", "outputs"),
-    # 2463 x 201**3 and (51 x 41 + 390) x 201**3 time points x (n_max + 1)**3
-    # exceed 2e10, and so do 805 x (3 x 201**3 + 500000) and
-    # 37895 x (3 x 21**3 + 500000) with a density output
-    ("steps: 2}\noutputs: [fidelity]", "steps: 2463}\nn_max: 200\noutputs: [fidelity]",
-     "schedule.steps"),
+    # with a density output, 16462 x (3 x 62**3 + 500000), 805 x (3 x 201**3 + 500000)
+    # and 37895 x (3 x 21**3 + 500000) exceed 2e10
+    ("steps: 2}\noutputs: [fidelity]",
+     "steps: 16462}\nn_max: 61\noutputs: [number_distribution]", "schedule.steps"),
     ("steps: 2}\noutputs: [fidelity]",
      "steps: 805}\nn_max: 200\noutputs: [number_distribution]", "schedule.steps"),
     ("steps: 2}\noutputs: [fidelity]",
      "steps: 37895}\nn_max: 20\noutputs: [fidelity, reduced_density]", "schedule.steps"),
     ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
-     "{kind: exchange_scan, k_max: 40}\nn_max: 200\noutputs: [report]",
-     "schedule.k_max"),
+     "{kind: exchange_scan, k_max: 40}\nn_max: 1001\noutputs: [report]", "n_max"),
 ]
 BUDGET_IDS = ["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
-              "coherent", "csv-cells", "grid-work-steps", "grid-work-density-n_max-200",
-              "grid-work-density-n_max-20", "grid-work-k_max"]
+              "coherent", "n_max-density", "fock-n-density", "csv-cells", "grid-work-steps",
+              "grid-work-density-n_max-200", "grid-work-density-n_max-20", "scan-n_max"]
 
 
 class TestCostBudget:

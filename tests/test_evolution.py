@@ -25,8 +25,10 @@ from oscswap.rotation import u_minus_s_block, us_block
 from conftest import (
     assert_suite_checks,
     block_slots,
+    mp_exchange_fidelity,
     mp_rotation_element,
     params_for_detuning,
+    random_phi,
     random_state,
 )
 
@@ -243,7 +245,7 @@ class TestEvolveGrid:
         state = make_product_state(phi, n_max=6)
         ts = np.linspace(0.0, 30.0, 11)
         (_, tables), = evo.evolve_grid(state, ts)
-        fidelities = exchange_fidelities(tables, phi)
+        fidelities = exchange_fidelities(state, evo, ts)  # closed form, against the eigen path
         for mode in (1, 2):
             rhos = reduced_densities(tables, mode)
             for k, t in enumerate(ts):
@@ -272,6 +274,85 @@ class TestEvolveGrid:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by nan"):
                 list(evo.evolve_grid(state, [0.0, 1.0, math.nan, 2.0]))
+
+
+class TestProductClosedForm:
+    """The closed form of product states, the run path, against the eigen path and mpmath."""
+
+    @pytest.mark.parametrize(
+        "n_max, x", [(7, 5.0), (24, 0.0), (200, -4.3)],
+        ids=["n7-x5", "n24-resonant", "n200-x-4.3"],
+    )
+    def test_tables_match_evolve_grid(self, n_max, x):
+        rng = np.random.default_rng(n_max)
+        evo = EvolutionOperator(params_for_detuning(x, lam=0.7, omega2=1.3))
+        state = make_product_state(random_phi(rng, n_max))
+        ts = np.sort(rng.uniform(0.0, 20.0, 50))
+        eigen = np.concatenate([tables for _, tables in evo.evolve_grid(state, ts)])
+        closed = np.concatenate([tables for _, tables in evo.product_grid(state.table[:, 0], ts)])
+        assert np.max(np.abs(closed - eigen)) < 1e-12
+
+    def test_hops_and_tables_agree_and_chunk(self, monkeypatch, detuned):
+        # five times per table chunk, so that eleven times give chunks of 5, 5 and 1
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 5 * 9**2)
+        evo = EvolutionOperator(detuned)
+        phi = make_product_state([0.3, 0.0, 0.5j, -0.2, 0.7], n_max=8).table[:, 0]
+        ts = np.linspace(0.0, 30.0, 11)
+        chunks = list(evo.product_grid(phi, ts))
+        assert [len(times) for times, _ in chunks] == [5, 5, 1]
+        tables = np.concatenate([tables for _, tables in chunks])
+        hops = np.concatenate([hops for _, hops in evo.product_hops(phi, ts)])
+        # the amplitudes on |0, n> are phi_n T^n
+        assert np.max(np.abs(tables[:, 0, :] - phi * hops)) < 1e-15
+        n1, n2 = np.indices((9, 9))
+        assert np.all(tables[:, n1 + n2 > 8] == 0)  # beyond the truncation
+
+    def test_time_zero_is_the_initial_state(self, detuned):
+        # T(0) = 0, so 0^0 = 1 keeps column 0 and every other column is exactly 0
+        evo = EvolutionOperator(detuned)
+        state = make_product_state([0.6, 0.0, 0.8j], n_max=4)
+        (_, tables), = evo.product_grid(state.table[:, 0], [0.0])
+        assert np.max(np.abs(tables[0] - state.table)) < 1e-15
+        assert np.all(tables[0, :, 1:] == 0)
+
+    def test_binomials_do_not_overflow_at_n_max_1000(self):
+        evo = EvolutionOperator(params_for_detuning(0.0, lam=0.5, omega2=1.0))
+        phi = np.zeros(1001, dtype=complex)
+        phi[1000] = 1.0  # sqrt(binom(1000, 500)) is about 1.6e149
+        (_, tables), = evo.product_grid(phi, [math.pi / 2.0])  # lam t = pi / 4: a 50:50 split
+        assert np.all(np.isfinite(tables))
+        assert norm(TwoModeState(tables[0])) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, 1.3])
+    def test_fidelity_matches_mpmath_at_n_1000(self, x):
+        rng = np.random.default_rng(1000)
+        params = params_for_detuning(x, lam=1.0, omega2=3.0)  # omega / lambda = 3 at x = 0
+        evo = EvolutionOperator(params)
+        state = make_product_state(random_phi(rng, 1000))
+        # around the first exchange time, where the resonant fidelity reaches 1
+        tau0 = math.pi / (2.0 * math.hypot(1.0, x))
+        ts = np.array([0.0, 0.3, 0.99 * tau0, tau0, 1.01 * tau0])
+        fidelities = exchange_fidelities(state, evo, ts)
+        weights = [float(v) for v in np.abs(state.table[:, 0]) ** 2]
+        for t, fidelity in zip(ts.tolist(), fidelities.tolist()):
+            assert fidelity == pytest.approx(mp_exchange_fidelity(params, weights, t), abs=1e-12)
+        if x == 0.0:
+            assert fidelities[3] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["product_hops", "product_grid"])
+    def test_norm_breach_is_an_integrity_error(self, detuned, method):
+        evo = EvolutionOperator(detuned)
+        phi = np.array([0.6, 0.8])
+        with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by 1.000e"):
+            list(getattr(evo, method)(2.0 * phi, [0.0, 1.0]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by nan"):
+                list(getattr(evo, method)(phi, [0.0, 1.0, math.nan, 2.0]))
+
+    def test_suite_checks_the_closed_form_against_the_eigen_path(self):
+        assert_suite_checks(
+            "evolution", ["closed-form product tables vs eigen tables, n_max <= 20"]
+        )
 
 
 class TestHeisenbergPicture:

@@ -54,6 +54,20 @@ class TestCostBudgetLimitsParse:
     def test_n_max_limit(self, initial, top):
         assert parse_scenario(raw_scenario(initial=initial, **top)).n_max == 200
 
+    @pytest.mark.parametrize(
+        "initial, top",
+        [
+            ({"kind": "fock", "n": 1}, {"n_max": 1000, "outputs": ["fidelity", "report"]}),
+            ({"kind": "coherent", "alpha": 20.0, "truncation": 1000}, {}),
+            ({"kind": "fock", "n": 1}, {"n_max": 200, "outputs": ["number_distribution"]}),
+            ({"kind": "fock", "n": 200}, {"outputs": ["fidelity", "number_distribution"]}),
+        ],
+        ids=["explicit-1000", "coherent-1000", "density-explicit-200", "density-fock-200"],
+    )
+    def test_n_max_limit_without_and_with_densities(self, initial, top):
+        # the closed form has no cubic work; the density outputs keep n_max <= 200
+        assert parse_scenario(raw_scenario(initial=initial, **top)).n_max in (200, 1000)
+
     def test_csv_cells_limit(self):
         # 650 steps x (1 + 4 * 62**2) reduced_density columns = 9995050 <= 10**7 cells
         raw = raw_scenario(
@@ -67,10 +81,11 @@ class TestCostBudgetLimitsParse:
     @pytest.mark.parametrize(
         "schedule, n_max, outputs",
         [
-            # 2462 x 201**3 and (51 x 40 + 390) x 201**3 time points x (n_max + 1)**3
-            # stay under 2e10
-            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 2462}, 200, []),
-            ({"kind": "exchange_scan", "k_max": 39}, 200, []),
+            # the largest fidelity-only grid and scan: 100000 x 1001 and
+            # (51 x 1001 + 390) x 1001 time points x (n_max + 1) stay under 2e10
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 100000}, 1000,
+             ["fidelity"]),
+            ({"kind": "exchange_scan", "k_max": 1000}, 1000, []),
             # with a density output: 804 x (3 x 201**3 + 500000) and
             # 37894 x (3 x 21**3 + 500000) stay under 2e10
             ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 804}, 200,
