@@ -102,16 +102,15 @@ def _rotation_suite() -> tuple[list[CheckResult], list[str]]:
             if prev is not None:
                 worst_recursion = max(worst_recursion, verify_recursions(mix, prev, block))
             prev = block
-            for l in range(n + 1):
-                scale = math.sqrt(math.comb(n, l))
-                top_row = scale * mix.c ** (n - l) * mix.s**l
-                bottom_row = scale * (-1.0) ** (n - l) * mix.c**l * mix.s ** (n - l)
-                for reference, got in (
-                    (top_row, us_element(mix, n, 0, n - l, l).real),
-                    (bottom_row, us_element(mix, 0, n, n - l, l).real),
-                ):
-                    denom = max(abs(reference), 1e-300)
-                    worst_rows = max(worst_rows, abs(got - reference) / denom)
+            l = np.arange(n + 1)
+            scale = np.sqrt([float(math.comb(n, j)) for j in l])
+            c_pow, s_pow = np.float_power(mix.c, l), np.float_power(mix.s, l)
+            top_row = scale * c_pow[::-1] * s_pow
+            bottom_row = scale * (-1.0) ** (n - l) * c_pow * s_pow[::-1]
+            for reference, n1 in ((top_row, n), (bottom_row, 0)):
+                got = us_element(mix, n1, n - n1, n - l, l).real
+                relative = np.abs(got - reference) / np.maximum(np.abs(reference), 1e-300)
+                worst_rows = max(worst_rows, float(np.max(relative)))
     checks = [
         CheckResult("block unitarity, n <= 30, detuning grid", worst_unitary, 1e-10),
         CheckResult("inverse times forward equals identity", worst_inverse, 1e-10),

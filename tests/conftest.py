@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as in CI and the benchmark: the eigen path's many small
+# eigh and matmul calls slow down under thread contention. Set before numpy
+# is first imported, which is when OpenBLAS reads it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import functools
 
 import mpmath

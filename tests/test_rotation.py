@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,18 +7,39 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from oscswap.core import derive_mixing, unitarity_defect
-from oscswap.rotation import (
-    _element_closed_form,
-    u_minus_s_block,
-    us_block,
-    us_element,
-    verify_recursions,
-)
+from oscswap.rotation import u_minus_s_block, us_block, us_element, verify_recursions
 from conftest import mixing_for_detuning, mp_element
 
 INV_SQRT2 = 0.7071067811865476
 
 X_GRID = (0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0)
+
+
+def looped_element(c, s, n1, n2, m1, m2):
+    """The element sum as a scalar loop: binomials and factorials as exact
+    Python integers, each product and ratio rounded to a double once. The
+    reference of the array evaluation in oscswap.rotation."""
+    pref = math.sqrt(
+        math.factorial(n1) * math.factorial(n2) / (math.factorial(m1) * math.factorial(m2))
+    )
+    total = 0.0
+    for k in range(max(0, m2 - n1), min(n2, m2) + 1):
+        term = (
+            math.comb(m1, n2 - k)
+            * math.comb(m2, k)
+            * c ** (m1 - n2 + 2 * k)
+            * s ** (m2 + n2 - 2 * k)
+        )
+        total += -term if (n2 - k) % 2 else term
+    return pref * total
+
+
+def looped_block(mix, n):
+    """Every entry of block n from :func:`looped_element`, row n2, column m2."""
+    return np.array(
+        [[looped_element(mix.c, mix.s, n - r, r, n - col, col) for col in range(n + 1)]
+         for r in range(n + 1)]
+    )
 
 
 def beam_splitter_generator(n_total):
@@ -133,16 +155,52 @@ class TestBlocks:
         for n in range(38, 45):
             assert unitarity_defect(us_block(mix, n)) < 1e-10
 
-    @pytest.mark.parametrize("x", X_GRID)
+    @pytest.mark.parametrize("x", X_GRID + (0.013, 37.0))
     def test_block_equals_element_loop(self, x):
-        # every entry is the one element sum, at row n2 and column m2
+        # up to n = 56 every binomial is exact in a double, so the array sum
+        # rounds exactly as the scalar loop over exact integers does
         mix = mixing_for_detuning(x)
-        for n in (0, 1, 5, 17, 30, 44):
-            looped = [
-                [_element_closed_form(mix.c, mix.s, n - lr, lr, n - lc, lc) for lc in range(n + 1)]
-                for lr in range(n + 1)
-            ]
-            assert np.array_equal(us_block(mix, n), np.array(looped, dtype=complex))
+        for n in (0, 1, 5, 17, 30, 44, 56):
+            assert np.array_equal(us_block(mix, n), looped_block(mix, n).astype(complex))
+
+    @pytest.mark.parametrize("x", (5.0, -5.0))
+    @pytest.mark.parametrize("n", (60, 100))
+    def test_block_beyond_exact_binomials_stays_close_to_loop(self, x, n):
+        # above n = 56 a binomial product can pass 2**53 and round once more
+        mix = mixing_for_detuning(x)
+        assert np.max(np.abs(us_block(mix, n) - looped_block(mix, n))) < 1e-14
+
+    @pytest.mark.parametrize("x", (0.0, -1.0, 5.0))
+    @pytest.mark.parametrize("n", (0, 1, 9, 30))
+    def test_element_arrays_equal_block_rows(self, x, n):
+        mix = mixing_for_detuning(x)
+        block = us_block(mix, n)
+        l = np.arange(n + 1)
+        for row in range(n + 1):
+            got = us_element(mix, n - row, row, n - l, l)
+            assert got.dtype == np.complex128 and got.shape == (n + 1,)
+            assert np.array_equal(got, block[row])
+            for col in range(n + 1):
+                scalar = us_element(mix, n - row, row, n - col, col)
+                assert type(scalar) is complex and scalar == block[row, col]
+        # a 2-d grid of rows and columns, with a mismatched total set to zero
+        grid = us_element(mix, n - l[:, None], l[:, None], n - l, l)
+        assert np.array_equal(grid, block)
+        mixed = us_element(mix, [n, n + 1], [0, 0], [n, n], [0, 0])
+        assert np.array_equal(mixed, [block[0, 0], 0.0])
+
+    def test_block_memory_stays_bounded(self):
+        # the k terms are summed slab by slab, so the temporaries do not grow
+        # as the n**3 terms of the block do (200**3 doubles alone are 64 MB)
+        mix = mixing_for_detuning(5.0)
+        us_block.cache_clear()
+        tracemalloc.start()
+        try:
+            us_block(mix, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_cache_never_serves_a_stale_block(self):
         # the cache holds one block; interleave two mixes at the same n
@@ -159,6 +217,22 @@ class TestBlocks:
     def test_block_beyond_double_range_names_the_block(self):
         with pytest.raises(ValueError, match="n_total = 1030"):
             us_element(mixing_for_detuning(0.0), 1030, 0, 515, 515)
+
+    def test_last_block_in_double_range_evaluates(self):
+        # one term, C(1029, 0) C(0, 0) c**1029, from the full table of block 1029
+        mix = mixing_for_detuning(0.3)
+        assert us_element(mix, 1029, 0, 1029, 0) == mix.c**1029
+
+    def test_block_beyond_double_range_fails_before_any_table(self):
+        # a 1031 x 1031 table of binomials would be 8.5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n_total = 1030"):
+                us_block(mixing_for_detuning(0.0), 1030)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHighPrecisionReference:
