@@ -122,7 +122,8 @@ def derive_mixing(params: CouplingParams) -> MixingParams:
         c2 = 1.0 / (2.0 * h * (h - x))
     s = math.sqrt(s2)
     c = math.sqrt(c2)
-    shift = params.lam * s / c
+    # s / c = h - x for x < 0, the one form left when c2 underflows to 0
+    shift = params.lam * s / c if c > 0 else params.lam * (h - x)
     return MixingParams(
         x=x, s=s, c=c, omega1p=params.omega1 + shift, omega2p=params.omega2 - shift
     )

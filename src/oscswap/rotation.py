@@ -20,7 +20,9 @@ Python integers to the last bit; above, a binomial product may round once
 more (5.6e-17 at x = 5, n = 100). The alternating sum itself loses about
 n log10(2) digits near resonance: at x = 0 the blocks stay orthogonal to
 1e-10 up to n = 44. From n_total = 1030 on, the binomials overflow a
-double, and the elements raise ValueError.
+double, and the elements raise ValueError. Each block is summed whole,
+one k at a time over a shifted sub-block (:func:`us_block`), and
+:func:`us_element` reads its entries from that block.
 
 These elements are the paper's formula. The evolution operator does not
 use them: it takes the same rotation, as the eigenvectors of each
@@ -42,7 +44,6 @@ import numpy as np
 
 from .core import MixingParams, _freeze
 
-_SLAB_TERMS = 1 << 18  # terms of the sum held at once (2 MiB per array of doubles)
 # C(m, j) for m, j < len, each rounded to a double once; grown on demand
 _binomial_table = np.ones((1, 1))
 
@@ -51,14 +52,20 @@ def us_element(mix: MixingParams, n1, n2, m1, m2) -> complex | np.ndarray:
     """Element <n1, n2| R |m1, m2> of the mixing rotation, or the elements
     at broadcastable index arrays; zero unless n1 + n2 == m1 + m2. Exact
     values are real; the result is complex for uniform downstream arithmetic:
-    a Python complex for scalar indices, a complex array otherwise."""
-    n1, n2, m1, m2 = (np.asarray(index) for index in (n1, n2, m1, m2))
+    a Python complex for scalar indices, a complex array otherwise.
+
+    Every nonzero entry is read from :func:`us_block` of its total, so a
+    cold element costs its whole block (about 2 s at n1 + n2 = 1029), and the
+    elements of the block just built cost no sum at all."""
+    n1, n2, m1, m2 = np.broadcast_arrays(*(np.asarray(index) for index in (n1, n2, m1, m2)))
     if min(index.min(initial=0) for index in (n1, n2, m1, m2)) < 0:
         raise ValueError("Fock indices must be >= 0")
-    same = n1 + n2 == m1 + m2
-    # an entry whose totals differ is zero; its sum is taken in the empty block
-    n, n2, m2 = (np.where(same, index, 0) for index in (n1 + n2, n2, m2))
-    value = np.where(same, _closed_form(mix, n, n2, m2), 0.0).astype(np.complex128)
+    n = n1 + n2
+    same = n == m1 + m2
+    value = np.zeros(n.shape, dtype=np.complex128)
+    for total in np.unique(n[same]):
+        at = same & (n == total)
+        value[at] = us_block(mix, int(total))[n2[at], m2[at]]
     return complex(value) if value.ndim == 0 else value
 
 
@@ -67,17 +74,34 @@ def us_block(mix: MixingParams, n_total: int) -> np.ndarray:
     """Mixing rotation restricted to one total-quanta block: a read-only
     complex (n_total + 1) x (n_total + 1) array, row n2 and column m2.
 
-    Every entry is :func:`us_element`'s sum, rounded as the module says, so
-    bitwise the exact-integer loop up to n_total = 56. Slabs of k hold at most
-    ``_SLAB_TERMS`` terms, or a single k once the block has more entries, so
-    the temporaries never hold all n_total**3 terms (block 200: 0.12 s, 9 MB).
-    Only the last block is cached (17 MB at the largest n_total), so
-    :func:`u_minus_s_block` right after it costs no rebuild.
+    With n2 = k + j and m2 = k + i, term k of the module's sum is
+    (-1)**j C(n - k - i, j) C(k + i, k) c**(n - i - j) s**(i + j), so the
+    terms of one k fill the sub-block [k:, k:]: a view of the signed
+    binomials, rows reversed and transposed, times column k of the
+    binomials, times two Hankel views of the powers. Where i + j > n the
+    binomial is zero, and the c exponent is clamped to 0 so that it never
+    meets 0**negative at c = 0. The terms add in ascending k into a zeroed
+    total, rounded as the module says: bitwise the exact-integer loop up to
+    n_total = 56. The temporaries are one block in size (block 200: 13 ms,
+    2 MB). Only the last block is cached (17 MB at the largest n_total),
+    so :func:`u_minus_s_block` and :func:`us_element` right after it cost no
+    rebuild.
     """
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
-    l = np.arange(n_total + 1)
-    return _freeze(_closed_form(mix, n_total, l[:, None], l).astype(np.complex128))
+    n, binom = n_total, _binomials(n_total)
+    # flipped[j, r] = (-1)**j C(n - r, j), so flipped[j, k + i] = (-1)**j C(n - k - i, j)
+    flipped = np.ascontiguousarray((binom * (-1.0) ** np.arange(n + 1))[::-1].T)
+    # Hankel views: c_pow[j, i] = c**max(n - i - j, 0), s_pow[j, i] = s**(i + j)
+    p = np.arange(2 * n + 1)
+    powers = np.float_power([[mix.c], [mix.s]], [np.maximum(n - p, 0), p])
+    c_pow, s_pow = np.lib.stride_tricks.sliding_window_view(powers, n + 1, axis=1)
+    total = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        j = slice(n + 1 - k)  # j and i run over 0..n - k
+        total[k:, k:] += flipped[j, k:] * binom[k:, k] * c_pow[j, j] * s_pow[j, j]
+    prefactor = np.sqrt(binom[n] / binom[n, :, None])  # sqrt(C(n, m2) / C(n, n2))
+    return _freeze((prefactor * total).astype(np.complex128))
 
 
 def u_minus_s_block(mix: MixingParams, n_total: int) -> np.ndarray:
@@ -115,36 +139,6 @@ def verify_recursions(mix: MixingParams, prev: np.ndarray, cur: np.ndarray) -> f
     rhs[:, :n] = -s * np.sqrt(m1 / n2) * small
     rhs[:, 1:] += c * np.sqrt(m2 / n2) * small
     return float(max(worst, np.max(np.abs(big[1:] - rhs))))
-
-
-def _closed_form(mix: MixingParams, n, n2, m2) -> np.ndarray:
-    """The sum at rows ``n2``, columns ``m2`` of blocks ``n`` (broadcastable
-    integer arrays) over a leading axis of every k in some entry's range
-    max(0, n2 + m2 - n)..min(n2, m2). Out of its own range an entry's term has
-    a zero binomial, and the zero-padded powers keep it finite, so it adds a
-    zero. Each slab of k, its first row plus the running total, is summed on
-    axis 0, which numpy does row by row: the terms add in ascending k."""
-    top = int(np.asarray(n).max(initial=0))
-    binom = _binomials(top)
-    # (-1)**j C(m, j) at [m, top + j], zero for j < 0; base**p at [2 top + p], zero
-    # beyond p = 0..top, where only the terms with a zero binomial reach
-    signed = np.hstack([np.zeros((top + 1, top)), binom * (-1.0) ** np.arange(top + 1)])
-    c_pow, s_pow = powers = np.zeros((2, 5 * top + 1))
-    powers[:, 2 * top : 3 * top + 1] = np.float_power([[mix.c], [mix.s]], np.arange(top + 1))
-    m1 = n - m2
-    total = np.zeros(np.broadcast(n, n2, m2).shape)
-    step = max(1, _SLAB_TERMS // max(total.size, 1))
-    k_end = int(np.minimum(n2, m2).max(initial=-1)) + 1
-    for start in range(max(0, int((n2 - m1).min(initial=top))), k_end, step):
-        k = np.arange(start, min(start + step, k_end)).reshape((-1,) + (1,) * total.ndim)
-        j = n2 - k
-        terms = signed.ravel()[m1 * (2 * top + 1) + top + j] * binom[m2, k]
-        terms *= c_pow[m1 + 2 * top - (j - k)]  # c**(m1 - n2 + 2k)
-        terms *= s_pow[m2 + 2 * top + (j - k)]  # s**(m2 + n2 - 2k)
-        terms[0] += total  # total + t equals t + total, so the order holds
-        # a lone entry's terms would be reduced pairwise, so they are accumulated
-        total = np.add.reduce(terms) if total.size > 1 else np.add.accumulate(terms)[-1]
-    return np.sqrt(binom[n, m2] / binom[n, n2]) * total
 
 
 def _binomials(top: int) -> np.ndarray:

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, seed, settings, strategies as st
 
 from oscswap.cli import _csv_rows, _fmt, main
 from oscswap.core import CouplingParams
+from oscswap.scenario import ScenarioError, parse_scenario
 from conftest import mp_exchange_fidelity
 
 QUBIT_SCAN = """\
@@ -423,8 +428,11 @@ outputs: [fidelity]
     @pytest.mark.parametrize(
         "params",
         ["{omega1: 1.0e+300, omega2: 1.0, lambda: 1.0e-10}",
-         "{omega1: 1.0e+308, omega2: -1.0e+308, lambda: 1.0}"],
-        ids=["detuning-overflows", "difference-overflows"],
+         "{omega1: 1.0e+308, omega2: -1.0e+308, lambda: 1.0}",
+         "{omega1: 1.0, omega2: 1.0e+300, lambda: 1.0e-10}",
+         "{omega1: -1.0e+308, omega2: 1.0e+308, lambda: 1.0}"],
+        ids=["detuning-overflows", "difference-overflows",
+             "negative-detuning-overflows", "negative-difference-overflows"],
     )
     def test_overflowing_detuning_names_params(self, tmp_path, capsys, params):
         scenario = write_scenario(
@@ -613,6 +621,75 @@ class TestCostBudget:
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert f'scenario field "{field}"' in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# leaves for the scenario contract's property test: half of them plain, so
+# that a case gets past its first fields and failures shrink toward them, half
+# the extremes of each YAML scalar
+EXTREME_LEAVES = [0, -1, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324, 1e-320,
+                  10**400, -(10**400), 2**64, True, False, "x", "", math.inf, math.nan]
+_leaf = st.sampled_from([1, 0.5, 2]) | st.sampled_from(EXTREME_LEAVES)
+_count = st.sampled_from([1, 2, 0, 3]) | _leaf
+_amplitude = _leaf | st.lists(_leaf, min_size=2, max_size=2)
+SCENARIO_TREES = st.fixed_dictionaries(
+    {
+        "params": st.fixed_dictionaries({"omega1": _leaf, "omega2": _leaf, "lambda": _leaf}),
+        "initial": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("fock"), "n": _count}),
+            st.fixed_dictionaries(
+                {"kind": st.just("qubit"), "c0": _amplitude, "cn": _amplitude, "n": _count}
+            ),
+            st.fixed_dictionaries(
+                {"kind": st.just("amplitudes"), "values": st.lists(_amplitude, max_size=3)}
+            ),
+            st.fixed_dictionaries(
+                {"kind": st.just("coherent"), "alpha": _amplitude, "truncation": _count}
+            ),
+        ),
+        "schedule": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("time_grid"), "t_start": _leaf,
+                                   "t_end": _leaf, "steps": _count}),
+            st.fixed_dictionaries({"kind": st.just("exchange_scan"), "k_max": _count}),
+        ),
+        "outputs": st.lists(st.sampled_from(["fidelity", "transfer_profile", "report",
+                                             "number_distribution", "reduced_density"]),
+                            max_size=3),
+    },
+    optional={"n_max": _count, "coherent_tail_threshold": _leaf},
+)
+
+
+def _parse_outcome(text, loader):
+    """The parsed scenario, or the field its ScenarioError names."""
+    try:
+        return parse_scenario(yaml.load(text, Loader=loader))
+    except ScenarioError as exc:
+        return exc.field
+
+
+@settings(max_examples=150, database=None)
+@seed(20261018)
+@given(tree=SCENARIO_TREES)
+def test_scenario_contract_holds(tmp_path_factory, tree):
+    # any scenario exits 0, exits 2 naming a field, or exits 3 on a self-check;
+    # never 1 and never a traceback
+    text = yaml.safe_dump(tree)
+    outcomes = [_parse_outcome(text, loader) for loader in (yaml.SafeLoader, yaml.CSafeLoader)]
+    assert outcomes[0] == outcomes[1]
+    path = tmp_path_factory.mktemp("contract") / "scenario.yaml"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            np.errstate(all="ignore"):
+        code = main(["run", str(path), "--out", str(path.parent / "out")])
+    if isinstance(outcomes[0], str):
+        assert code == 2 and f'scenario field "{outcomes[0]}"' in err.getvalue()
+    else:
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            assert 'scenario field "' in err.getvalue()
+        if code == 3:
+            assert "numerical integrity failure" in err.getvalue()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

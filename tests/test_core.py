@@ -106,11 +106,18 @@ class TestDeriveMixing:
     def test_overflowing_detuning_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             derive_mixing(CouplingParams(omega1=1e300, omega2=1.0, lam=1e-10))
+        # the mirror, x = -inf, where c2 is 0 and s2 is nan
+        with pytest.raises(ValueError, match="finite"):
+            derive_mixing(CouplingParams(omega1=1.0, omega2=1e300, lam=1e-10))
 
     def test_strong_detuning_stays_clean(self):
         mix = mixing_for_detuning(1e8)
         assert 0 < mix.s < 1e-7
         assert mix.c**2 + mix.s**2 == pytest.approx(1.0, abs=1e-15)
+        # x = -5e299: c2 underflows to 0, and s / c is taken as h - x = 1e300
+        mix = derive_mixing(CouplingParams(omega1=1.0, omega2=1e300, lam=1.0))
+        assert (mix.x, mix.s, mix.c) == (-5e299, 1.0, 0.0)
+        assert (mix.omega1p, mix.omega2p) == (1e300, 0.0)
 
 
 class TestTwoModeState:

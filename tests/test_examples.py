@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscswap.cli import main
@@ -36,7 +37,7 @@ def test_scenario_runs(path, tmp_path, capsys):
 def test_script_runs(script, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
+        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:], "--csv", "trace.csv"],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
@@ -44,6 +45,13 @@ def test_script_runs(script, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    rows = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    if script[0] == "qubit_exchange_demo.py":
+        # 401 times over [0, 2 tau_0]; the middle one is tau_0, where the exchange is exact
+        assert rows.shape == (401, 2)
+        assert rows[200, 1] == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert rows.shape == (3, 5)
 
 
 IMPORT_GUARD = """

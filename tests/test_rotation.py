@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from oscswap.core import derive_mixing, unitarity_defect
 from oscswap.rotation import u_minus_s_block, us_block, us_element, verify_recursions
+from oscswap.suites import verify_suite
 from conftest import mixing_for_detuning, mp_element
 
 INV_SQRT2 = 0.7071067811865476
@@ -155,13 +156,16 @@ class TestBlocks:
         for n in range(38, 45):
             assert unitarity_defect(us_block(mix, n)) < 1e-10
 
-    @pytest.mark.parametrize("x", X_GRID + (0.013, 37.0))
+    @pytest.mark.parametrize("x", X_GRID + (0.013, 37.0, -5e299))
     def test_block_equals_element_loop(self, x):
         # up to n = 56 every binomial is exact in a double, so the array sum
-        # rounds exactly as the scalar loop over exact integers does
+        # rounds exactly as the scalar loop over exact integers does; at
+        # x = -5e299, c = 0 and the clamped c exponents keep 0**0 = 1
         mix = mixing_for_detuning(x)
         for n in (0, 1, 5, 17, 30, 44, 56):
-            assert np.array_equal(us_block(mix, n), looped_block(mix, n).astype(complex))
+            block = us_block(mix, n)
+            assert np.isfinite(block).all()
+            assert np.array_equal(block, looped_block(mix, n).astype(complex))
 
     @pytest.mark.parametrize("x", (5.0, -5.0))
     @pytest.mark.parametrize("n", (60, 100))
@@ -190,8 +194,8 @@ class TestBlocks:
         assert np.array_equal(mixed, [block[0, 0], 0.0])
 
     def test_block_memory_stays_bounded(self):
-        # the k terms are summed slab by slab, so the temporaries do not grow
-        # as the n**3 terms of the block do (200**3 doubles alone are 64 MB)
+        # the terms of each k are summed over one sub-block, so the temporaries
+        # stay block-sized and never hold the n**3 terms (200**3 doubles are 64 MB)
         mix = mixing_for_detuning(5.0)
         us_block.cache_clear()
         tracemalloc.start()
@@ -201,6 +205,14 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_rotation_suite_builds_each_block_once(self):
+        # 7 detunings x blocks 0..30, no block twice: u_minus_s_block and the
+        # two us_element row calls read each block from the cache
+        us_block.cache_clear()
+        verify_suite("rotation")
+        assert us_block.cache_info().misses == 7 * 31
+        assert us_block.cache_info().hits == 3 * 7 * 31
 
     def test_cache_never_serves_a_stale_block(self):
         # the cache holds one block; interleave two mixes at the same n
