@@ -1,10 +1,15 @@
 """Command-line front end: scenario runs and verification suites.
 
 Outputs are deterministic: identical scenarios produce byte-identical CSV
-files (17 significant digits, '.' decimal separator, '\\n' line endings).
+files (17 significant digits, '.' decimal separator, '\\n' line endings on
+every platform). Each cell is what ``"%.17g" % value`` writes. Arrays of at
+least ``_ARRAY_MIN_CELLS`` cells are formatted by :func:`_format_cells`,
+which computes the same digits with numpy and leaves to ``%`` only the cells
+it cannot prove; smaller arrays are formatted by ``%`` throughout.
 """
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -29,14 +34,148 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+# Below this many cells `%` is the faster writer: the array formatter costs
+# about 150-200 us per call plus 0.3 us per cell, `%` about 1 us per cell
+# (measured on a 2-vCPU x86-64 box: the two meet between 200 and 256 cells).
+_ARRAY_MIN_CELLS = 256
+_CHUNK_CELLS = 16384
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+# 10**p is tabled as hi + lo for these p; a cell of decimal exponent k is
+# scaled by 10**(16 - k), and every product and split stays finite and normal
+_P_MIN, _P_MAX = -274, 299
+_K_MIN = 16 - _P_MAX
+# slots of a cell: sign, "0.000" prefix, 17 digits with the point among them,
+# "e+308" exponent, separator; an empty slot holds a zero byte
+_SLOTS = 30
+_AFFIX_SLOTS = np.r_[1:6, 24:29]
+_ONE_TO_17 = np.arange(1, 18, dtype=np.uint8)[:, None]
+_ZERO_TO_17 = np.arange(18, dtype=np.uint8)[:, None]
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = _SPLIT * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _powers() -> np.ndarray:
+    """Rows hi, lo, and the two halves of hi, of 10**p = hi + lo for p = _P_MIN.._P_MAX."""
+    table = np.empty((4, _P_MAX - _P_MIN + 1))
+    for i, p in enumerate(range(_P_MIN, _P_MAX + 1)):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den  # int / int rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        table[:2, i] = hi, (num * hi_den - hi_num * den) / (den * hi_den)
+    table[2:] = _split(table[0])
+    table.setflags(write=False)
+    return table
+
+
+@functools.cache
+def _affixes() -> tuple[np.ndarray, np.ndarray]:
+    """Per decimal exponent k: the prefix and exponent slots, and the digits before the point."""
+    ks = range(_K_MIN, 17 - _P_MIN)
+    affix = np.zeros((len(ks), 10), np.uint8)
+    lead = np.ones(len(ks), np.uint8)
+    for i, k in enumerate(ks):
+        text = f"{'':5}e{k:+03d}"  # %g writes k < -4 and k > 16 as exponents
+        if -4 <= k <= 16:
+            text, lead[i] = ("0." + "0" * (-k - 1), 0) if k < 0 else ("", k + 1)
+        affix[i] = np.frombuffer(text.ljust(10).replace(" ", "\0").encode(), np.uint8)
+    affix.setflags(write=False)
+    lead.setflags(write=False)
+    return affix, lead
+
+
+def _format_cells(values: np.ndarray, seps: np.ndarray) -> str:
+    """Each value as ``"%.17g" % value`` followed by its separator byte, concatenated.
+
+    The 17 digits are |value| * 10**(16 - k), k = floor(log10|value|),
+    rounded to an integer. With 10**(16 - k) as hi + lo, Dekker's split
+    product gives |value| * hi exactly, so the scaled value is known to
+    within about 1e-14 and rounds right unless its fraction lies within 1e-6
+    of a half. Such near-ties, a k that log10 got one off (the scaled value
+    then leaves [1e16, 1e17)), nonzero values outside the power table, inf
+    and nan are written by ``%``.
+    """
+    n = len(values)
+    a = np.abs(values)
+    zero = a == 0
+    fast = np.isfinite(a) & ~zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.intp)
+    slot = 16 - k - _P_MIN
+    fast &= (slot >= 0) & (slot <= _P_MAX - _P_MIN)
+    slot[~fast] = -_P_MIN
+    a[~fast] = 1.0
+    hi, lo, hi_head, hi_tail = (row.take(slot) for row in _powers())
+    prod = a * hi
+    head, tail = _split(a)
+    err = ((head * hi_head - prod) + head * hi_tail + tail * hi_head) + tail * hi_tail
+    whole = np.floor(prod)
+    rest = (prod - whole) + err + a * lo
+    rest_floor = np.floor(rest)
+    frac = rest - rest_floor
+    mantissa = whole.astype(np.int64) + rest_floor.astype(np.int64)
+    fast &= (mantissa >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
+    mantissa += frac > 0.5
+    fast &= mantissa < 10**17
+    mantissa[~fast] = 0
+    k[~fast] = 0  # a zero is written as the digit 0 at k = 0; the rest of ~fast by `%`
+
+    # digits by halves below 10**9, where float floor division by 10 is exact
+    top = mantissa // 10**9
+    halves = np.stack([top, mantissa - top * 10**9]).astype(np.float64)
+    digits = np.zeros((19, n), np.uint8)  # a pad, the 17 digits, a pad
+    for j in range(8, -1, -1):
+        tens = np.floor(halves * 0.1)
+        np.subtract(halves, 10.0 * tens, out=digits[:18].reshape(2, 9, n)[:, j], casting="unsafe")
+        halves = tens
+    significant = (_ONE_TO_17 * (digits[1:18] != 0)).max(axis=0)
+    affix, lead = _affixes()
+    k -= _K_MIN
+    lead = lead.take(k)
+    digits[1:18] += np.uint8(ord("0"))
+    digits[1:18] *= _ONE_TO_17 <= np.maximum(significant, lead)  # zeros after the point go
+    # the point goes after `lead` digits when digits follow it; a cell with
+    # lead 0 has its point in the prefix
+    point = np.where((significant > lead) & (lead > 0), lead, np.uint8(18))
+    before = (_ZERO_TO_17 < point).view(np.uint8)
+    at = (_ZERO_TO_17 == point).view(np.uint8)
+    out = np.empty((n, _SLOTS), np.uint8)
+    out[:, 0] = np.signbit(values).view(np.uint8) * np.uint8(ord("-"))
+    out[:, _AFFIX_SLOTS] = affix.take(k, axis=0)
+    out[:, 6:24] = (digits[1:] * before + digits[:-1] * (1 - before - at)
+                    + at * np.uint8(ord("."))).T
+    out[:, -1] = seps
+    for i in np.flatnonzero(~fast & ~zero):
+        text = ("%.17g" % values[i]).encode()  # at most 24 bytes, before the separator
+        out[i, :-1] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_rows(rows: np.ndarray) -> str:
-    """CSV lines of a 2-D array, every value written as :func:`_fmt` writes it."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return "".join(line % tuple(row) for row in rows.tolist())
+    """CSV lines of a 2-D array, every value written as :func:`_fmt` writes it.
+
+    Arrays of at least ``_ARRAY_MIN_CELLS`` cells go through
+    :func:`_format_cells` in chunks of ``_CHUNK_CELLS``; smaller ones, for
+    which that costs more than it saves, are formatted by ``%`` directly.
+    """
+    if rows.size < _ARRAY_MIN_CELLS:
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        return "".join(line % tuple(row) for row in rows.tolist())
+    values = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
+    seps = np.full(rows.shape, ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    seps = seps.reshape(-1)
+    return "".join(_format_cells(values[i:i + _CHUNK_CELLS], seps[i:i + _CHUNK_CELLS])
+                   for i in range(0, values.size, _CHUNK_CELLS))
 
 
 def _write_csv(path: Path, header: list[str], parts: list[str]) -> None:
-    with path.open("w") as out:
+    with path.open("w", newline="\n") as out:
         out.write(",".join(header) + "\n")
         out.writelines(parts)
 
@@ -113,7 +252,7 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
         ]
         if scenario.initial.kind == "coherent":
             lines.append(f"coherent_tail_discarded: {_fmt(discarded)}")
-        (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+        (out_dir / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
     print(f"max_fidelity={_fmt(fidelities[best])} t={_fmt(float(ts[best]))}")
     return 0
 
@@ -148,7 +287,7 @@ def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
             f"max_fidelity: {_fmt(best_f)}",
             f"t_at_max: {_fmt(t_best)}",
         ]
-        (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+        (out_dir / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
     print(f"max_fidelity={_fmt(best_f)} t={_fmt(t_best)}")
     return 0
 
@@ -156,7 +295,7 @@ def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
 def _run_verify_schedule(scenario: Scenario, out_dir: Path) -> int:
     report = verify_suite(scenario.schedule.suite)
     text = report.format()
-    (out_dir / "report.txt").write_text(text + "\n")
+    (out_dir / "report.txt").write_text(text + "\n", newline="\n")
     print(text)
     return 0 if report.passed else 1
 

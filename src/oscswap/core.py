@@ -96,7 +96,7 @@ class MixingParams:
         Equals lam / (2 c s) whenever the coupling is nonzero, but stays
         finite in the decoupled limit s = 0.
         """
-        return 0.5 * (self.omega1p - self.omega2p)
+        return 0.5 * self.omega1p - 0.5 * self.omega2p  # halves first: cannot overflow
 
 
 def derive_mixing(params: CouplingParams) -> MixingParams:
@@ -112,7 +112,8 @@ def derive_mixing(params: CouplingParams) -> MixingParams:
             "detuning x = (omega1 - omega2) / (2 lambda) is undefined for lambda = 0; "
             "use decoupled_mixing() for the free-oscillator limit"
         )
-    x = (params.omega1 - params.omega2) / (2.0 * params.lam)
+    # halving first is exact, and unlike 2 lam it cannot overflow
+    x = 0.5 * (params.omega1 - params.omega2) / params.lam
     h = math.hypot(x, 1.0)
     if x >= 0:
         c2 = (h + x) / (2.0 * h)

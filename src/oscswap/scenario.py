@@ -207,19 +207,23 @@ def parse_scenario(raw: object) -> Scenario:
 
 
 def _check_exchange_window(params: CouplingParams, k_max: int) -> None:
-    """Reject couplings whose exchange times, or the scan window half an
-    exchange period past the last of them, are not finite and positive:
-    s c pi (2k + 1) / lambda underflows to 0 where the detuning is huge and
-    overflows where lambda is tiny."""
-    taus = exchange_times(derive_mixing(params), params.lam, k_max)
+    """Reject couplings whose exchange times, the scan window half an
+    exchange period past the last of them, or the scan's coarse step are not
+    finite and positive: s c pi (2k + 1) / lambda underflows to 0 where the
+    detuning is huge and overflows where lambda is tiny, and the step
+    pi / (50 max(lambda, half splitting)) underflows to 0 where lambda or the
+    splitting is above about 3.6e306."""
+    mix = derive_mixing(params)
+    taus = exchange_times(mix, params.lam, k_max)
     window_end = taus[-1] + taus[0]
-    if not (taus[0] > 0.0 and math.isfinite(window_end)):
+    step = math.pi / (50.0 * max(params.lam, mix.half_splitting))
+    if not (taus[0] > 0.0 and math.isfinite(window_end) and step > 0.0):
         raise ScenarioError(
             "params",
-            f"exchange times s c pi (2k + 1) / lambda from {taus[0]!r} to {taus[-1]!r}"
-            f" and a scan window ending at {window_end!r} must be finite and positive;"
-            " params.omega1 - params.omega2 is too large for params.lambda,"
-            " or params.lambda is too small",
+            f"exchange times s c pi (2k + 1) / lambda from {taus[0]!r} to {taus[-1]!r},"
+            f" a scan window ending at {window_end!r} and a scan step of {step!r}"
+            " must be finite and positive; params.omega1 - params.omega2 is too large"
+            " for params.lambda, or params.lambda is too small or too large",
         )
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import mpmath
@@ -9,10 +10,13 @@ import pytest
 import yaml
 from hypothesis import given, seed, settings, strategies as st
 
+from oscswap import cli
 from oscswap.cli import _csv_rows, _fmt, main
-from oscswap.core import CouplingParams
+from oscswap.core import CouplingParams, derive_mixing
 from oscswap.scenario import ScenarioError, parse_scenario
 from conftest import mp_exchange_fidelity
+
+SHORT_GRID = "schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}\noutputs: [fidelity]"
 
 QUBIT_SCAN = """\
 params:
@@ -426,27 +430,51 @@ outputs: [fidelity]
             assert fidelity == pytest.approx(abs(np.sum(p * hop ** np.arange(61))) ** 2, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "params",
-        ["{omega1: 1.0e+300, omega2: 1.0, lambda: 1.0e-10}",
-         "{omega1: 1.0e+308, omega2: -1.0e+308, lambda: 1.0}",
-         "{omega1: 1.0, omega2: 1.0e+300, lambda: 1.0e-10}",
-         "{omega1: -1.0e+308, omega2: 1.0e+308, lambda: 1.0}"],
+        "params, run",
+        [("{omega1: 1.0e+300, omega2: 1.0, lambda: 1.0e-10}", SHORT_GRID),
+         ("{omega1: 1.0e+308, omega2: -1.0e+308, lambda: 1.0}", SHORT_GRID),
+         ("{omega1: 1.0, omega2: 1.0e+300, lambda: 1.0e-10}", SHORT_GRID),
+         ("{omega1: -1.0e+308, omega2: 1.0e+308, lambda: 1.0}", SHORT_GRID),
+         # the detuning is finite, but the scan step pi / (50 lambda) underflows to 0
+         ("{omega1: 1.0e+300, omega2: 2, lambda: 1.7e+308}",
+          "schedule: {kind: exchange_scan, k_max: 2}\noutputs: [report]")],
         ids=["detuning-overflows", "difference-overflows",
-             "negative-detuning-overflows", "negative-difference-overflows"],
+             "negative-detuning-overflows", "negative-difference-overflows",
+             "scan-step-underflows"],
     )
-    def test_overflowing_detuning_names_params(self, tmp_path, capsys, params):
+    def test_overflowing_detuning_names_params(self, tmp_path, capsys, params, run):
         scenario = write_scenario(
             tmp_path,
             f"""\
 params: {params}
 initial: {{kind: fock, n: 1}}
-schedule: {{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}}
-outputs: [fidelity]
+{run}
 """,
         )
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert 'scenario field "params"' in capsys.readouterr().err
+
+    def test_lambda_above_half_the_double_range_runs(self, tmp_path):
+        # 2 lambda overflows; the detuning and the half splitting must not
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: 1.0e+300, omega2: 2, lambda: 1.7e+308}}
+initial: {{kind: fock, n: 1}}
+{SHORT_GRID}
+""",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        mix = derive_mixing(CouplingParams(1.0e300, 2.0, 1.7e308))
+        assert mix.x == 0.5 * (1.0e300 - 2.0) / 1.7e308
+        assert math.isfinite(mix.half_splitting)
+        _, rows = read_csv(tmp_path / "out" / "fidelity.csv")
+        for t, fidelity in rows:
+            hop = 2.0 * mix.s * mix.c * math.sin(mix.half_splitting * t)
+            assert fidelity == pytest.approx(hop**2, abs=1e-12)
 
     def test_each_state_is_reduced_once_per_mode(self, tmp_path, monkeypatch):
         import oscswap.cli as cli_module
@@ -692,6 +720,22 @@ def test_scenario_contract_holds(tmp_path_factory, tree):
             assert "numerical integrity failure" in err.getvalue()
 
 
+def percent_rows(rows):
+    """CSV lines as every value was written before the array formatter: the reference."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist())
+
+
+def assert_rows_match_percent(rows):
+    # names the first differing cell; a diff of two long strings takes minutes
+    got, expected = _csv_rows(rows), percent_rows(rows)
+    if got != expected:
+        cells = zip(rows.ravel().tolist(), re.split("[,\n]", got), re.split("[,\n]", expected))
+        value, wrote, wanted = next((cell for cell in cells if cell[1] != cell[2]),
+                                    (None, got[-60:], expected[-60:]))
+        pytest.fail(f"{value!r} written as {wrote!r}, % writes {wanted!r}")
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_row_formatter_matches_fmt(seed):
     special = [0.0, -0.0, 5e-324, 1e-320, 1e308, math.nan, math.inf, -math.inf, 1.0 / 3.0]
@@ -699,6 +743,88 @@ def test_row_formatter_matches_fmt(seed):
     rows = np.array([special, rng.normal(size=len(special)) * 10.0 ** rng.integers(-300, 300)])
     expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows.tolist())
     assert _csv_rows(rows) == expected
+    # the same rows often enough to take the array formatter
+    copies = cli._ARRAY_MIN_CELLS // rows.size + 1
+    assert _csv_rows(np.tile(rows, (copies, 1))) == expected * copies
+
+
+def test_row_formatter_matches_percent_on_random_bits():
+    # every finite double is equally likely by exponent here, nan and inf included
+    bits = np.random.default_rng(14).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    rows = bits.view(np.float64).reshape(-1, 8)
+    assert_rows_match_percent(rows)
+
+
+def test_row_formatter_edge_cases():
+    powers = [float(f"1e{p}") for p in range(-323, 309)]
+    ends = [10.0**k for k in (16 - cli._P_MAX, 16 - cli._P_MIN)]  # the power table's last cells
+    values = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1.7976931348623157e308,
+        0.30000000000000004, 0.1, 1e-4, 1e-5, 123456789012345678.0, 99999999999999999.0,
+        # exact ties between two 17-digit decimals, which % rounds half to even
+        1234567890123456.75, 1234567890123456.25, -1234567890123456.75, 123456789012345.125,
+        *powers, *ends,
+    ]
+    values += [float(np.nextafter(v, toward)) for v in powers + ends for toward in (0.0, math.inf)]
+    values += [-v for v in values]
+    rows = np.array(values).reshape(-1, 2)
+    assert_rows_match_percent(rows)
+    assert rows.size >= cli._ARRAY_MIN_CELLS
+    assert "1234567890123456.8,1234567890123456.2\n" in _csv_rows(rows)
+
+
+def test_time_grid_csvs_match_percent_reference(tmp_path, monkeypatch):
+    # every CSV of an n_max 20 run with all four outputs, byte for byte the
+    # % expression applied to the arrays the run formats
+    calls = []
+    csv_rows = cli._csv_rows
+    monkeypatch.setattr(cli, "_csv_rows", lambda rows: calls.append(rows) or csv_rows(rows))
+    values = np.random.default_rng(20).normal(size=(21, 2)).tolist()
+    scenario = write_scenario(
+        tmp_path,
+        f"""\
+params: {{omega1: 1.3, omega2: 0.9, lambda: 0.4}}
+initial: {{kind: amplitudes, values: {values}}}
+n_max: 20
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 9.0, steps: 40}}
+outputs: [fidelity, number_distribution, reduced_density, transfer_profile]
+""",
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    sizes = [rows.size for rows in calls]
+    assert min(sizes) < cli._ARRAY_MIN_CELLS and max(sizes) > cli._CHUNK_CELLS
+    for name in ("fidelity", "number_distribution", "reduced_density", "transfer_profile"):
+        written = (out / f"{name}.csv").read_bytes()
+        header = written.split(b"\n", 1)[0]
+        # the four outputs differ in width, so the width tells which calls wrote a file
+        width = header.count(b",") + 1
+        body = "".join(percent_rows(rows) for rows in calls if rows.shape[1] == width)
+        assert written == header + b"\n" + body.encode()
+
+
+@pytest.mark.parametrize("off", [-1.0, 1.0])
+def test_row_formatter_survives_a_wrong_exponent(monkeypatch, off):
+    # the decimal exponent is floor(log10|v|); when that is one off either way,
+    # the scaled value leaves [1e16, 1e17) and the cell must be written by %
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + off)
+    rows = np.random.default_rng(3).normal(size=(64, 5)) * 10.0 ** np.arange(-6, 9, 3)
+    assert_rows_match_percent(rows)
+
+
+@settings(max_examples=40, database=None, deadline=None)
+@seed(20261014)
+@given(
+    values=st.lists(st.floats(), min_size=1, max_size=40),
+    cells=st.sampled_from([cli._ARRAY_MIN_CELLS - 1, cli._ARRAY_MIN_CELLS,
+                           cli._CHUNK_CELLS, cli._CHUNK_CELLS + 7]),
+    columns=st.integers(1, 7),
+)
+def test_row_formatter_matches_percent(values, cells, columns):
+    # drawn doubles of every kind, in arrays around both size thresholds
+    rows = np.resize(np.array(values), -(-cells // columns) * columns).reshape(-1, columns)
+    assert_rows_match_percent(rows)
 
 
 class TestVerifyCommand:
