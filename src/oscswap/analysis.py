@@ -33,7 +33,6 @@ _AMPLITUDE_FLOOR = 1e-12
 # rounds it is narrower than 1e-9 of its start (32**-6 < 1e-9).
 _ZOOM_POINTS = 65
 _ZOOM_ROUNDS = 6
-ZOOM_TIMES = _ZOOM_POINTS * _ZOOM_ROUNDS  # times the refinement evaluates, for any window
 
 
 class NonPositiveRatioError(ValueError):
@@ -91,11 +90,11 @@ def exchange_times(mix: MixingParams, lam: float, k_max: int) -> list[float]:
     return [base * (2 * k + 1) for k in range(k_max + 1)]
 
 
-def transfer_probability(mix: MixingParams, lam: float, n: int,
+def transfer_probability(mix: MixingParams, lam: float, n: int | np.ndarray,
                          t: float | np.ndarray) -> float | np.ndarray:
     """|2 s c sin(lam t / (2 c s))|**(2n), the n-quanta transfer weight ratio,
-    at one time ``t`` or at every time of an array."""
-    if n < 0:
+    at one level ``n`` and time ``t``, or at arrays of them broadcast together."""
+    if np.any(np.less(n, 0)):
         raise ValueError(f"n must be >= 0, got {n}")
     if lam > 0 and mix.s > 0:
         half = lam / (2.0 * mix.c * mix.s)
@@ -247,7 +246,8 @@ def find_exchange_time(
     Coarse grid scan, then a zoom. The coarse step is derived from the
     coupling: pi / (50 max(lambda, half_splitting)), 50 points per half
     period of the transfer modulus, or 1/200 of the window in the decoupled
-    limit. The zoom evaluates the two grid steps around the best point again
+    limit. A step that underflows to 0, as it does once that maximum is
+    above about 3.6e306, raises ``ValueError``. The zoom evaluates the two grid steps around the best point again
     on a grid of 65 times, six times over, which narrows the bracket below
     1e-9 of its starting width. Every grid is evaluated in closed form, in
     O(n_max) per time. The zoom follows the least leak 1 - F, computed as
@@ -268,6 +268,8 @@ def find_exchange_time(
         step = math.pi / (50.0 * max(evo.params.lam, mix.half_splitting))
     else:
         step = (t_end - t_start) / 200.0
+    if not step > 0.0:
+        raise ValueError(f"need a coarse step > 0, got {step!r}")
     steps = max(3, int(math.ceil((t_end - t_start) / step)) + 1)
     target = _product_amplitudes(make_product_state(phi))  # phi, normalized
     weights = np.abs(target) ** 2

@@ -196,11 +196,8 @@ def _echo_lines(scenario: Scenario, evo: EvolutionOperator) -> list[str]:
     ]
 
 
-def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
-    evo = EvolutionOperator(scenario.params)
-    state0, phi, discarded = build_initial_state(scenario)
-    if scenario.initial.kind == "coherent":
-        print(f"coherent_tail_discarded={_fmt(discarded)}")
+def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
+                   phi: np.ndarray, out_dir: Path) -> tuple[float, float, list[str]]:
     sched = scenario.schedule
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
     dim = scenario.n_max + 1
@@ -210,10 +207,10 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
     if "fidelity" in parts:
         parts["fidelity"].append(_csv_rows(np.column_stack([ts, fidelities])))
     if "transfer_profile" in parts:
+        levels = np.array(occupied)
         for times in _chunks(ts, max(1, len(occupied))):
-            probs = [analysis.transfer_probability(evo.mix, scenario.params.lam, n, times)
-                     for n in occupied]
-            profile = np.reshape(probs, (len(occupied), len(times))).T
+            profile = analysis.transfer_probability(evo.mix, scenario.params.lam, levels,
+                                                    times[:, np.newaxis])
             parts["transfer_profile"].append(_csv_rows(np.column_stack([times, profile])))
     # amplitude tables only for the densities, and for the report's final norm
     final = None
@@ -236,32 +233,24 @@ def _run_time_grid(scenario: Scenario, out_dir: Path) -> int:
         _write_csv(out_dir / f"{name}.csv", csv_header(name, scenario.n_max, occupied), rows)
 
     best = int(np.argmax(fidelities))
+    best_f, t_best = fidelities[best], float(ts[best])
+    lines = [
+        f"t_start: {_fmt(sched.t_start)}",
+        f"t_end: {_fmt(sched.t_end)}",
+        f"steps: {sched.steps}",
+        f"max_fidelity: {_fmt(best_f)}",
+        f"t_at_max: {_fmt(t_best)}",
+    ]
     if "report" in scenario.outputs:
         if final is None:
             _, tables = next(evo.product_grid(column, ts[-1:]))
             final = tables[0]
-        lines = ["schedule: time_grid"]
-        lines += _echo_lines(scenario, evo)
-        lines += [
-            f"t_start: {_fmt(sched.t_start)}",
-            f"t_end: {_fmt(sched.t_end)}",
-            f"steps: {sched.steps}",
-            f"max_fidelity: {_fmt(fidelities[best])}",
-            f"t_at_max: {_fmt(float(ts[best]))}",
-            f"final_norm: {_fmt(norm(TwoModeState(final)))}",
-        ]
-        if scenario.initial.kind == "coherent":
-            lines.append(f"coherent_tail_discarded: {_fmt(discarded)}")
-        (out_dir / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"max_fidelity={_fmt(fidelities[best])} t={_fmt(float(ts[best]))}")
-    return 0
+        lines.append(f"final_norm: {_fmt(norm(TwoModeState(final)))}")
+    return best_f, t_best, lines
 
 
-def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
-    evo = EvolutionOperator(scenario.params)
-    state0, phi, discarded = build_initial_state(scenario)
-    if scenario.initial.kind == "coherent":
-        print(f"coherent_tail_discarded={_fmt(discarded)}")
+def _run_exchange_scan(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
+                       phi: np.ndarray, out_dir: Path) -> tuple[float, float, list[str]]:
     taus = analysis.exchange_times(evo.mix, scenario.params.lam, scenario.schedule.k_max)
     header = ["k", "tau", "fidelity", "statistics_match", "phase_defect"]
     grades = analysis.statistics_exchanges(state0, evo, taus)
@@ -275,38 +264,49 @@ def _run_exchange_scan(scenario: Scenario, out_dir: Path) -> int:
     best_f = max(f for _, f in candidates)
     # near-ties resolve to the earliest candidate; closed-form times come first
     t_best = next(t for t, f in candidates if f >= best_f - 1e-12)
-
-    if "report" in scenario.outputs:
-        lines = ["schedule: exchange_scan"]
-        lines += _echo_lines(scenario, evo)
-        lines += [
-            f"k_max: {scenario.schedule.k_max}",
-            f"scan_window: 0 .. {_fmt(window_end)}",
-            f"numerical_scan_t: {_fmt(t_scan)}",
-            f"numerical_scan_fidelity: {_fmt(f_scan)}",
-            f"max_fidelity: {_fmt(best_f)}",
-            f"t_at_max: {_fmt(t_best)}",
-        ]
-        (out_dir / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"max_fidelity={_fmt(best_f)} t={_fmt(t_best)}")
-    return 0
+    return best_f, t_best, [
+        f"k_max: {scenario.schedule.k_max}",
+        f"scan_window: 0 .. {_fmt(window_end)}",
+        f"numerical_scan_t: {_fmt(t_scan)}",
+        f"numerical_scan_fidelity: {_fmt(f_scan)}",
+        f"max_fidelity: {_fmt(best_f)}",
+        f"t_at_max: {_fmt(t_best)}",
+    ]
 
 
-def _run_verify_schedule(scenario: Scenario, out_dir: Path) -> int:
-    report = verify_suite(scenario.schedule.suite)
+def _write_report(out_dir: Path, lines: list[str]) -> None:
+    (out_dir / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _run_suite(name: str, tol: float | None = None, out_dir: Path | None = None) -> int:
+    """Run a verification suite and print its report, writing it to ``out_dir`` if given."""
+    report = verify_suite(name, tol=tol)
     text = report.format()
-    (out_dir / "report.txt").write_text(text + "\n", newline="\n")
+    if out_dir is not None:
+        _write_report(out_dir, [text])
     print(text)
     return 0 if report.passed else 1
 
 
 def run_scenario(scenario: Scenario, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if scenario.schedule.kind == "time_grid":
-        return _run_time_grid(scenario, out_dir)
-    if scenario.schedule.kind == "exchange_scan":
-        return _run_exchange_scan(scenario, out_dir)
-    return _run_verify_schedule(scenario, out_dir)
+    kind = scenario.schedule.kind
+    if kind == "verify":
+        return _run_suite(scenario.schedule.suite, out_dir=out_dir)
+    evo = EvolutionOperator(scenario.params)
+    state0, phi, discarded = build_initial_state(scenario)
+    coherent = scenario.initial.kind == "coherent"
+    if coherent:
+        print(f"coherent_tail_discarded={_fmt(discarded)}")
+    run = _run_time_grid if kind == "time_grid" else _run_exchange_scan
+    best_f, t_best, lines = run(scenario, evo, state0, phi, out_dir)
+    if "report" in scenario.outputs:
+        lines = [f"schedule: {kind}", *_echo_lines(scenario, evo), *lines]
+        if coherent:
+            lines.append(f"coherent_tail_discarded: {_fmt(discarded)}")
+        _write_report(out_dir, lines)
+    print(f"max_fidelity={_fmt(best_f)} t={_fmt(t_best)}")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -317,12 +317,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: --out {args.out}: cannot write outputs ({exc.strerror or exc})",
               file=sys.stderr)
         return 2
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_suite(args.suite, tol=args.tol)
-    print(report.format())
-    return 0 if report.passed else 1
 
 
 def _tolerance(text: str) -> float:
@@ -353,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        return _cmd_verify(args)
+        return _run_suite(args.suite, args.tol)
     except (ScenarioError, UnknownSuiteError, DecoupledSystemError,
             ZeroVectorError, TruncationTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)

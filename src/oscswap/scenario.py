@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .analysis import ZOOM_TIMES, exchange_times
+from .analysis import exchange_times
 from .core import (
     CouplingParams,
     TruncationTooSmallError,
@@ -39,26 +39,22 @@ _DEFAULT_TAIL_THRESHOLD = 1e-10
 # Cost budget checked at parse time, so that no scenario runs without bound.
 # Product states evolve in closed form, so the fidelity, the transfer profile
 # and the exchange scan cost O(n_max) per time point: the n_max + 1 powers
-# T^n. Only the density outputs build amplitude tables, (n_max + 1)**2
-# entries per time point, and add per mode a partial trace and an eigvalsh of
-# an (n_max + 1)-square matrix: (n_max + 1)**3 each, plus a fixed amount for
-# the eigvalsh's poorer speed on small matrices. The density work is weighed
-# as 3 (n_max + 1)**3 per time point, tables included, and the density
-# outputs keep the lower truncation limit of the cubic work.
+# T^n. The field limits bound that work to 100000 x 1001 for a time grid and
+# (51 x 1001 + 390) x 1001 for an exchange scan (its coarse grid and zoom),
+# far below the work limit. Only the density outputs build amplitude tables,
+# (n_max + 1)**2 entries per time point, and add per mode a partial trace and
+# an eigvalsh of an (n_max + 1)-square matrix: (n_max + 1)**3 each, plus a
+# fixed amount for the eigvalsh's poorer speed on small matrices. The density
+# work is weighed as 3 (n_max + 1)**3 per time point, tables included, and
+# the density outputs keep the lower truncation limit of the cubic work.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 1000
 _DENSITY_N_MAX_LIMIT = 200
 _DENSITY_OUTPUTS = ("number_distribution", "reduced_density")
 _CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
-_GRID_WORK_LIMIT = 2 * 10**10  # time points x the work per point below
+_GRID_WORK_LIMIT = 2 * 10**10  # time points x the density work per point below
 _DENSITY_POINT_WORK = 500_000
-_SUPPORT_FIELDS = {
-    "fock": "initial.n",
-    "qubit": "initial.n",
-    "amplitudes": "initial.values",
-    "coherent": "initial.truncation",
-}
 
 
 class ScenarioError(ValueError):
@@ -80,15 +76,13 @@ class InitialSpec:
     truncation: int | None = None
 
     @property
-    def support(self) -> int:
-        """Highest mode-1 Fock index the initial state can occupy."""
-        if self.kind == "fock":
-            return self.n
-        if self.kind == "qubit":
-            return self.n
+    def support(self) -> tuple[int, str]:
+        """Highest mode-1 Fock index the initial state can occupy, and the field that sets it."""
         if self.kind == "amplitudes":
-            return len(self.values) - 1
-        return self.truncation
+            return len(self.values) - 1, "initial.values"
+        if self.kind == "coherent":
+            return self.truncation, "initial.truncation"
+        return self.n, "initial.n"
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,9 @@ def parse_scenario(raw: object) -> Scenario:
 
     n_max_field = "n_max"
     if schedule.kind != "verify":
-        support = initial.support
-        if n_max is None:
-            n_max = support  # the user owns the truncation; never auto-raised
-            n_max_field = _SUPPORT_FIELDS[initial.kind]
+        support, support_field = initial.support
+        if n_max is None:  # the user owns the truncation; never auto-raised
+            n_max, n_max_field = support, support_field
         if support > n_max:
             raise ScenarioError(
                 "n_max", f"initial state has support on n = {support} but n_max = {n_max}"
@@ -167,27 +160,17 @@ def parse_scenario(raw: object) -> Scenario:
         )
     if schedule.kind == "exchange_scan" and params.lam > 0:
         _check_exchange_window(params, schedule.k_max)
-    if schedule.kind != "verify":
-        if schedule.kind == "time_grid":
-            points, field = schedule.steps, "schedule.steps"
-        else:
-            # the k_max + 1 exchange times, find_exchange_time's coarse grid (50 points
-            # per exchange period at any detuning) and its zoom
-            points, field = 51 * (schedule.k_max + 1) + ZOOM_TIMES, "schedule.k_max"
-        per_point, cost = n_max + 1, "(n_max + 1)"
-        if densities:
-            per_point = 3 * (n_max + 1) ** 3 + _DENSITY_POINT_WORK
-            cost = f"(3 (n_max + 1)**3 + {_DENSITY_POINT_WORK})"
-        work = points * per_point
+    if densities:  # only a time grid has them
+        work = schedule.steps * (3 * (n_max + 1) ** 3 + _DENSITY_POINT_WORK)
         if work > _GRID_WORK_LIMIT:
             raise ScenarioError(
-                field,
-                f"{points} time points x {cost} = {work} is above the limit"
-                f" {_GRID_WORK_LIMIT}; lower it or n_max = {n_max}",
+                "schedule.steps",
+                f"{schedule.steps} time points x (3 (n_max + 1)**3 + {_DENSITY_POINT_WORK})"
+                f" = {work} is above the limit {_GRID_WORK_LIMIT}; lower it or n_max = {n_max}",
             )
     if schedule.kind == "time_grid":
         # transfer_profile counted at its widest, before the initial state is built
-        levels = range(1, initial.support + 1)
+        levels = range(1, support + 1)
         columns = sum(len(csv_header(name, n_max, levels)) for name in outputs if name != "report")
         cells = schedule.steps * columns
         if cells > _CSV_CELLS_LIMIT:

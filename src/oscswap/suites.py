@@ -360,5 +360,3 @@ _SUITES = {
     "oracle": _oracle_suite,
     "exchange": _exchange_suite,
 }
-
-SUITE_NAMES = tuple(sorted(_SUITES))

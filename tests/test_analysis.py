@@ -84,6 +84,17 @@ class TestTransferProbability:
             assert transfer_probability(mix, 1.0, n, 0.0) == 0.0
         assert transfer_probability(mix, 1.0, 0, 0.0) == 1.0
 
+    def test_level_array_matches_each_level(self):
+        mix = mixing_for_detuning(0.7, lam=0.8)
+        ts = np.linspace(0.0, 9.0, 37)
+        levels = np.array([0, 1, 3, 30])
+        profile = transfer_probability(mix, 0.8, levels, ts[:, np.newaxis])
+        assert profile.shape == (37, 4)
+        for j, n in enumerate(levels.tolist()):
+            np.testing.assert_array_equal(profile[:, j], transfer_probability(mix, 0.8, n, ts))
+        with pytest.raises(ValueError):
+            transfer_probability(mix, 0.8, np.array([2, -1]), ts)
+
     def test_decoupled_limit_never_transfers(self):
         from oscswap.core import decoupled_mixing
 
@@ -372,6 +383,12 @@ class TestFindExchangeTime:
         evo = resonant_evolution(3.0)
         with pytest.raises(ValueError):
             find_exchange_time(evo, [1.0], 1.0, 1.0)
+
+    def test_rejects_a_step_that_underflows(self):
+        # pi / (50 max(lambda, half splitting)) is 0 above about 3.6e306
+        evo = EvolutionOperator(CouplingParams(1e300, 2, 1.7e308))
+        with pytest.raises(ValueError, match="coarse step"):
+            find_exchange_time(evo, [0, 1], 0.0, 1.0)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.7])
     @pytest.mark.parametrize(

@@ -146,6 +146,25 @@ outputs: [fidelity]
         stdout = capsys.readouterr().out
         assert "coherent_tail_discarded=" in stdout
 
+    @pytest.mark.parametrize(
+        "schedule",
+        ["{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}",
+         "{kind: exchange_scan, k_max: 1}"],
+        ids=["time_grid", "exchange_scan"],
+    )
+    def test_coherent_tail_is_reported(self, tmp_path, capsys, schedule):
+        scenario = write_scenario(
+            tmp_path,
+            "params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}\n"
+            "initial: {kind: coherent, alpha: 0.5, truncation: 10}\n"
+            f"schedule: {schedule}\noutputs: [report]\n",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert printed.startswith("coherent_tail_discarded=")
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert report[-1] == printed.replace("=", ": ")
+
     def test_coherent_tail_above_threshold_fails(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path,

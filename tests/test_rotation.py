@@ -121,12 +121,6 @@ class TestBlocks:
         expected = [[INV_SQRT2, INV_SQRT2], [-INV_SQRT2, INV_SQRT2]]
         np.testing.assert_allclose(block.real, expected, atol=1e-15)
 
-    @pytest.mark.parametrize("x", X_GRID)
-    def test_unitarity_up_to_30(self, x):
-        mix = mixing_for_detuning(x)
-        for n in (1, 2, 5, 12, 21, 30):
-            assert unitarity_defect(us_block(mix, n)) < 1e-10
-
     @settings(max_examples=25)
     @given(
         x=st.floats(-8.0, 8.0),

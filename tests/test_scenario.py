@@ -81,8 +81,8 @@ class TestCostBudgetLimitsParse:
     @pytest.mark.parametrize(
         "schedule, n_max, outputs",
         [
-            # the largest fidelity-only grid and scan: 100000 x 1001 and
-            # (51 x 1001 + 390) x 1001 time points x (n_max + 1) stay under 2e10
+            # the largest grid and scan without a density output: only the
+            # steps, k_max and n_max limits bound them
             ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 100000}, 1000,
              ["fidelity"]),
             ({"kind": "exchange_scan", "k_max": 1000}, 1000, []),
