@@ -235,6 +235,15 @@ def grade_exchanges(phi: np.ndarray, swapped: np.ndarray, hop: np.ndarray) -> np
     return np.column_stack([fids, stats, defects])
 
 
+def coarse_scan_step(mix: MixingParams, lam: float) -> float:
+    """The coarse step of :func:`find_exchange_time`'s scan,
+    pi / (50 max(lambda, half_splitting)). The transfer modulus oscillates at
+    the half splitting, which is at least lambda, so 50 points per half
+    period keep the scan free of aliasing. The step underflows to 0 once
+    that maximum is above about 3.6e306."""
+    return math.pi / (50.0 * max(lam, mix.half_splitting))
+
+
 def find_exchange_time(
     evo: EvolutionOperator,
     phi: Sequence[complex],
@@ -243,13 +252,12 @@ def find_exchange_time(
 ) -> tuple[float, float]:
     """Numerically locate the time of maximal exchange fidelity in a window.
 
-    Coarse grid scan, then a zoom. The coarse step is derived from the
-    coupling: pi / (50 max(lambda, half_splitting)), 50 points per half
-    period of the transfer modulus, or 1/200 of the window in the decoupled
-    limit. A step that underflows to 0, as it does once that maximum is
-    above about 3.6e306, raises ``ValueError``. The zoom evaluates the two grid steps around the best point again
-    on a grid of 65 times, six times over, which narrows the bracket below
-    1e-9 of its starting width. Every grid is evaluated in closed form, in
+    Coarse grid scan, then a zoom. The coarse step is
+    :func:`coarse_scan_step`, or 1/200 of the window in the decoupled
+    limit; a step that underflows to 0 raises ``ValueError``. The zoom
+    evaluates the two grid steps around the best point again on a grid of
+    65 times, six times over, which narrows the bracket below 1e-9 of its
+    starting width. Every grid is evaluated in closed form, in
     O(n_max) per time. The zoom follows the least leak 1 - F, computed as
     sum_n p_n (1 - |T|^{2n}) + sum_n p_n |T^n - O|^2 with O = sum_n p_n T^n,
     two sums of nonnegative terms that keep their relative precision where
@@ -262,10 +270,7 @@ def find_exchange_time(
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     mix = evo.mix
     if evo.params.lam > 0:
-        # the transfer modulus oscillates at the half splitting, which is
-        # at least lam; 50 points per half period keeps the scan aliasing-free
-        # and the step at or below pi / (50 lam)
-        step = math.pi / (50.0 * max(evo.params.lam, mix.half_splitting))
+        step = coarse_scan_step(mix, evo.params.lam)
     else:
         step = (t_end - t_start) / 200.0
     if not step > 0.0:

@@ -243,6 +243,7 @@ def annihilation_expectation(state: TwoModeState, mode: int) -> complex:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-abs deviation of M^H M from the identity."""
+    """Max-abs deviation of M^H M from the identity, over a stack of
+    matrices if given one."""
     m = np.asarray(matrix)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))))

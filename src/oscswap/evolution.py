@@ -135,11 +135,13 @@ class EvolutionOperator:
             return 0j
         return complex(self._propagate(n1 + n2, t, self._block_data(n1 + n2)[0][m2])[n2])
 
-    def ut_block(self, n_total: int, t: float) -> np.ndarray:
+    def ut_block(self, n_total: int, t: float | np.ndarray) -> np.ndarray:
         """Evolution operator restricted to one total-quanta block: a
-        read-only complex (n_total + 1) x (n_total + 1) array. Row l propagates
+        read-only complex (n_total + 1) x (n_total + 1) array, or at every
+        time of a 1-D array a stack of them, one per time. Row l propagates
         the coefficients W[l, :], which gives U^T; that is U, as W is real."""
-        return _freeze(self._propagate(n_total, t, self._block_data(n_total)[0]))
+        t = np.asarray(t, dtype=float)
+        return _freeze(self._propagate(n_total, t[..., None, None], self._block_data(n_total)[0]))
 
     def evolve_grid(
         self, state: TwoModeState, ts: Sequence[float] | np.ndarray

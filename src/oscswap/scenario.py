@@ -9,6 +9,7 @@ Complex numbers are written either as a plain number or as a two-element
 list ``[re, im]``.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .analysis import exchange_times
+from .analysis import coarse_scan_step, exchange_times
 from .core import (
     CouplingParams,
     TruncationTooSmallError,
@@ -35,6 +36,7 @@ _OUTPUTS_BY_SCHEDULE = {
     "verify": ("report",),
 }
 _DEFAULT_TAIL_THRESHOLD = 1e-10
+_HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
 # Product states evolve in closed form, so the fidelity, the transfer profile
@@ -194,12 +196,12 @@ def _check_exchange_window(params: CouplingParams, k_max: int) -> None:
     exchange period past the last of them, or the scan's coarse step are not
     finite and positive: s c pi (2k + 1) / lambda underflows to 0 where the
     detuning is huge and overflows where lambda is tiny, and the step
-    pi / (50 max(lambda, half splitting)) underflows to 0 where lambda or the
-    splitting is above about 3.6e306."""
+    :func:`coarse_scan_step` underflows to 0 where lambda or the splitting is
+    above about 3.6e306."""
     mix = derive_mixing(params)
     taus = exchange_times(mix, params.lam, k_max)
     window_end = taus[-1] + taus[0]
-    step = math.pi / (50.0 * max(params.lam, mix.half_splitting))
+    step = coarse_scan_step(mix, params.lam)
     if not (taus[0] > 0.0 and math.isfinite(window_end) and step > 0.0):
         raise ScenarioError(
             "params",
@@ -256,17 +258,16 @@ def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, f
             raise ScenarioError(
                 "initial.alpha", f"|alpha|**2 overflows a double for alpha = {init.alpha}"
             ) from None
-        weight = math.exp(-intensity)
-        kept = 0.0
-        amplitude = 1.0 + 0.0j  # alpha**n / sqrt(n!), built term by term
-        phi = np.empty(init.truncation + 1, dtype=np.complex128)
-        for n in range(init.truncation + 1):
-            phi[n] = amplitude
-            kept += weight
-            if n < init.truncation:
-                amplitude *= init.alpha / math.sqrt(n + 1)
-                weight *= intensity / (n + 1)
-        discarded = max(0.0, 1.0 - kept)
+        n = np.arange(init.truncation + 1)
+        weights = np.exp(_poisson_log_weights(intensity, n))
+        if init.truncation >= math.floor(intensity):
+            # at or above the mode the terms beyond fall monotonically; 40
+            # standard deviations on, they are below 1e-100 of the first
+            beyond = n[-1] + np.arange(1, 42 + math.ceil(40.0 * math.sqrt(intensity)))
+            discarded = float(np.sum(np.exp(_poisson_log_weights(intensity, beyond))))
+        else:  # below the mode the tail is large, and 1 - kept loses no digit of note
+            discarded = max(0.0, 1.0 - float(np.sum(weights)))
+        phi = np.sqrt(weights) * np.exp(1j * cmath.phase(init.alpha) * n)
         if discarded > scenario.coherent_tail_threshold:
             raise ScenarioError(
                 "initial.truncation",
@@ -278,6 +279,42 @@ def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, f
     except (ZeroVectorError, TruncationTooSmallError) as exc:
         raise ScenarioError("initial", str(exc)) from exc
     return state, state.table[: len(phi), 0], discarded
+
+
+def _poisson_log_weights(mean: float, n: np.ndarray) -> np.ndarray:
+    """log(e^-mean mean^n / n!) = n log(mean) - mean - lgamma(n + 1) at the
+    integers ``n`` >= 0, for mean >= 0.
+
+    It is evaluated in Loader's saddle-point form, -log(2 pi n) / 2 -
+    stirlerr(n) - bd0(n, mean) (C. Loader, "Fast and accurate computation of
+    binomial probabilities", 2000). Near n = mean = 1000 the plain form
+    cancels terms of about 7000 and loses up to 1e-12 of a weight; there the
+    largest term of this one is log(2 pi n) / 2, about 4.
+    """
+    n = np.asarray(n, dtype=float)
+    k = np.maximum(n, 1.0)  # n = 0 gives -mean, set at the end
+    # stirlerr(k) = lgamma(k + 1) - (k + 1/2) log k + k - log(2 pi) / 2, from
+    # its asymptotic series above 15 and from lgamma below
+    r = 1.0 / (k * k)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
+    low = k <= 15
+    stirlerr[low] = [
+        math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - _HALF_LOG_TAU for x in k[low]
+    ]
+    # bd0(k, mean) = k log(k / mean) + mean - k >= 0, by its series in
+    # v = (k - mean) / (k + mean) where k is near mean; infinite at mean 0
+    with np.errstate(divide="ignore"):
+        bd0 = k * np.log(k / mean) + mean - k
+    d = k - mean
+    v = d / (k + mean)
+    near = np.abs(v) < 0.1
+    v, term = v[near], 2.0 * k[near] * v[near]
+    series = d[near] * v
+    for j in range(1, 9):  # v**2 < 0.01, so eight terms reach 1e-16 of the sum
+        term = term * v * v
+        series = series + term / (2 * j + 1)
+    bd0[near] = series
+    return np.where(n > 0, -_HALF_LOG_TAU - 0.5 * np.log(k) - stirlerr - bd0, -mean)
 
 
 def _parse_params(raw: object) -> CouplingParams:

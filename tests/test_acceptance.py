@@ -28,8 +28,8 @@ def resonant_evolution(ratio, lam=1.0):
 
 
 def test_criterion_1_oracle_equivalence():
-    with criterion(1, "analytic evolution matches the Pade exponential (n <= 12, 1e-9)"):
-        assert_suite_checks("oracle", ["analytic vs Pade exponential evolution, n <= 12"])
+    with criterion(1, "analytic evolution matches the Taylor exponential (n <= 12, 1e-9)"):
+        assert_suite_checks("oracle", ["analytic vs Taylor exponential evolution, n <= 12"])
 
 
 def test_criterion_2_closed_form_identities():

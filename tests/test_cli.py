@@ -399,6 +399,45 @@ outputs: [fidelity, report]
         final_norm = float(report.split("final_norm: ")[1].split()[0])
         assert final_norm == pytest.approx(1.0, abs=1e-12)
 
+    def test_coherent_alpha_27_29_at_truncation_762_names_its_quarter_tail(
+        self, tmp_path, capsys
+    ):
+        # mpmath: gammainc(763, 0, 27.29**2, regularized=True) = 0.2565. A Poisson
+        # recursion started at the subnormal exp(-744.7) summed the kept weights to
+        # 1.356 and reported a tail of 0.
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: coherent, alpha: 27.29, truncation: 762}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}
+outputs: [fidelity]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert 'scenario field "initial.truncation"' in err
+        assert "discarded coherent tail probability 2.565" in err
+
+    def test_coherent_alpha_28_at_truncation_1000_runs(self, tmp_path, capsys):
+        # mpmath: gammainc(1001, 0, 784, regularized=True) = 5.96e-14, below the
+        # threshold. The recursion, started at exp(-784) = 0, reported a tail of 1.
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: coherent, alpha: 28, truncation: 1000}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}
+outputs: [fidelity]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        tail = float(printed.split("coherent_tail_discarded=")[1])
+        with mpmath.workdps(40):
+            expected = float(mpmath.gammainc(1001, 0, 784, regularized=True))
+        assert tail == pytest.approx(expected, rel=1e-12)
+
     def test_resonant_run_reaches_block_44(self, tmp_path):
         values = ", ".join(["1.0"] * 45)
         scenario = write_scenario(

@@ -254,7 +254,7 @@ class TestEvolveGrid:
                 assert np.max(np.abs(rhos[k] - reduce(out, mode))) < 1e-14
 
     def test_faulty_propagator_shows_in_the_oracle_and_the_grid(self, monkeypatch, detuned):
-        # ut_block, which the Pade oracle checks, and evolve_grid share one expression
+        # ut_block, which the Taylor-exponential oracle checks, and evolve_grid share one expression
         state = make_product_state([0.6, 0.0, 0.8])
         ts = np.linspace(0.0, 5.0, 4)
         (_, good), = EvolutionOperator(detuned).evolve_grid(state, ts)

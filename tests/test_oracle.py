@@ -1,15 +1,34 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from oscswap.core import CouplingParams, derive_mixing, unitarity_defect
+from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import (
     build_block,
     compare_to_analytic,
     expm_evolution,
     spectrum_deviation,
 )
+
+
+NO_SCIPY_VERIFY = """
+import sys
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the stub did not shadow scipy")
+import oscswap.cli
+sys.exit(oscswap.cli.main(["verify", "oracle"]))
+"""
 
 
 class TestBuildBlock:
@@ -66,6 +85,86 @@ class TestExpmEvolution:
         block = build_block(detuned, 7)
         for t in (0.2, 5.5):
             assert unitarity_defect(expm_evolution(block, t)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "omega1, omega2, lam, n, t",
+        [
+            (5.0, 5.0, 1.5, 12, 20.0),  # the oracle suite's largest scaling
+            (5.0, 0.1, 0.05, 12, 7.7),
+            (0.1, 5.0, 1.5, 6, 13.1),
+            (2.3, 4.1, 0.7, 3, 0.37),
+        ],
+    )
+    def test_matches_mpmath_expm(self, omega1, omega2, lam, n, t):
+        block = build_block(CouplingParams(omega1=omega1, omega2=omega2, lam=lam), n)
+        with mpmath.workdps(50):
+            exact = mpmath.expm(mpmath.mpc(0, -t) * mpmath.matrix(block.tolist()))
+            exact = np.array(exact.tolist(), dtype=complex)
+        assert np.max(np.abs(expm_evolution(block, t) - exact)) < 1e-12
+
+    @pytest.mark.parametrize("omega1, omega2, lam", [(1.2, 0.8, 0.2), (5.0, 0.1, 1.5)])
+    def test_two_by_two_closed_form(self, omega1, omega2, lam):
+        # exp(-i H t) = e^{-i m t} (cos(w t) - i sin(w t) (H - m) / w), with m the
+        # mean of the diagonal and w = sqrt(d^2 + lam^2) for d half its difference
+        params = CouplingParams(omega1=omega1, omega2=omega2, lam=lam)
+        mean, d = 0.5 * (omega1 + omega2), 0.5 * (omega1 - omega2)
+        w = math.hypot(d, lam)
+        ts = np.array([0.0, 0.3, 4.0, 19.9])
+        traceless = np.array([[d, lam], [lam, -d]])
+        expected = np.exp(-1j * mean * ts)[:, None, None] * (
+            np.cos(w * ts)[:, None, None] * np.eye(2)
+            - 1j * (np.sin(w * ts) / w)[:, None, None] * traceless
+        )
+        assert np.max(np.abs(expm_evolution(build_block(params, 1), ts) - expected)) < 1e-13
+
+    def test_each_slice_of_a_stack_equals_the_one_time_call(self, detuned):
+        block = build_block(detuned, 9)
+        ts = np.array([0.0, 0.01, 0.5, 3.3, 20.0, 71.0])
+        stack = expm_evolution(block, ts)
+        assert stack.shape == (len(ts), 10, 10) and not stack.flags.writeable
+        for t, one in zip(ts, stack):
+            assert np.max(np.abs(one - expm_evolution(block, t))) <= 1e-15
+
+    def test_scalar_time_gives_a_read_only_complex_matrix(self, detuned):
+        for t in (0.7, np.float64(0.7), np.array(0.7)):
+            u = expm_evolution(build_block(detuned, 3), t)
+            assert type(u) is np.ndarray and u.shape == (4, 4) and u.dtype == np.complex128
+            assert not u.flags.writeable
+
+    def test_rejects_infinite_time(self, detuned):
+        with pytest.raises(ValueError, match="finite"):
+            expm_evolution(build_block(detuned, 2), [0.1, math.inf])
+
+    def test_verify_oracle_runs_without_scipy(self, tmp_path):
+        # a stub package that shadows scipy: importing it fails, as on a host without scipy
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text('raise ImportError("no scipy here")\n')
+        src = Path(__file__).resolve().parent.parent / "src"
+        pythonpath = os.pathsep.join(
+            filter(None, [str(tmp_path), str(src), os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_VERIFY],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "result: PASS" in result.stdout
+
+
+class TestStackedUtBlock:
+    def test_each_slice_equals_the_one_time_call(self, detuned):
+        evo = EvolutionOperator(detuned)
+        ts = np.array([0.0, 0.37, 2.9, 20.0])
+        for n in (0, 1, 6):
+            stack = evo.ut_block(n, ts)
+            assert stack.shape == (len(ts), n + 1, n + 1)
+            assert not stack.flags.writeable
+            for t, one in zip(ts, stack):
+                assert np.max(np.abs(one - evo.ut_block(n, t))) <= 1e-15
 
 
 class TestSpectrumIdentity:
