@@ -6,6 +6,12 @@ every platform). Each cell is what ``"%.17g" % value`` writes. Arrays of at
 least ``_ARRAY_MIN_CELLS`` cells are formatted by :func:`_format_cells`,
 which computes the same digits with numpy and leaves to ``%`` only the cells
 it cannot prove; smaller arrays are formatted by ``%`` throughout.
+
+Each CSV is written as bytes while the run computes it: every chunk of
+rows, and within it every ``_CHUNK_CELLS`` cells, goes to its file as soon
+as it is formatted, so a run holds one chunk of its output at a time, never
+a whole CSV. If a run fails after a CSV is opened (a numerical self-check,
+exit 3), every CSV it opened is deleted, so no partial output is left.
 """
 
 import argparse
@@ -88,7 +94,7 @@ def _affixes() -> tuple[np.ndarray, np.ndarray]:
     return affix, lead
 
 
-def _format_cells(values: np.ndarray, seps: np.ndarray) -> str:
+def _format_cells(values: np.ndarray, seps: np.ndarray) -> bytes:
     """Each value as ``"%.17g" % value`` followed by its separator byte, concatenated.
 
     The 17 digits are |value| * 10**(16 - k), k = floor(log10|value|),
@@ -153,31 +159,58 @@ def _format_cells(values: np.ndarray, seps: np.ndarray) -> str:
         text = ("%.17g" % values[i]).encode()  # at most 24 bytes, before the separator
         out[i, :-1] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")
 
 
-def _csv_rows(rows: np.ndarray) -> str:
-    """CSV lines of a 2-D array, every value written as :func:`_fmt` writes it.
+def _csv_rows(rows: np.ndarray):
+    """CSV lines of a 2-D array as ASCII byte chunks, every value written as
+    :func:`_fmt` writes it.
 
     Arrays of at least ``_ARRAY_MIN_CELLS`` cells go through
-    :func:`_format_cells` in chunks of ``_CHUNK_CELLS``; smaller ones, for
-    which that costs more than it saves, are formatted by ``%`` directly.
+    :func:`_format_cells`, one chunk per ``_CHUNK_CELLS`` cells; smaller
+    ones, for which that costs more than it saves, are formatted by ``%``
+    directly, as one chunk.
     """
     if rows.size < _ARRAY_MIN_CELLS:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        return "".join(line % tuple(row) for row in rows.tolist())
+        yield "".join(line % tuple(row) for row in rows.tolist()).encode("ascii")
+        return
     values = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
     seps = np.full(rows.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     seps = seps.reshape(-1)
-    return "".join(_format_cells(values[i:i + _CHUNK_CELLS], seps[i:i + _CHUNK_CELLS])
-                   for i in range(0, values.size, _CHUNK_CELLS))
+    for i in range(0, values.size, _CHUNK_CELLS):
+        yield _format_cells(values[i:i + _CHUNK_CELLS], seps[i:i + _CHUNK_CELLS])
 
 
-def _write_csv(path: Path, header: list[str], parts: list[str]) -> None:
-    with path.open("w", newline="\n") as out:
-        out.write(",".join(header) + "\n")
-        out.writelines(parts)
+class _CsvFiles:
+    """The CSV files of one run in ``out_dir``, each opened once in binary
+    mode and written chunk by chunk as its rows are formatted.
+
+    Used as a context manager: on leaving it every file is closed, and if
+    the run raised, every CSV opened so far is also deleted, so a failed
+    run leaves no partial output.
+    """
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self._files = {}
+
+    def open(self, name: str, header: list[str]) -> None:
+        self._files[name] = out = (self.out_dir / f"{name}.csv").open("wb")
+        out.write((",".join(header) + "\n").encode("ascii"))
+
+    def write(self, name: str, rows: np.ndarray) -> None:
+        self._files[name].writelines(_csv_rows(rows))
+
+    def __enter__(self) -> "_CsvFiles":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for out in self._files.values():
+            out.close()
+            if exc_type is not None:
+                Path(out.name).unlink()
 
 
 def _echo_lines(scenario: Scenario, evo: EvolutionOperator) -> list[str]:
@@ -197,25 +230,28 @@ def _echo_lines(scenario: Scenario, evo: EvolutionOperator) -> list[str]:
 
 
 def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
-                   phi: np.ndarray, out_dir: Path) -> tuple[float, float, list[str]]:
+                   phi: np.ndarray, csvs: _CsvFiles) -> tuple[float, float, list[str]]:
     sched = scenario.schedule
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
     dim = scenario.n_max + 1
     occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
     fidelities = analysis.exchange_fidelities(state0, evo, ts)
-    parts = {name: [] for name in scenario.outputs if name != "report"}
-    if "fidelity" in parts:
-        parts["fidelity"].append(_csv_rows(np.column_stack([ts, fidelities])))
-    if "transfer_profile" in parts:
+    names = [name for name in scenario.outputs if name != "report"]
+    for name in names:
+        csvs.open(name, csv_header(name, scenario.n_max, occupied))
+    if "fidelity" in names:
+        csvs.write("fidelity", np.column_stack([ts, fidelities]))
+    if "transfer_profile" in names:
         levels = np.array(occupied)
         for times in _chunks(ts, max(1, len(occupied))):
             profile = analysis.transfer_probability(evo.mix, scenario.params.lam, levels,
                                                     times[:, np.newaxis])
-            parts["transfer_profile"].append(_csv_rows(np.column_stack([times, profile])))
+            csvs.write("transfer_profile", np.column_stack([times, profile]))
     # amplitude tables only for the densities, and for the report's final norm
     final = None
     column = state0.table[:, 0]  # phi, normalized and padded to n_max + 1
-    if "number_distribution" in parts or "reduced_density" in parts:
+    densities = [name for name in names if name in ("number_distribution", "reduced_density")]
+    if densities:
         for times, tables in evo.product_grid(column, ts):
             count = len(times)
             rhos = np.stack([analysis.reduced_densities(tables, mode) for mode in (1, 2)], axis=1)
@@ -225,12 +261,9 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeSt
                 # csv_header's order: mode, row, column, then re and im side by side
                 "reduced_density": rhos.view(np.float64).reshape(count, 4 * dim * dim),
             }
-            for name in parts.keys() & columns.keys():
-                parts[name].append(_csv_rows(np.column_stack([times, columns[name]])))
+            for name in densities:
+                csvs.write(name, np.column_stack([times, columns[name]]))
             final = tables[-1]
-
-    for name, rows in parts.items():
-        _write_csv(out_dir / f"{name}.csv", csv_header(name, scenario.n_max, occupied), rows)
 
     best = int(np.argmax(fidelities))
     best_f, t_best = fidelities[best], float(ts[best])
@@ -250,12 +283,11 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeSt
 
 
 def _run_exchange_scan(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
-                       phi: np.ndarray, out_dir: Path) -> tuple[float, float, list[str]]:
+                       phi: np.ndarray, csvs: _CsvFiles) -> tuple[float, float, list[str]]:
     taus = analysis.exchange_times(evo.mix, scenario.params.lam, scenario.schedule.k_max)
-    header = ["k", "tau", "fidelity", "statistics_match", "phase_defect"]
     grades = analysis.statistics_exchanges(state0, evo, taus)
-    rows = np.column_stack([np.arange(len(taus)), taus, grades])
-    _write_csv(out_dir / "exchange_scan.csv", header, [_csv_rows(rows)])
+    csvs.open("exchange_scan", ["k", "tau", "fidelity", "statistics_match", "phase_defect"])
+    csvs.write("exchange_scan", np.column_stack([np.arange(len(taus)), taus, grades]))
     candidates = list(zip(taus, grades[:, 0].tolist()))
 
     window_end = taus[-1] + taus[0]  # half an exchange period past the last tau_k
@@ -299,7 +331,8 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> int:
     if coherent:
         print(f"coherent_tail_discarded={_fmt(discarded)}")
     run = _run_time_grid if kind == "time_grid" else _run_exchange_scan
-    best_f, t_best, lines = run(scenario, evo, state0, phi, out_dir)
+    with _CsvFiles(out_dir) as csvs:
+        best_f, t_best, lines = run(scenario, evo, state0, phi, csvs)
     if "report" in scenario.outputs:
         lines = [f"schedule: {kind}", *_echo_lines(scenario, evo), *lines]
         if coherent:

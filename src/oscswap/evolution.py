@@ -236,7 +236,7 @@ class EvolutionOperator:
         """
         ts = np.asarray(ts, dtype=float)
         dim = len(phi)
-        n1, n2 = np.indices((dim, dim))
+        n1, n2 = np.ogrid[:dim, :dim]  # a column and a row, broadcast to the table
         inside = n1 + n2 < dim
         level = np.where(inside, n1 + n2, 0)
         log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -319,6 +320,48 @@ outputs: [fidelity, reduced_density]
         assert main(["run", str(scenario), "--out", str(out)]) == 3
         assert ("numerical integrity failure: density matrix trace is 1.002001"
                 in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_final_norm_breach_exits_three_leaving_no_output(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import oscswap.cli as cli_module
+        from oscswap.core import NumericalIntegrityError
+
+        # without a density output, the report's final table is the run's one
+        # product_grid call, made after both CSVs are written
+        def failing(self, phi, ts):
+            raise NumericalIntegrityError("evolution changed the norm by 1.000e-03")
+            yield
+
+        monkeypatch.setattr(cli_module.EvolutionOperator, "product_grid", failing)
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: fock, n: 2}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 4}
+outputs: [fidelity, transfer_profile, report]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 3
+        assert "numerical integrity failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_exchange_search_breach_exits_three_leaving_no_output(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        import oscswap.cli as cli_module
+        from oscswap.core import NumericalIntegrityError
+
+        # the search runs after exchange_scan.csv is written
+        def failing(*args):
+            raise NumericalIntegrityError("evolution changed the norm by 1.000e-03")
+
+        monkeypatch.setattr(cli_module.analysis, "find_exchange_time", failing)
+        scenario = write_scenario(tmp_path, QUBIT_SCAN)
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 3
+        assert "numerical integrity failure" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_non_finite_evolution_exits_three(self, tmp_path, capsys):
@@ -778,6 +821,11 @@ def test_scenario_contract_holds(tmp_path_factory, tree):
             assert "numerical integrity failure" in err.getvalue()
 
 
+def csv_text(rows):
+    """The byte chunks :func:`cli._csv_rows` yields, joined and decoded."""
+    return b"".join(_csv_rows(rows)).decode("ascii")
+
+
 def percent_rows(rows):
     """CSV lines as every value was written before the array formatter: the reference."""
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -786,7 +834,7 @@ def percent_rows(rows):
 
 def assert_rows_match_percent(rows):
     # names the first differing cell; a diff of two long strings takes minutes
-    got, expected = _csv_rows(rows), percent_rows(rows)
+    got, expected = csv_text(rows), percent_rows(rows)
     if got != expected:
         cells = zip(rows.ravel().tolist(), re.split("[,\n]", got), re.split("[,\n]", expected))
         value, wrote, wanted = next((cell for cell in cells if cell[1] != cell[2]),
@@ -800,10 +848,10 @@ def test_row_formatter_matches_fmt(seed):
     rng = np.random.default_rng(seed)
     rows = np.array([special, rng.normal(size=len(special)) * 10.0 ** rng.integers(-300, 300)])
     expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows.tolist())
-    assert _csv_rows(rows) == expected
+    assert csv_text(rows) == expected
     # the same rows often enough to take the array formatter
     copies = cli._ARRAY_MIN_CELLS // rows.size + 1
-    assert _csv_rows(np.tile(rows, (copies, 1))) == expected * copies
+    assert csv_text(np.tile(rows, (copies, 1))) == expected * copies
 
 
 def test_row_formatter_matches_percent_on_random_bits():
@@ -828,7 +876,7 @@ def test_row_formatter_edge_cases():
     rows = np.array(values).reshape(-1, 2)
     assert_rows_match_percent(rows)
     assert rows.size >= cli._ARRAY_MIN_CELLS
-    assert "1234567890123456.8,1234567890123456.2\n" in _csv_rows(rows)
+    assert "1234567890123456.8,1234567890123456.2\n" in csv_text(rows)
 
 
 def test_time_grid_csvs_match_percent_reference(tmp_path, monkeypatch):
@@ -859,6 +907,35 @@ outputs: [fidelity, number_distribution, reduced_density, transfer_profile]
         width = header.count(b",") + 1
         body = "".join(percent_rows(rows) for rows in calls if rows.shape[1] == width)
         assert written == header + b"\n" + body.encode()
+
+
+def test_time_grid_streams_its_csvs(tmp_path, monkeypatch):
+    # with a few times per chunk, a run holds one chunk of its CSV at a time:
+    # its traced peak stays far below the size of what it writes
+    from oscswap import evolution
+
+    monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 4 * 21 * 21)
+    values = np.random.default_rng(20).normal(size=(21, 2)).tolist()
+    scenario = write_scenario(
+        tmp_path,
+        f"""\
+params: {{omega1: 1.3, omega2: 0.9, lambda: 0.4}}
+initial: {{kind: amplitudes, values: {values}}}
+n_max: 20
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 9.0, steps: 300}}
+outputs: [reduced_density]
+""",
+    )
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (out / "reduced_density.csv").stat().st_size
+    assert size >= 10 * 2**20
+    assert peak < size / 3, f"traced peak {peak} bytes for a CSV of {size} bytes"
 
 
 @pytest.mark.parametrize("off", [-1.0, 1.0])

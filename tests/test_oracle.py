@@ -86,6 +86,14 @@ class TestExpmEvolution:
         for t in (0.2, 5.5):
             assert unitarity_defect(expm_evolution(block, t)) < 1e-12
 
+    def test_mean_frequency_is_an_exact_phase(self):
+        # at resonance with weak coupling the block is nearly its mean
+        # frequency times the identity; as a scalar phase that costs no
+        # squarings, where exponentiating it (1-norm 1200 at t = 20) took 12
+        block = build_block(CouplingParams(omega1=5.0, omega2=5.0, lam=0.05), 12)
+        ts = np.linspace(0.0, 20.0, 41)
+        assert unitarity_defect(expm_evolution(block, ts)) < 1e-13
+
     @pytest.mark.parametrize(
         "omega1, omega2, lam, n, t",
         [
@@ -182,11 +190,12 @@ class TestSpectrumIdentity:
 
 class TestCompareToAnalytic:
     def test_empty_block_is_exact(self, resonant):
-        assert compare_to_analytic(resonant, 0, [0.0, 1.0, 7.7]) == 0.0
+        assert compare_to_analytic(resonant, 0, [0.0, 1.0, 7.7]) == (0.0, 0.0)
 
     def test_resonance_block_five(self, resonant):
         t_grid = np.linspace(0.0, 15.0, 20)
-        assert compare_to_analytic(resonant, 5, t_grid) < 1e-10
+        deviation, defect = compare_to_analytic(resonant, 5, t_grid)
+        assert deviation < 1e-10 and defect < 1e-12
 
     def test_random_draws_up_to_twelve(self):
         rng = np.random.default_rng(37)
@@ -198,7 +207,8 @@ class TestCompareToAnalytic:
             )
             t_grid = rng.uniform(0.0, 20.0, size=20)
             for n in range(13):
-                assert compare_to_analytic(params, n, t_grid) < 1e-9
+                deviation, defect = compare_to_analytic(params, n, t_grid)
+                assert deviation < 1e-9 and defect < 1e-12
 
     def test_rejects_empty_grid(self, resonant):
         with pytest.raises(ValueError):
