@@ -13,7 +13,8 @@ of Campos, Saleh and Teich, Phys. Rev. A 40, 1371 (1989). Hence
 No eigensolver is needed, and every term is a product of factors of
 modulus at most 1, so nothing cancels and the accuracy does not degrade
 with n. :meth:`EvolutionOperator.product_hops` yields the powers T^n, from
-which the exchange diagnostics cost O(n_max) per time without any table;
+which the exchange diagnostics cost O(n_max) per time without any table, as
+does the norm (:meth:`EvolutionOperator.product_norms`);
 :meth:`EvolutionOperator.product_grid` builds the amplitude tables, in
 O(n_max^2) per time, with magnitudes taken from lgamma so that no binomial
 overflows.
@@ -181,10 +182,8 @@ class EvolutionOperator:
         -2i s c sin(half_splitting t)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        mix = self.mix
         t = np.asarray(t, dtype=float)
-        hop = -2j * mix.s * mix.c * np.sin(mix.half_splitting * t)
-        return self._mean_phase(n, t) * hop**n
+        return self._mean_phase(n, t) * self._hop(t) ** n
 
     def survival_amplitude(self, n: int, t: float | np.ndarray) -> complex | np.ndarray:
         """Closed-form ratio C[n, 0](t) / C[n, 0](0) for product initial
@@ -193,14 +192,33 @@ class EvolutionOperator:
         splitting, times the mean-frequency phase."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        mix = self.mix
         t = np.asarray(t, dtype=float)
-        d = mix.half_splitting
-        stay = mix.c**2 * np.exp(-1j * d * t) + mix.s**2 * np.exp(1j * d * t)
-        return self._mean_phase(n, t) * stay**n
+        return self._mean_phase(n, t) * self._stay(t) ** n
+
+    def _one_quantum(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S and T at every time of ``t``, with the mean-frequency phase
+        evaluated once for both: bit for bit :meth:`survival_amplitude` and
+        :meth:`transfer_amplitude` at n = 1, as ``z**1`` copies z."""
+        phase = self._mean_phase(1, t)
+        return phase * self._stay(t), phase * self._hop(t)
 
     def _mean_phase(self, n: int, t: np.ndarray) -> np.ndarray:
         return np.exp(-1j * (0.5 * (self.params.omega1 + self.params.omega2)) * n * t)
+
+    def _stay(self, t: np.ndarray) -> np.ndarray:
+        mix = self.mix
+        d = mix.half_splitting
+        return mix.c**2 * np.exp(-1j * d * t) + mix.s**2 * np.exp(1j * d * t)
+
+    def _hop(self, t: np.ndarray) -> np.ndarray:
+        return -2j * self.mix.s * self.mix.c * np.sin(self.mix.half_splitting * t)
+
+    def product_norms(self, phi: np.ndarray, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Norm of the product state |phi> (x) |0> evolved to every time in
+        ``ts``, in closed form and without tables: sqrt(sum_n |phi_n|^2
+        (|S|^2 + |T|^2)^n), O(n_max) per time. It is 1 to rounding when phi
+        is normalized; :meth:`product_hops` checks it."""
+        return _product_norms(np.abs(phi) ** 2, *self._one_quantum(np.asarray(ts, dtype=float)))
 
     def product_hops(
         self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
@@ -208,18 +226,18 @@ class EvolutionOperator:
         """Closed-form evolution of the product state |phi> (x) |0>, without
         tables: yields ``(times, hops)`` chunk by chunk, in the order of
         ``ts``, with ``hops[k, n] = T(times[k])**n`` for n < len(phi). The
-        amplitude on |0, n> is phi_n T^n.
+        amplitude on |0, n> is phi_n T^n, and ``hops[:, 1]`` is
+        :meth:`transfer_amplitude` at n = 1, bit for bit.
 
-        ``phi`` must be normalized. The norm, sqrt(sum_n |phi_n|^2
-        (|S|^2 + |T|^2)^n), is checked against 1 at every time.
+        S and T are evaluated once per chunk, for the powers and for the
+        norm check. ``phi`` must be normalized: :meth:`product_norms` is
+        checked against 1 at every time.
         """
         ts = np.asarray(ts, dtype=float)
         weights = np.abs(phi) ** 2
         for times in _chunks(ts, len(phi)):
-            hop = self.transfer_amplitude(1, times)
-            stay = self.survival_amplitude(1, times)
-            kept = np.abs(stay) ** 2 + np.abs(hop) ** 2
-            _check_norms(np.sqrt(_powers(kept, len(phi)) @ weights), 1.0)
+            stay, hop = self._one_quantum(times)
+            _check_norms(_product_norms(weights, stay, hop), 1.0)
             yield times, _powers(hop, len(phi))
 
     def product_grid(
@@ -243,8 +261,8 @@ class EvolutionOperator:
         root_binom = np.exp(0.5 * (log_fact[level] - log_fact[n1] - log_fact[n2]))
         scale = np.where(inside, phi[level] * root_binom, 0.0)
         for times in _chunks(ts, dim * dim):
-            stays = _powers(self.survival_amplitude(1, times), dim)
-            hops = _powers(self.transfer_amplitude(1, times), dim)
+            stay, hop = self._one_quantum(times)
+            stays, hops = _powers(stay, dim), _powers(hop, dim)
             tables = scale * stays[:, :, np.newaxis] * hops[:, np.newaxis, :]
             _check_norms(np.linalg.norm(tables.reshape(len(times), -1), axis=1), 1.0)
             yield times, tables
@@ -279,6 +297,12 @@ def _check_norms(norms: np.ndarray, before: float) -> None:
     drift = float(np.max(np.abs(norms - before)))  # NaN anywhere gives NaN
     if not drift <= _NORM_TOL * max(1.0, before):
         raise NumericalIntegrityError(f"evolution changed the norm by {drift:.3e}")
+
+
+def _product_norms(weights: np.ndarray, stay: np.ndarray, hop: np.ndarray) -> np.ndarray:
+    """sqrt(sum_n w_n (|S|^2 + |T|^2)^n) at every time, from S and T there."""
+    kept = np.abs(stay) ** 2 + np.abs(hop) ** 2
+    return np.sqrt(_powers(kept, len(weights)) @ weights)
 
 
 def _powers(z: np.ndarray, count: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from oscswap import cli
 from oscswap.cli import _csv_rows, _fmt, main
 from oscswap.core import CouplingParams, derive_mixing
-from oscswap.scenario import ScenarioError, parse_scenario
+from oscswap.scenario import ScenarioError, load_scenario, parse_scenario
 from conftest import mp_exchange_fidelity
 
 SHORT_GRID = "schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}\noutputs: [fidelity]"
@@ -327,13 +328,11 @@ outputs: [fidelity, reduced_density]
         import oscswap.cli as cli_module
         from oscswap.core import NumericalIntegrityError
 
-        # without a density output, the report's final table is the run's one
-        # product_grid call, made after both CSVs are written
+        # the report's final norm is computed after both CSVs are written
         def failing(self, phi, ts):
             raise NumericalIntegrityError("evolution changed the norm by 1.000e-03")
-            yield
 
-        monkeypatch.setattr(cli_module.EvolutionOperator, "product_grid", failing)
+        monkeypatch.setattr(cli_module.EvolutionOperator, "product_norms", failing)
         scenario = write_scenario(
             tmp_path,
             """\
@@ -938,6 +937,34 @@ outputs: [reduced_density]
     assert peak < size / 3, f"traced peak {peak} bytes for a CSV of {size} bytes"
 
 
+def test_final_norm_builds_no_table(tmp_path, monkeypatch):
+    # at n_max 1000 one amplitude table is 16 MB; the report's final norm is
+    # the closed form sqrt(sum_n |phi_n|^2 (|S|^2 + |T|^2)^n), O(n_max)
+    scenario = load_scenario(write_scenario(
+        tmp_path,
+        """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: fock, n: 1000}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 10.0, steps: 5}
+outputs: [fidelity, report]
+""",
+    ))
+    initial = cli.build_initial_state(scenario)  # its own table is built before tracing
+    monkeypatch.setattr(cli, "build_initial_state", lambda _: initial)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run_scenario(scenario, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 1001**2 * np.dtype(np.complex128).itemsize
+    assert peak < table / 4, f"traced peak {peak} bytes against a {table}-byte table"
+    final_norm = float((out / "report.txt").read_text().split("final_norm: ")[1].split()[0])
+    assert final_norm == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("off", [-1.0, 1.0])
 def test_row_formatter_survives_a_wrong_exponent(monkeypatch, off):
     # the decimal exponent is floor(log10|v|); when that is one off either way,
@@ -1012,3 +1039,47 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "oscswap" in capsys.readouterr().out
+
+
+class TestRepeatedCalls:
+    """``main`` in a closed loop, as one process: one parser, no state carried over."""
+
+    def test_builds_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        scenario = write_scenario(tmp_path, QUBIT_SCAN)
+        for _ in range(3):
+            assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        assert main(["verify", "bogus"]) == 2
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        # one parser, with the parsers of its two subcommands
+        assert built == ["oscswap", "oscswap run", "oscswap verify"]
+
+    def test_a_tolerance_does_not_carry_over(self, capsys):
+        assert main(["verify", "rotation", "--tol", "1e-300"]) == 1
+        assert main(["verify", "rotation"]) == 0
+        assert capsys.readouterr().out.count("result: PASS") == 1
+
+    def test_a_failed_run_does_not_carry_over(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["run", str(tmp_path / "missing.yaml"), "--out", str(elsewhere)]) == 2
+        scenario = write_scenario(tmp_path, QUBIT_SCAN)
+        assert main(["run", str(scenario)]) == 0  # into the default --out
+        assert (tmp_path / "out" / "report.txt").is_file()
+        assert not elsewhere.exists()
+
+    def test_version_exits_every_time(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--version"])
+            assert excinfo.value.code == 0
+        assert capsys.readouterr().out.count("oscswap") == 2

@@ -307,6 +307,24 @@ class TestProductClosedForm:
         n1, n2 = np.indices((9, 9))
         assert np.all(tables[:, n1 + n2 > 8] == 0)  # beyond the truncation
 
+    def test_hops_carry_the_transfer_amplitude_bit_for_bit(self, monkeypatch, detuned):
+        # four times per chunk at six levels, so that eleven times give chunks of 4, 4 and 3
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 4 * 6)
+        evo = EvolutionOperator(detuned)
+        phi = make_product_state([0.3, 0.0, 0.5j, -0.2, 0.7], n_max=5).table[:, 0]
+        ts = np.linspace(0.0, 40.0, 11)
+        chunks = list(evo.product_hops(phi, ts))
+        assert [len(times) for times, _ in chunks] == [4, 4, 3]
+        hops = np.concatenate([hops for _, hops in chunks])
+        assert hops[:, 1].tobytes() == evo.transfer_amplitude(1, ts).tobytes()
+        # the closed-form norm is the norm of the tables, and the check reads it
+        tables = np.concatenate([tables for _, tables in evo.product_grid(phi, ts)])
+        assert np.max(np.abs(evo.product_norms(phi, ts)
+                             - np.linalg.norm(tables.reshape(11, -1), axis=1))) < 1e-14
+        assert evo.product_norms(1.001 * phi, ts) == pytest.approx(1.001, abs=1e-14)
+        with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by 1.000e-03"):
+            list(evo.product_hops(1.001 * phi, ts))
+
     def test_time_zero_is_the_initial_state(self, detuned):
         # T(0) = 0, so 0^0 = 1 keeps column 0 and every other column is exactly 0
         evo = EvolutionOperator(detuned)
