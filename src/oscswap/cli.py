@@ -3,9 +3,13 @@
 Outputs are deterministic: identical scenarios produce byte-identical CSV
 files (17 significant digits, '.' decimal separator, '\\n' line endings on
 every platform). Each cell is what ``"%.17g" % value`` writes. Arrays of at
-least ``_ARRAY_MIN_CELLS`` cells are formatted by :func:`_format_cells`,
+least ``_ARRAY_MIN_CELLS`` cells are formatted by :func:`_cell_slots`,
 which computes the same digits with numpy and leaves to ``%`` only the cells
-it cannot prove; smaller arrays are formatted by ``%`` throughout.
+it cannot prove; smaller arrays are formatted by ``%`` throughout. A
+``reduced_density`` row holds the Hermitian part of each mode's matrix, so
+each cell below a diagonal has the magnitude of its mirror above it: only
+the mirror is formatted, and the cell copies its digits and writes its own
+sign.
 
 Each CSV is written as bytes while the run computes it: every chunk of
 rows, and within it every ``_CHUNK_CELLS`` cells, goes to its file as soon
@@ -36,7 +40,14 @@ from .core import (
     ZeroVectorError,
 )
 from .evolution import EvolutionOperator, _chunks
-from .scenario import Scenario, ScenarioError, build_initial_state, csv_header, load_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    build_initial_state,
+    csv_header,
+    csv_width,
+    load_scenario,
+)
 from .suites import UnknownSuiteError, verify_suite
 
 # Not used here. perfbench/spans.py wraps the name cli.norm, so it stays
@@ -102,8 +113,10 @@ def _affixes() -> tuple[np.ndarray, np.ndarray]:
     return affix, lead
 
 
-def _format_cells(values: np.ndarray, seps: np.ndarray) -> bytes:
-    """Each value as ``"%.17g" % value`` followed by its separator byte, concatenated.
+def _cell_slots(values: np.ndarray) -> np.ndarray:
+    """Each value as ``"%.17g" % value``, one row of ``_SLOTS`` bytes per
+    value: its sign in slot 0, the text of its magnitude after it and zero
+    bytes in the empty slots. The last slot is left for a separator.
 
     The 17 digits are |value| * 10**(16 - k), k = floor(log10|value|),
     rounded to an integer. With 10**(16 - k) as hi + lo, Dekker's split
@@ -111,7 +124,8 @@ def _format_cells(values: np.ndarray, seps: np.ndarray) -> bytes:
     within about 1e-14 and rounds right unless its fraction lies within 1e-6
     of a half. Such near-ties, a k that log10 got one off (the scaled value
     then leaves [1e16, 1e17)), nonzero values outside the power table, inf
-    and nan are written by ``%``.
+    and nan are written by ``%``. Every slot after the sign depends only on
+    |value|, so two values of one magnitude share them.
     """
     n = len(values)
     a = np.abs(values)
@@ -158,37 +172,75 @@ def _format_cells(values: np.ndarray, seps: np.ndarray) -> bytes:
     before = (_ZERO_TO_17 < point).view(np.uint8)
     at = (_ZERO_TO_17 == point).view(np.uint8)
     out = np.empty((n, _SLOTS), np.uint8)
-    out[:, 0] = np.signbit(values).view(np.uint8) * np.uint8(ord("-"))
+    out[:, 0] = _signs(values)
     out[:, _AFFIX_SLOTS] = affix.take(k, axis=0)
     out[:, 6:24] = (digits[1:] * before + digits[:-1] * (1 - before - at)
                     + at * np.uint8(ord("."))).T
-    out[:, -1] = seps
     for i in np.flatnonzero(~fast & ~zero):
-        text = ("%.17g" % values[i]).encode()  # at most 24 bytes, before the separator
-        out[i, :-1] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0")
+        text = ("%.17g" % abs(values[i])).encode()  # at most 23 bytes
+        out[i, 1:] = 0
+        out[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+    return out
 
 
-def _csv_rows(rows: np.ndarray):
+def _signs(values: np.ndarray) -> np.ndarray:
+    """The sign slot of each value: "-" where `%` writes one, else a zero byte.
+    `%` writes a negative nan as "nan"."""
+    return (np.signbit(values) & ~np.isnan(values)).view(np.uint8) * np.uint8(ord("-"))
+
+
+def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None):
     """CSV lines of a 2-D array as ASCII byte chunks, every value written as
     :func:`_fmt` writes it.
 
     Arrays of at least ``_ARRAY_MIN_CELLS`` cells go through
-    :func:`_format_cells`, one chunk per ``_CHUNK_CELLS`` cells; smaller
-    ones, for which that costs more than it saves, are formatted by ``%``
-    directly, as one chunk.
+    :func:`_cell_slots`, at most ``_CHUNK_CELLS`` cells per call and per
+    chunk, even within one row; smaller ones, for which that costs more than
+    it saves, are formatted by ``%`` directly, as one chunk.
+
+    ``twins``, one column index per column, may name for each column ``c`` a
+    column whose values have the magnitudes of column ``c``'s, as the lower
+    triangle of a Hermitian matrix mirrors the upper one; a column that
+    names itself is formatted, and every column named must name itself.
+    Every other cell copies its twin's slots after the sign and takes its
+    sign from its own value. A cell whose magnitude is not equal to its
+    twin's (a nan never is) is formatted itself, so the map never changes
+    what is written.
     """
     if rows.size < _ARRAY_MIN_CELLS:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         yield "".join(line % tuple(row) for row in rows.tolist()).encode("ascii")
         return
-    values = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
-    seps = np.full(rows.shape, ord(","), np.uint8)
+    values = np.ascontiguousarray(rows, dtype=np.float64)
+    count, width = values.shape
+    columns = np.arange(width)
+    twins = columns if twins is None else np.asarray(twins)
+    formats = twins == columns
+    own = np.flatnonzero(formats)
+    per_group = max(1, _CHUNK_CELLS // len(own))  # rows whose cells are formatted together
+    # each cell of a group of rows: the index of its twin among the group's formatted cells
+    source = (np.arange(per_group)[:, None] * len(own) + (np.cumsum(formats) - 1)[twins]).ravel()
+    seps = np.full((per_group, width), ord(","), np.uint8)
     seps[:, -1] = ord("\n")
-    seps = seps.reshape(-1)
-    for i in range(0, values.size, _CHUNK_CELLS):
-        yield _format_cells(values[i:i + _CHUNK_CELLS], seps[i:i + _CHUNK_CELLS])
+    seps = seps.ravel()
+    for start in range(0, count, per_group):
+        group = values[start:start + per_group]
+        cells = group.reshape(-1)
+        formatted = group[:, own].reshape(-1)
+        slots = np.concatenate([_cell_slots(formatted[i:i + _CHUNK_CELLS])
+                                for i in range(0, formatted.size, _CHUNK_CELLS)])
+        for i in range(0, cells.size, _CHUNK_CELLS):
+            end = min(i + _CHUNK_CELLS, cells.size)
+            out = slots[i:end]
+            if len(own) < width:
+                piece, twin = cells[i:end], source[i:end]
+                out = slots.take(twin, axis=0)
+                out[:, 0] = _signs(piece)
+                apart = np.flatnonzero(np.abs(piece) != np.abs(formatted.take(twin)))
+                if apart.size:
+                    out[apart] = _cell_slots(piece[apart])
+            out[:, -1] = seps[i:end]
+            yield out.tobytes().translate(None, b"\0")
 
 
 class _CsvFiles:
@@ -208,8 +260,8 @@ class _CsvFiles:
         self._files[name] = out = (self.out_dir / f"{name}.csv").open("wb")
         out.write((",".join(header) + "\n").encode("ascii"))
 
-    def write(self, name: str, rows: np.ndarray) -> None:
-        self._files[name].writelines(_csv_rows(rows))
+    def write(self, name: str, rows: np.ndarray, twins: np.ndarray | None = None) -> None:
+        self._files[name].writelines(_csv_rows(rows, twins))
 
     def __enter__(self) -> "_CsvFiles":
         return self
@@ -237,6 +289,15 @@ def _echo_lines(scenario: Scenario, evo: EvolutionOperator) -> list[str]:
     ]
 
 
+def _hermitian_twins(dim: int) -> np.ndarray:
+    """The twin map (see :func:`_csv_rows`) of a ``reduced_density`` row, in
+    csv_header's order: ``t``, then mode, row, column, and re and im side by
+    side. Each cell below a diagonal names its mirror above it, the smaller
+    index; every other cell names itself."""
+    cells = np.arange(4 * dim * dim).reshape(2, dim, dim, 2)
+    return np.r_[0, 1 + np.minimum(cells, cells.swapaxes(1, 2)).ravel()]
+
+
 def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
                    phi: np.ndarray, csvs: _CsvFiles) -> tuple[float, float, list[str]]:
     sched = scenario.schedule
@@ -259,17 +320,24 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeSt
     # amplitude tables only for the densities
     densities = [name for name in names if name in ("number_distribution", "reduced_density")]
     if densities:
+        twins = {"reduced_density": _hermitian_twins(dim)}
         for times, tables in evo.product_grid(column, ts):
-            count = len(times)
-            rhos = np.stack([analysis.reduced_densities(tables, mode) for mode in (1, 2)], axis=1)
-            diagonals = np.diagonal(rhos, axis1=2, axis2=3).real
-            columns = {
-                "number_distribution": diagonals.reshape(count, 2 * dim),
-                # csv_header's order: mode, row, column, then re and im side by side
-                "reduced_density": rhos.view(np.float64).reshape(count, 4 * dim * dim),
-            }
+            # each row: t, then mode 1's columns, then mode 2's, filled in place
+            rows = {name: np.empty((len(times), csv_width(name, scenario.n_max, ())))
+                    for name in densities}
+            for mode in (1, 2):
+                rho = analysis.reduced_densities(tables, mode)
+                parts = {
+                    "number_distribution": np.diagonal(rho, axis1=1, axis2=2).real,
+                    # row, column, then re and im side by side
+                    "reduced_density": rho.view(np.float64).reshape(len(times), -1),
+                }
+                for name in densities:
+                    width = parts[name].shape[1]
+                    rows[name][:, 1 + (mode - 1) * width:1 + mode * width] = parts[name]
             for name in densities:
-                csvs.write(name, np.column_stack([times, columns[name]]))
+                rows[name][:, 0] = times
+                csvs.write(name, rows[name], twins.get(name))
 
     best = int(np.argmax(fidelities))
     best_f, t_best = fidelities[best], float(ts[best])

@@ -45,10 +45,12 @@ _HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
 # (51 x 1001 + 390) x 1001 for an exchange scan (its coarse grid and zoom),
 # far below the work limit. Only the density outputs build amplitude tables,
 # (n_max + 1)**2 entries per time point, and add per mode a partial trace and
-# an eigvalsh of an (n_max + 1)-square matrix: (n_max + 1)**3 each, plus a
-# fixed amount for the eigvalsh's poorer speed on small matrices. The density
-# work is weighed as 3 (n_max + 1)**3 per time point, tables included, and
-# the density outputs keep the lower truncation limit of the cubic work.
+# a positivity check of an (n_max + 1)-square matrix: (n_max + 1)**3 each,
+# plus a fixed amount for LAPACK's poorer speed on small matrices. The
+# weights were set when the check was an eigvalsh, which costs more than the
+# Cholesky factorization that decides it now. The density work is weighed as
+# 3 (n_max + 1)**3 per time point, tables included, and the density outputs
+# keep the lower truncation limit of the cubic work.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 1000
@@ -173,7 +175,7 @@ def parse_scenario(raw: object) -> Scenario:
     if schedule.kind == "time_grid":
         # transfer_profile counted at its widest, before the initial state is built
         levels = range(1, support + 1)
-        columns = sum(len(csv_header(name, n_max, levels)) for name in outputs if name != "report")
+        columns = sum(csv_width(name, n_max, levels) for name in outputs if name != "report")
         cells = schedule.steps * columns
         if cells > _CSV_CELLS_LIMIT:
             raise ScenarioError(
@@ -230,6 +232,13 @@ def csv_header(output: str, n_max: int, levels: Sequence[int]) -> list[str]:
             for mode in (1, 2) for i in range(dim) for j in range(dim) for part in ("re", "im")
         ]
     return ["t"] + [f"transfer_prob_{n}" for n in levels]
+
+
+def csv_width(output: str, n_max: int, levels: Sequence[int]) -> int:
+    """``len(csv_header(output, n_max, levels))``, without building the names."""
+    dim = n_max + 1
+    return 1 + {"fidelity": 1, "number_distribution": 2 * dim,
+                "reduced_density": 4 * dim * dim}.get(output, len(levels))
 
 
 def build_initial_state(scenario: Scenario) -> tuple[TwoModeState, np.ndarray, float]:

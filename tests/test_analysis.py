@@ -173,6 +173,9 @@ class TestDensityChecks:
         "trace": (np.diag([0.5, 0.5 + 2e-10]), "trace is 1.0000000002, expected 1"),
         "eigenvalue": (np.array([[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]),
                        "eigenvalue -1.000e-09 below the floor -1e-10"),
+        # eigenvalues 1 + 2e-10 and -2e-10: twice the floor, just beyond it
+        "eigenvalue-near-floor": (np.array([[0.5, 0.5 + 2e-10], [0.5 + 2e-10, 0.5]]),
+                                  "eigenvalue -2.000e-10 below the floor -1e-10"),
         "nan": (np.full((2, 2), np.nan), "not Hermitian (defect nan)"),
     }
 
@@ -195,6 +198,51 @@ class TestDensityChecks:
 
     def test_valid_stack_passes(self):
         check_densities(np.array([np.diag([1.0, 0.0]), np.eye(2) / 2]))
+
+    def test_eigenvalue_above_the_floor_passes(self, monkeypatch):
+        # eigenvalues 1 + 5e-11 and -5e-11, half the floor: Cholesky alone decides
+        rho = np.array([[0.5, 0.5 + 5e-11], [0.5 + 5e-11, 0.5]])
+        assert np.min(np.linalg.eigvalsh(rho)) == pytest.approx(-5e-11, rel=1e-5)
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.no_spectrum)
+        check_densities(rho)
+        check_densities(np.array([np.eye(2) / 2, rho]))
+
+    def test_eigenvalue_below_the_floor_fails_alone(self):
+        bad, message = self.BREACHES["eigenvalue-near-floor"]
+        with pytest.raises(NumericalIntegrityError, match=re.escape(message)):
+            check_densities(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]])],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_nan_fails(self, bad):
+        with pytest.raises(NumericalIntegrityError):
+            check_densities(np.array([np.eye(2) / 2, bad]))
+
+    @staticmethod
+    def no_spectrum(_):
+        raise AssertionError("eigvalsh called on a valid stack")
+
+    def test_valid_stack_needs_no_spectrum(self, monkeypatch):
+        # the positivity of a valid stack is settled by the factorization alone
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.no_spectrum)
+        state = random_state(np.random.default_rng(3), n_max=6)
+        for mode in (1, 2):
+            reduce(state, mode)
+
+    def test_returns_the_hermitian_part_of_an_untouched_input(self):
+        # a random density matrix with a 1e-14 anti-Hermitian defect
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        rho = a @ a.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+        rho += 1e-14j * rng.normal(size=rho.shape)
+        before = rho.copy()
+        hermitian = check_densities(rho)
+        assert np.array_equal(rho, before)
+        assert np.array_equal(hermitian, 0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+        assert np.array_equal(np.abs(hermitian), np.abs(hermitian.swapaxes(-1, -2)))
 
 
 class TestExchangeFidelity:

@@ -883,7 +883,12 @@ def test_time_grid_csvs_match_percent_reference(tmp_path, monkeypatch):
     # % expression applied to the arrays the run formats
     calls = []
     csv_rows = cli._csv_rows
-    monkeypatch.setattr(cli, "_csv_rows", lambda rows: calls.append(rows) or csv_rows(rows))
+
+    def recording(rows, twins=None):
+        calls.append((rows.copy(), twins))
+        return csv_rows(rows, twins)
+
+    monkeypatch.setattr(cli, "_csv_rows", recording)
     values = np.random.default_rng(20).normal(size=(21, 2)).tolist()
     scenario = write_scenario(
         tmp_path,
@@ -897,15 +902,80 @@ outputs: [fidelity, number_distribution, reduced_density, transfer_profile]
     )
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out)]) == 0
-    sizes = [rows.size for rows in calls]
+    sizes = [rows.size for rows, _ in calls]
     assert min(sizes) < cli._ARRAY_MIN_CELLS and max(sizes) > cli._CHUNK_CELLS
     for name in ("fidelity", "number_distribution", "reduced_density", "transfer_profile"):
         written = (out / f"{name}.csv").read_bytes()
         header = written.split(b"\n", 1)[0]
         # the four outputs differ in width, so the width tells which calls wrote a file
         width = header.count(b",") + 1
-        body = "".join(percent_rows(rows) for rows in calls if rows.shape[1] == width)
+        body = "".join(percent_rows(rows) for rows, _ in calls if rows.shape[1] == width)
         assert written == header + b"\n" + body.encode()
+    # the densities written are Hermitian parts, and their writer was told so
+    (rows, twins), = [call for call in calls if call[0].shape[1] == 1 + 4 * 21**2]
+    rho = rows[:, 1:].view(np.complex128).reshape(-1, 2, 21, 21)
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    assert np.array_equal(twins, cli._hermitian_twins(21))
+
+
+def hermitian_rows(rng, count, dim, pool):
+    """Rows of reduced_density layout: t, then the Hermitian parts 0.5 (A + A^H)
+    of a stack of two complex matrices per row, their entries drawn from ``pool``."""
+    shape = (count, 2, dim, dim)
+    a = rng.choice(pool, size=shape) + 1j * rng.choice(pool, size=shape)
+    hermitian = a + a.conj().swapaxes(-1, -2)
+    hermitian *= 0.5
+    return np.column_stack([rng.normal(size=count), hermitian.view(np.float64).reshape(count, -1)])
+
+
+# signed zeros, subnormals, exact ties and their neighbours, values outside
+# the power table, and ordinary values over many exponents
+HERMITIAN_POOL = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-290, -3e-300, 1e300,
+    -1.5e299, 2.5e-285, 1234567890123456.75, -1234567890123456.25, 123456789012345.125,
+    float(np.nextafter(1234567890123456.75, 0.0)), float(np.nextafter(123456789012345.125, 2e15)),
+    0.30000000000000004, 1e-4, -1e-5, 1e16, 1e17, 0.5, -0.25,
+])
+
+
+@pytest.mark.parametrize("chunk", [16384, 97, 256])
+@pytest.mark.parametrize("dim", [1, 3, 21])
+def test_hermitian_rows_match_percent(monkeypatch, dim, chunk):
+    # every cell written as % writes it, with the twin map of the run, whether
+    # a chunk holds many rows or a row spans many chunks
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
+    rng = np.random.default_rng(19 * dim + chunk)
+    pool = np.concatenate([HERMITIAN_POOL, rng.normal(size=40) * 10.0 ** rng.integers(-30, 30, 40)])
+    rows = hermitian_rows(rng, -(-cli._ARRAY_MIN_CELLS // (1 + 4 * dim * dim)) + 7, dim, pool)
+    twins = cli._hermitian_twins(dim)
+    assert b"".join(_csv_rows(rows, twins)).decode("ascii") == percent_rows(rows)
+
+
+def test_hermitian_rows_format_each_pair_once(monkeypatch):
+    # of a 21 x 21 pair of Hermitian matrices, t and the 2 x 231 upper
+    # cells' re and im are formatted, 925 of 1765 cells per row
+    formatted = []
+    cell_slots = cli._cell_slots
+    monkeypatch.setattr(cli, "_cell_slots", lambda values: formatted.append(values.size)
+                        or cell_slots(values))
+    rng = np.random.default_rng(925)
+    rows = hermitian_rows(rng, 40, 21, rng.normal(size=50))
+    assert b"".join(_csv_rows(rows, cli._hermitian_twins(21))).decode("ascii") == percent_rows(rows)
+    assert sum(formatted) == 40 * 925
+    assert max(formatted) <= cli._CHUNK_CELLS
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_wrong_twin_map_changes_nothing(seed):
+    # cells whose magnitude is not their twin's, nan and inf among them, are
+    # formatted themselves: the map only saves work
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(300, 12), dtype=np.uint64)
+    rows = bits.view(np.float64)
+    rows[:, 5] = -rows[:, 2]  # some twins that do mirror
+    twins = np.arange(12)
+    twins[[4, 5, 7, 9, 11]] = [0, 2, 2, 3, 3]
+    assert b"".join(_csv_rows(rows, twins)).decode("ascii") == percent_rows(rows)
 
 
 def test_time_grid_streams_its_csvs(tmp_path, monkeypatch):

@@ -11,6 +11,8 @@ from oscswap.scenario import (
     Scenario,
     ScenarioError,
     build_initial_state,
+    csv_header,
+    csv_width,
     load_scenario,
     parse_scenario,
 )
@@ -27,6 +29,16 @@ def raw_scenario(initial=None, schedule=None, **top):
     }
     raw.update(top)
     return raw
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7, 20, 200])
+@pytest.mark.parametrize(
+    "output", ["fidelity", "number_distribution", "reduced_density", "transfer_profile"]
+)
+def test_csv_width_counts_the_header(output, n_max):
+    # the budget counts cells by width, without building the names
+    for levels in (range(1, n_max + 1), [n for n in range(1, n_max + 1) if n % 3], []):
+        assert csv_width(output, n_max, levels) == len(csv_header(output, n_max, levels))
 
 
 class TestCostBudgetLimitsParse:
