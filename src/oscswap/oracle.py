@@ -8,7 +8,9 @@ Hamiltonian is written down directly from the ladder operators and
 exponentiated, its mean diagonal factored out as a scalar phase, by a
 degree-18 Taylor polynomial with scaling and squaring (Moler and Van Loan,
 SIAM Rev. 45, 3 (2003); Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31,
-970 (2009)), in numpy alone and over a whole grid of times at once. The
+970 (2009)), in numpy alone and for a stack of blocks, each over its own
+grid of times, at once: every slice is scaled and squared on its own, so
+a single block over one time is the m = 1 case, bit for bit. The
 analytic route instead eigendecomposes the block and takes its phases from
 the normal-mode spectrum, so agreement between the two is a meaningful
 check rather than a tautology. Only :func:`spectrum_deviation` calls an
@@ -25,6 +27,12 @@ from .core import CouplingParams, _freeze, derive_mixing, unitarity_defect
 from .evolution import EvolutionOperator
 
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(19))  # coefficients of exp, degree 18
+# Amplitudes per array (64 KiB of complex128) that the exponential of a
+# stack of Hamiltonians works on at once, so that its dozen temporaries stay
+# under a megabyte however many Hamiltonians are stacked; larger slabs were
+# no faster on the oracle suite. A single Hamiltonian is never split,
+# whatever its number of times.
+_SLAB_AMPLITUDES = 1 << 12
 
 
 def build_block(params: CouplingParams, n_total: int) -> np.ndarray:
@@ -51,9 +59,16 @@ def build_block(params: CouplingParams, n_total: int) -> np.ndarray:
 
 
 def expm_evolution(hamiltonian: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) of a Hamiltonian block, at one time or at every time of
-    a 1-D array: a read-only complex array of the block's shape, or a
-    ``(len(t), n + 1, n + 1)`` stack of them.
+    """exp(-i H t) of a Hamiltonian block, or of a stack of them, over times:
+    a read-only complex array of shape ``t.shape + (n + 1, n + 1)``.
+
+    A single ``(n + 1, n + 1)`` block takes one time, giving one matrix, or
+    a 1-D array of k times, giving a ``(k, n + 1, n + 1)`` stack. An
+    ``(m, n + 1, n + 1)`` stack of blocks takes an ``(m, k)`` array, row i
+    the times of block i, and gives ``(m, k, n + 1, n + 1)``. Every slice
+    is computed alone, so a stacked call equals its single calls bit for
+    bit, and a single block is the m = 1 case. A stack is worked through a
+    slab of whole blocks at a time, so only the result grows with m.
 
     The mean diagonal mu = trace(H) / (n + 1) is taken out of H and
     applied as the scalar phase exp(-i mu t), which is exact as a matrix
@@ -69,12 +84,31 @@ def expm_evolution(hamiltonian: np.ndarray, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {t!r}")
+    hamiltonian = np.asarray(hamiltonian)
+    if t.shape[: hamiltonian.ndim - 2] != hamiltonian.shape[:-2] or t.ndim > hamiltonian.ndim - 1:
+        raise ValueError(
+            f"times of shape {t.shape} do not fit Hamiltonians of shape {hamiltonian.shape}"
+        )
     dim = hamiltonian.shape[-1]
-    mu = np.trace(hamiltonian) / dim
-    a = (-1j * t.reshape(-1, 1, 1)) * (hamiltonian - mu * np.eye(dim))
+    stack = hamiltonian.reshape(-1, dim, dim)
+    times = t.reshape(len(stack), -1)
+    u = np.empty(times.shape + (dim, dim), dtype=np.complex128)
+    per_slab = max(1, _SLAB_AMPLITUDES // max(1, times.shape[1] * dim**2))
+    for start in range(0, len(stack), per_slab):
+        part = slice(start, start + per_slab)
+        u[part] = _taylor_exponentials(stack[part], times[part, :, np.newaxis, np.newaxis])
+    return _freeze(u.reshape(t.shape + (dim, dim)))
+
+
+def _taylor_exponentials(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) for an (m, d, d) stack of H and (m, k, 1, 1) times, as
+    :func:`expm_evolution` describes it: an (m, k, d, d) array."""
+    dim = stack.shape[-1]
+    mu = (np.trace(stack, axis1=-2, axis2=-1) / dim)[:, np.newaxis, np.newaxis]
+    a = (-1j * times) * (stack - mu * np.eye(dim))[:, np.newaxis]
     norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)  # 1-norm: largest column sum
     squarings = np.ceil(np.log2(np.maximum(2.0 * norms, 1.0))).astype(int)
-    a *= np.ldexp(1.0, -squarings)[:, np.newaxis, np.newaxis]
+    a *= np.ldexp(1.0, -squarings)[..., np.newaxis, np.newaxis]
     a2 = a @ a
     powers = (np.eye(dim), a, a2, a2 @ a)
     a4 = a2 @ a2
@@ -88,8 +122,8 @@ def expm_evolution(hamiltonian: np.ndarray, t) -> np.ndarray:
     for done in range(int(squarings.max(initial=0))):
         more = squarings > done
         u[more] = u[more] @ u[more]
-    u *= np.exp(-1j * mu * t.reshape(-1, 1, 1))
-    return _freeze(u[0] if t.ndim == 0 else u)
+    u *= np.exp(-1j * mu[:, np.newaxis] * times)
+    return u
 
 
 def spectrum_deviation(params: CouplingParams, n_total: int) -> float:
@@ -103,15 +137,22 @@ def spectrum_deviation(params: CouplingParams, n_total: int) -> float:
 
 
 def compare_to_analytic(
-    params: CouplingParams, n_total: int, t_grid: Sequence[float]
+    params: CouplingParams | Sequence[CouplingParams], n_total: int, t_grid
 ) -> tuple[float, float]:
     """The Taylor exponential of the Hamiltonian block over a time grid,
     checked at every time of it: the max element-wise deviation from the
     analytic evolution block, and the exponential's largest unitarity
-    defect."""
-    if len(t_grid) == 0:
-        raise ValueError("t_grid must be nonempty")
+    defect.
+
+    ``params`` is one parameter set with a 1-D grid, or a sequence of m sets
+    with an ``(m, k)`` array of grids, row i for set i; the blocks of all
+    sets are exponentiated in one stacked call, and both residuals are the
+    largest over the sets. One set is the m = 1 case."""
+    draws = [params] if isinstance(params, CouplingParams) else list(params)
     t_grid = np.asarray(t_grid, dtype=float)
-    analytic = EvolutionOperator(params).ut_block(n_total, t_grid)
-    brute = expm_evolution(build_block(params, n_total), t_grid)
+    if t_grid.size == 0:
+        raise ValueError("t_grid must be nonempty")
+    grids = t_grid.reshape(len(draws), -1)
+    analytic = np.stack([EvolutionOperator(p).ut_block(n_total, t) for p, t in zip(draws, grids)])
+    brute = expm_evolution(np.stack([build_block(p, n_total) for p in draws]), grids)
     return float(np.max(np.abs(analytic - brute))), unitarity_defect(brute)

@@ -20,7 +20,12 @@ from .core import (
     unitarity_defect,
 )
 from .evolution import EvolutionOperator
-from .rotation import u_minus_s_block, us_block, us_element, verify_recursions
+from .rotation import us_blocks, verify_recursions
+
+# Not used here. perfbench/spans.py wraps the names suites.us_block,
+# suites.us_element and suites.u_minus_s_block, so they stay importable until
+# the benchmark's trace list changes.
+from .rotation import u_minus_s_block, us_block, us_element  # noqa: F401
 
 _X_GRID = (0.0, 0.5, -0.5, 1.0, -1.0, 5.0, -5.0)
 
@@ -86,32 +91,34 @@ def _params_for_detuning(x: float, lam: float = 1.0, omega2: float = 1.0) -> Cou
 
 def _rotation_suite() -> tuple[list[CheckResult], list[str]]:
     n_top = 30
+    mixes = [derive_mixing(_params_for_detuning(x)) for x in _X_GRID]
+    c, s = (np.array([getattr(mix, name) for mix in mixes])[:, np.newaxis] for name in "cs")
     worst_unitary = worst_inverse = worst_transpose = worst_recursion = worst_rows = 0.0
-    for x in _X_GRID:
-        mix = derive_mixing(_params_for_detuning(x))
-        prev = None
-        for n in range(n_top + 1):
-            block = us_block(mix, n)
-            forward = block.real
-            inverse = u_minus_s_block(mix, n).real
-            worst_unitary = max(worst_unitary, unitarity_defect(forward))
-            worst_inverse = max(
-                worst_inverse, float(np.max(np.abs(inverse @ forward - np.eye(n + 1))))
-            )
-            worst_transpose = max(worst_transpose, float(np.max(np.abs(inverse - forward.T))))
-            if prev is not None:
-                worst_recursion = max(worst_recursion, verify_recursions(mix, prev, block))
-            prev = block
-            l = np.arange(n + 1)
-            scale = np.sqrt([float(math.comb(n, j)) for j in l])
-            c_pow, s_pow = np.float_power(mix.c, l), np.float_power(mix.s, l)
-            top_row = scale * c_pow[::-1] * s_pow
-            bottom_row = scale * (-1.0) ** (n - l) * c_pow * s_pow[::-1]
-            reference = np.stack([top_row, bottom_row])
-            n1 = np.array([[n], [0]])  # the top row, then the bottom row
-            got = us_element(mix, n1, n - n1, n - l, l).real
-            relative = np.abs(got - reference) / np.maximum(np.abs(reference), 1e-300)
-            worst_rows = max(worst_rows, float(np.max(relative)))
+    prev = None
+    for n in range(n_top + 1):
+        # one stacked build per n, slice i for detuning _X_GRID[i]
+        blocks = us_blocks(mixes, n)
+        forward = blocks.real
+        l = np.arange(n + 1)
+        inverse = (-1.0) ** np.add.outer(l, l) * forward  # (-1)**(m2 - n2), row n2, column m2
+        worst_unitary = max(worst_unitary, unitarity_defect(forward))
+        worst_inverse = max(
+            worst_inverse, float(np.max(np.abs(inverse @ forward - np.eye(n + 1))))
+        )
+        worst_transpose = max(
+            worst_transpose, float(np.max(np.abs(inverse - forward.swapaxes(-1, -2))))
+        )
+        if prev is not None:
+            worst_recursion = max(worst_recursion, verify_recursions(mixes, prev, blocks))
+        prev = blocks
+        scale = np.sqrt([float(math.comb(n, j)) for j in l])
+        c_pow, s_pow = np.float_power(c, l), np.float_power(s, l)
+        top_row = scale * c_pow[:, ::-1] * s_pow
+        bottom_row = scale * (-1.0) ** (n - l) * c_pow * s_pow[:, ::-1]
+        reference = np.stack([top_row, bottom_row], axis=1)
+        got = forward[:, [0, n]]  # rows n2 = 0 (n1 = n) and n2 = n (n1 = 0)
+        relative = np.abs(got - reference) / np.maximum(np.abs(reference), 1e-300)
+        worst_rows = max(worst_rows, float(np.max(relative)))
     checks = [
         CheckResult("block unitarity, n <= 30, detuning grid", worst_unitary, 1e-10),
         CheckResult("inverse times forward equals identity", worst_inverse, 1e-10),
@@ -200,20 +207,44 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
 
 def _oracle_suite() -> tuple[list[CheckResult], list[str]]:
     rng = np.random.default_rng(911)
-    worst_dev = worst_spec = worst_sym = worst_unit = 0.0
+    draws, t_grids = [], []
     for _ in range(10):
-        params = CouplingParams(
+        draws.append(CouplingParams(
             omega1=rng.uniform(0.1, 5.0), omega2=rng.uniform(0.1, 5.0), lam=rng.uniform(0.05, 1.5)
+        ))
+        t_grids.append(rng.uniform(0.0, 20.0, size=20))
+    t_grids = np.array(t_grids)
+    operators = [EvolutionOperator(params) for params in draws]
+    # the run path: closed-form tables of |phi> (x) |0>, phi drawn on a seed of its own
+    phi_rng = np.random.default_rng(20261019)
+    phis, products = [], []
+    for evo, t_grid in zip(operators, t_grids):
+        phis.append(_random_phi(phi_rng, 12))
+        (_, tables), = evo.product_grid(phis[-1], t_grid)
+        products.append(tables)
+    worst_dev = worst_product = worst_spec = worst_sym = worst_unit = 0.0
+    for n in range(13):
+        # one stacked exponential per n, slice i for draw i over its own grid
+        hamiltonians = np.stack([oracle.build_block(params, n) for params in draws])
+        worst_sym = max(
+            worst_sym, float(np.max(np.abs(hamiltonians - hamiltonians.swapaxes(-1, -2))))
         )
-        t_grid = rng.uniform(0.0, 20.0, size=20)
-        for n in range(13):
-            deviation, defect = oracle.compare_to_analytic(params, n, t_grid)
-            worst_dev, worst_unit = max(worst_dev, deviation), max(worst_unit, defect)
+        l = np.arange(n + 1)
+        for params, evo, t_grid, phi, product, taylor in zip(
+            draws, operators, t_grids, phis, products,
+            oracle.expm_evolution(hamiltonians, t_grids),
+        ):
+            worst_dev = max(worst_dev, float(np.max(np.abs(evo.ut_block(n, t_grid) - taylor))))
+            worst_unit = max(worst_unit, unitarity_defect(taylor))
+            # C[n - l, l] of the product state is phi_n <n - l, l| U |n, 0>: column 0 of U
+            worst_product = max(worst_product, float(
+                np.max(np.abs(product[:, n - l, l] - phi[n] * taylor[:, l, 0]))
+            ))
             worst_spec = max(worst_spec, oracle.spectrum_deviation(params, n))
-            block = oracle.build_block(params, n)
-            worst_sym = max(worst_sym, float(np.max(np.abs(block - block.T))))
     checks = [
         CheckResult("analytic vs Taylor exponential evolution, n <= 12", worst_dev, 1e-9),
+        CheckResult("closed-form product amplitudes vs Taylor exponential, n <= 12",
+                    worst_product, 1e-11),
         CheckResult("spectrum equals normal-mode combinations", worst_spec, 1e-10),
         CheckResult("Hamiltonian block symmetry", worst_sym, 1e-14),
         CheckResult("exponential unitarity", worst_unit, 1e-12),

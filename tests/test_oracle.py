@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from oscswap import oracle
 from oscswap.core import CouplingParams, derive_mixing, unitarity_defect
 from oscswap.evolution import EvolutionOperator
 from oscswap.oracle import (
@@ -133,11 +135,71 @@ class TestExpmEvolution:
         for t, one in zip(ts, stack):
             assert np.max(np.abs(one - expm_evolution(block, t))) <= 1e-15
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_each_slice_of_a_hamiltonian_stack_equals_its_single_call(self, n, monkeypatch):
+        # three draws, each over its own grid: t = 0 (no squaring), a time
+        # short enough for none either, and times that need different counts
+        params = [CouplingParams(omega1=5.0, omega2=5.0, lam=1.5),
+                  CouplingParams(omega1=5.0, omega2=0.1, lam=0.05),
+                  CouplingParams(omega1=0.3, omega2=2.2, lam=0.7)]
+        ts = np.array([[0.0, 0.01, 3.3, 20.0], [0.0, 7.7, 0.2, 13.1], [19.9, 0.0, 1.0, 0.05]])
+        blocks = np.stack([build_block(p, n) for p in params])
+        stack = expm_evolution(blocks, ts)
+        assert stack.shape == (3, 4, n + 1, n + 1) and not stack.flags.writeable
+        for block, t, slices in zip(blocks, ts, stack):
+            assert np.array_equal(slices, expm_evolution(block, t))
+            for one_t, one in zip(t, slices):
+                assert np.array_equal(one, expm_evolution(block, one_t))
+        assert np.array_equal(stack[0, 0], np.eye(n + 1))  # t = 0
+        # one time per block gives one matrix per block
+        assert np.array_equal(expm_evolution(blocks, ts[:, 2]), stack[:, 2])
+        # split into slabs of one Hamiltonian each, the stack is the same
+        monkeypatch.setattr(oracle, "_SLAB_AMPLITUDES", 1)
+        assert np.array_equal(expm_evolution(blocks, ts), stack)
+
+    def test_stack_memory_is_its_output_plus_one_slab(self):
+        # the exponential works on a slab of whole Hamiltonians at a time, so its
+        # temporaries do not grow with the stack (unsplit, they were 10 outputs)
+        blocks = np.stack([build_block(CouplingParams(omega1=5.0, omega2=0.1, lam=1.5), 12)] * 60)
+        ts = np.linspace(0.0, 20.0, 60 * 20).reshape(60, 20)
+        tracemalloc.start()
+        try:
+            stack = expm_evolution(blocks, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes + 2**20
+
+    def test_squaring_counts_differ_within_a_stack(self):
+        # the slices are scaled by their own powers of two: t = 0 needs none,
+        # and the longest time needs more than the middle one
+        block = build_block(CouplingParams(omega1=5.0, omega2=0.1, lam=1.5), 12)
+        centred = block - np.trace(block) / 13 * np.eye(13)
+        norms = np.array([0.0, 0.3, 20.0]) * np.max(np.sum(np.abs(centred), axis=0))
+        counts = np.ceil(np.log2(np.maximum(2.0 * norms, 1.0)))
+        assert counts[0] == 0 and 0 < counts[1] < counts[2]
+        stack = expm_evolution(block[np.newaxis], [[0.0, 0.3, 20.0]])
+        for t, one in zip((0.0, 0.3, 20.0), stack[0]):
+            assert np.array_equal(one, expm_evolution(block, t))
+
+    def test_rejects_times_that_do_not_fit_the_stack(self, detuned):
+        blocks = np.stack([build_block(detuned, 2)] * 3)
+        for t in (np.zeros(2), np.zeros((2, 4)), np.zeros((3, 4, 1)), 0.5):
+            with pytest.raises(ValueError, match="do not fit"):
+                expm_evolution(blocks, t)
+        with pytest.raises(ValueError, match="do not fit"):
+            expm_evolution(blocks[0], np.zeros((3, 4)))
+
     def test_scalar_time_gives_a_read_only_complex_matrix(self, detuned):
         for t in (0.7, np.float64(0.7), np.array(0.7)):
             u = expm_evolution(build_block(detuned, 3), t)
             assert type(u) is np.ndarray and u.shape == (4, 4) and u.dtype == np.complex128
             assert not u.flags.writeable
+
+    def test_no_times_give_an_empty_stack(self, detuned):
+        block = build_block(detuned, 3)
+        assert expm_evolution(block, []).shape == (0, 4, 4)
+        assert expm_evolution(np.stack([block] * 2), np.zeros((2, 0))).shape == (2, 0, 4, 4)
 
     def test_rejects_infinite_time(self, detuned):
         with pytest.raises(ValueError, match="finite"):
@@ -209,6 +271,20 @@ class TestCompareToAnalytic:
             for n in range(13):
                 deviation, defect = compare_to_analytic(params, n, t_grid)
                 assert deviation < 1e-9 and defect < 1e-12
+
+    def test_several_draws_give_the_worst_of_their_single_calls(self):
+        rng = np.random.default_rng(41)
+        params = [
+            CouplingParams(omega1=rng.uniform(0.1, 5.0), omega2=rng.uniform(0.1, 5.0),
+                           lam=rng.uniform(0.05, 1.5))
+            for _ in range(4)
+        ]
+        grids = rng.uniform(0.0, 20.0, size=(4, 6))
+        for n in (0, 3, 12):
+            singles = [compare_to_analytic(p, n, t) for p, t in zip(params, grids)]
+            assert compare_to_analytic(params, n, grids) == (
+                max(dev for dev, _ in singles), max(defect for _, defect in singles)
+            )
 
     def test_rejects_empty_grid(self, resonant):
         with pytest.raises(ValueError):

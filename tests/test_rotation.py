@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscswap import rotation, suites
 from oscswap.core import derive_mixing, unitarity_defect
 from oscswap.oracle import expm_evolution
-from oscswap.rotation import u_minus_s_block, us_block, us_element, verify_recursions
+from oscswap.rotation import (
+    u_minus_s_block,
+    us_block,
+    us_blocks,
+    us_element,
+    verify_recursions,
+)
 from oscswap.suites import verify_suite
 from conftest import mixing_for_detuning, mp_element
 
@@ -201,13 +208,36 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    def test_rotation_suite_builds_each_block_once(self):
-        # 7 detunings x blocks 0..30, no block twice: u_minus_s_block and the
-        # one us_element call for both rows read each block from the cache
+    def test_rotation_suite_builds_each_block_once(self, monkeypatch):
+        # 7 detunings x blocks 0..30, no block twice: one stacked build per n
+        # holds all 7 detunings, and no single block is built besides
+        calls = []
+
+        def counting(mixes, n_total):
+            calls.append([(mix, n_total) for mix in mixes])
+            return us_blocks(mixes, n_total)
+
+        monkeypatch.setattr(rotation, "us_blocks", counting)  # us_block builds through it
+        monkeypatch.setattr(suites, "us_blocks", counting)
         us_block.cache_clear()
         verify_suite("rotation")
-        assert us_block.cache_info().misses == 7 * 31
-        assert us_block.cache_info().hits == 2 * 7 * 31
+        assert len(calls) == 31 and all(len(stack) == 7 for stack in calls)
+        built = [pair for stack in calls for pair in stack]
+        expected = {(mixing_for_detuning(x), n) for x in X_GRID for n in range(31)}
+        assert len(built) == 7 * 31 and set(built) == expected
+        assert us_block.cache_info().misses == 0
+
+    def test_stacked_blocks_equal_single_blocks(self):
+        # slice by slice the stacked sum is us_block's, up to n = 56 the loop's too
+        mixes = [mixing_for_detuning(x) for x in X_GRID]
+        for n in range(57):
+            stack = us_blocks(mixes, n)
+            assert stack.shape == (7, n + 1, n + 1) and stack.dtype == np.complex128
+            assert not stack.flags.writeable
+            for mix, block in zip(mixes, stack):
+                assert np.array_equal(block, us_block(mix, n))
+                if n in (0, 5, 30, 56):
+                    assert np.array_equal(block, looped_block(mix, n).astype(complex))
 
     def test_cache_never_serves_a_stale_block(self):
         # the cache holds one block; interleave two mixes at the same n
@@ -311,6 +341,18 @@ class TestRecursionResiduals:
             arbitrary = (rng.normal(size=(n, n)), rng.normal(size=(n + 1, n + 1)))
             for prev, cur in ((us_block(mix, n - 1), us_block(mix, n)), arbitrary):
                 assert verify_recursions(mix, prev, cur) == looped_ladder_residual(mix, prev, cur)
+
+    def test_stack_gives_the_largest_residual_of_its_pairs(self):
+        # the suite checks all detunings at once; on closed-form blocks and on
+        # arbitrary ones, a stack reads exactly the worst of its per-pair calls
+        mixes = [mixing_for_detuning(x) for x in X_GRID]
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 9, 30):
+            pairs = [(us_blocks(mixes, n - 1), us_blocks(mixes, n)),
+                     (rng.normal(size=(7, n, n)), rng.normal(size=(7, n + 1, n + 1)))]
+            for prev, cur in pairs:
+                singles = [verify_recursions(*one) for one in zip(mixes, prev, cur)]
+                assert verify_recursions(mixes, prev, cur) == max(singles)
 
     def test_one_shifted_element_is_detected(self):
         mix = mixing_for_detuning(0.5)
