@@ -4,8 +4,9 @@ Outputs are deterministic: identical scenarios produce byte-identical CSV
 files (17 significant digits, '.' decimal separator, '\\n' line endings on
 every platform). Each cell is what ``"%.17g" % value`` writes. Arrays of at
 least ``_ARRAY_MIN_CELLS`` cells are formatted by :func:`_cell_slots`,
-which computes the same digits with numpy and leaves to ``%`` only the cells
-it cannot prove; smaller arrays are formatted by ``%`` throughout. A
+which computes the same digits with numpy, builds each cell as a 32-byte row
+of four 64-bit words from a table of 4-digit groups, and leaves to ``%`` only
+the cells it cannot prove; smaller arrays are formatted by ``%`` throughout. A
 ``reduced_density`` row holds the Hermitian part of each mode's matrix, so
 each cell below a diagonal has the magnitude of its mirror above it: only
 the mirror is formatted, and the cell copies its digits and writes its own
@@ -60,21 +61,21 @@ def _fmt(value: float) -> str:
 
 
 # Below this many cells `%` is the faster writer: the array formatter costs
-# about 150-200 us per call plus 0.3 us per cell, `%` about 1 us per cell
-# (measured on a 2-vCPU x86-64 box: the two meet between 200 and 256 cells).
-_ARRAY_MIN_CELLS = 256
+# about 300 us per call plus 0.08 us per cell, `%` about 0.84 us per cell
+# (measured on a 2-vCPU x86-64 box: the two meet between 384 and 448 cells).
+_ARRAY_MIN_CELLS = 384
 _CHUNK_CELLS = 16384
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # 10**p is tabled as hi + lo for these p; a cell of decimal exponent k is
 # scaled by 10**(16 - k), and every product and split stays finite and normal
 _P_MIN, _P_MAX = -274, 299
 _K_MIN = 16 - _P_MAX
-# slots of a cell: sign, "0.000" prefix, 17 digits with the point among them,
-# "e+308" exponent, separator; an empty slot holds a zero byte
-_SLOTS = 30
-_AFFIX_SLOTS = np.r_[1:6, 24:29]
-_ONE_TO_17 = np.arange(1, 18, dtype=np.uint8)[:, None]
-_ZERO_TO_17 = np.arange(18, dtype=np.uint8)[:, None]
+# a cell is four little-endian 64-bit words: sign, "0.000" prefix, first digit
+# in byte 7 (or in 6, a point in 7); digits 2-17; the digit a point pushes
+# out, the "e+308" exponent, and the separator. Empty bytes hold zero.
+_SLOTS = 32
+_WORD = np.dtype("<u8")  # explicit, so that a big-endian host writes the same bytes
+_BYTE, _LAST_BYTE = np.uint64(8), np.uint64(56)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,25 +99,34 @@ def _powers() -> np.ndarray:
 
 
 @functools.cache
-def _affixes() -> tuple[np.ndarray, np.ndarray]:
-    """Per decimal exponent k: the prefix and exponent slots, and the digits before the point."""
-    ks = range(_K_MIN, 17 - _P_MIN)
-    affix = np.zeros((len(ks), 10), np.uint8)
-    lead = np.ones(len(ks), np.uint8)
-    for i, k in enumerate(ks):
-        text = f"{'':5}e{k:+03d}"  # %g writes k < -4 and k > 16 as exponents
+def _tables() -> tuple[np.ndarray, ...]:
+    """Per k - _K_MIN: the digits before the point. Per group g < 10**4: its
+    text f"{g:04d}" as the low and the high half of a word, and its trailing
+    zeros (4 for g = 0). Columns of two words: per k - _K_MIN, words 0 and 3
+    bare of sign and digits; per m < 18, the bytes of digits 2..m in words 1
+    and 2; per point after digit p < 17, the bytes before it, after it, and it."""
+    texts, leads = [], []
+    for k in range(_K_MIN, 17 - _P_MIN):
+        prefix, suffix, lead = "", f"e{k:+03d}", 1  # %g writes k < -4 and k > 16 as exponents
         if -4 <= k <= 16:
-            text, lead[i] = ("0." + "0" * (-k - 1), 0) if k < 0 else ("", k + 1)
-        affix[i] = np.frombuffer(text.ljust(10).replace(" ", "\0").encode(), np.uint8)
-    affix.setflags(write=False)
-    lead.setflags(write=False)
-    return affix, lead
+            prefix, suffix, lead = ("0." + "0" * (-k - 1), "", 0) if k < 0 else ("", "", k + 1)
+        texts.append(f"\0{prefix:\0<5}\0\0\0{suffix:\0<5}\0\0")
+        leads.append(lead)
+    g = np.arange(10**4)[:, None]
+    text = (g // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8).view("<u4")
+    zeros = (g % 10 ** np.arange(1, 5) == 0).sum(axis=1)
+    b, m, q = np.arange(16), np.arange(18)[:, None], np.arange(17)[:, None] - 1
+    rows = [np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 16),
+            (b + 2 <= m) * 0xFF, (b < q) * 0xFF, (b > q) * 0xFF, (b == q) * ord(".")]
+    words = (row.astype(np.uint8).view(_WORD).T.copy() for row in rows)
+    return np.array(leads, np.intp), text, text.astype(_WORD) << np.uint64(32), zeros, *words
 
 
 def _cell_slots(values: np.ndarray) -> np.ndarray:
-    """Each value as ``"%.17g" % value``, one row of ``_SLOTS`` bytes per
-    value: its sign in slot 0, the text of its magnitude after it and zero
-    bytes in the empty slots. The last slot is left for a separator.
+    """Each value as ``"%.17g" % value``, one row of ``_SLOTS`` bytes (four
+    64-bit words) per value: its sign in byte 0, the text of its magnitude
+    after it and zero bytes in the empty slots. The last byte is left for a
+    separator.
 
     The 17 digits are |value| * 10**(16 - k), k = floor(log10|value|),
     rounded to an integer. With 10**(16 - k) as hi + lo, Dekker's split
@@ -124,10 +134,9 @@ def _cell_slots(values: np.ndarray) -> np.ndarray:
     within about 1e-14 and rounds right unless its fraction lies within 1e-6
     of a half. Such near-ties, a k that log10 got one off (the scaled value
     then leaves [1e16, 1e17)), nonzero values outside the power table, inf
-    and nan are written by ``%``. Every slot after the sign depends only on
+    and nan are written by ``%``. Every byte after the sign depends only on
     |value|, so two values of one magnitude share them.
     """
-    n = len(values)
     a = np.abs(values)
     zero = a == 0
     fast = np.isfinite(a) & ~zero
@@ -152,30 +161,39 @@ def _cell_slots(values: np.ndarray) -> np.ndarray:
     mantissa[~fast] = 0
     k[~fast] = 0  # a zero is written as the digit 0 at k = 0; the rest of ~fast by `%`
 
-    # digits by halves below 10**9, where float floor division by 10 is exact
-    top = mantissa // 10**9
-    halves = np.stack([top, mantissa - top * 10**9]).astype(np.float64)
-    digits = np.zeros((19, n), np.uint8)  # a pad, the 17 digits, a pad
-    for j in range(8, -1, -1):
-        tens = np.floor(halves * 0.1)
-        np.subtract(halves, 10.0 * tens, out=digits[:18].reshape(2, 9, n)[:, j], casting="unsafe")
-        halves = tens
-    significant = (_ONE_TO_17 * (digits[1:18] != 0)).max(axis=0)
-    affix, lead = _affixes()
+    top = mantissa // 10**8
+    halves = np.stack([top, mantissa - top * 10**8]).astype(np.uint32)  # digits 1-9, 10-17
+    first = halves[0] // np.uint32(10**8)
+    halves[0] -= first * np.uint32(10**8)
+    fore = halves // np.uint32(10**4)
+    aft = halves - fore * np.uint32(10**4)  # the groups in order: fore[0], aft[0], fore[1], aft[1]
+    leads, text4, high_text4, zeros, affixes, kept, before, after, dot = _tables()
+    pair = text4.take(fore) | high_text4.take(aft)  # words 1 and 2: digits 2-17 as text
+    significant, rest = 17 - zeros.take(aft[1]), np.flatnonzero(aft[1] == 0)
+    for group in (fore[1], aft[0], fore[0]):  # it counts only where the groups after it are 0
+        significant[rest] -= zeros.take(group[rest])
+        rest = rest[group[rest] == 0]
     k -= _K_MIN
-    lead = lead.take(k)
-    digits[1:18] += np.uint8(ord("0"))
-    digits[1:18] *= _ONE_TO_17 <= np.maximum(significant, lead)  # zeros after the point go
-    # the point goes after `lead` digits when digits follow it; a cell with
-    # lead 0 has its point in the prefix
-    point = np.where((significant > lead) & (lead > 0), lead, np.uint8(18))
-    before = (_ZERO_TO_17 < point).view(np.uint8)
-    at = (_ZERO_TO_17 == point).view(np.uint8)
-    out = np.empty((n, _SLOTS), np.uint8)
+    lead = leads.take(k)
+    pair &= kept.take(np.maximum(significant, lead), axis=1)  # zeros after the point go
+    words = np.empty((len(values), 4), _WORD)
+    words[:, 0], words[:, 3] = affixes.take(k, axis=1)
+    out = words.view(np.uint8)
     out[:, 0] = _signs(values)
-    out[:, _AFFIX_SLOTS] = affix.take(k, axis=0)
-    out[:, 6:24] = (digits[1:] * before + digits[:-1] * (1 - before - at)
-                    + at * np.uint8(ord("."))).T
+    # the point goes after `lead` digits when digits follow it: in the prefix
+    # for lead 0, in byte 7 for lead 1 (the first digit moving to byte 6), and
+    # for more, it pushes the digits after it one byte up
+    point = lead * (significant > lead)
+    first += np.uint32(ord("0"))  # bytes 6-7: the digit and a point, or the digit in 7
+    out.view("<u2")[:, 3] = np.where(point == 1, first | np.uint32(ord(".") << 8),
+                                     first << np.uint32(8))
+    inside = np.flatnonzero(point > 1)
+    p, moved = point[inside], pair.take(inside, axis=1)
+    shifted = np.stack([moved[0] << _BYTE, moved[1] << _BYTE | moved[0] >> _LAST_BYTE])
+    pair[:, inside] = ((moved & before.take(p, axis=1)) | (shifted & after.take(p, axis=1))
+                       | dot.take(p, axis=1))
+    words[inside, 3] |= moved[1] >> _LAST_BYTE
+    words[:, 1], words[:, 2] = pair
     for i in np.flatnonzero(~fast & ~zero):
         text = ("%.17g" % abs(values[i])).encode()  # at most 23 bytes
         out[i, 1:] = 0
@@ -227,14 +245,15 @@ def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None):
         group = values[start:start + per_group]
         cells = group.reshape(-1)
         formatted = group[:, own].reshape(-1)
-        slots = np.concatenate([_cell_slots(formatted[i:i + _CHUNK_CELLS])
-                                for i in range(0, formatted.size, _CHUNK_CELLS)])
+        pieces = [_cell_slots(formatted[i:i + _CHUNK_CELLS])
+                  for i in range(0, formatted.size, _CHUNK_CELLS)]
+        slots = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         for i in range(0, cells.size, _CHUNK_CELLS):
             end = min(i + _CHUNK_CELLS, cells.size)
             out = slots[i:end]
             if len(own) < width:
                 piece, twin = cells[i:end], source[i:end]
-                out = slots.take(twin, axis=0)
+                out = slots.view(f"V{_SLOTS}").take(twin).view(np.uint8).reshape(-1, _SLOTS)
                 out[:, 0] = _signs(piece)
                 apart = np.flatnonzero(np.abs(piece) != np.abs(formatted.take(twin)))
                 if apart.size:

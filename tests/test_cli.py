@@ -878,6 +878,54 @@ def test_row_formatter_edge_cases():
     assert "1234567890123456.8,1234567890123456.2\n" in csv_text(rows)
 
 
+def exact_decimals(k, count, rng):
+    """Doubles whose %.17g text has ``count`` significant digits at decimal
+    exponent ``k``, and their negatives: the first to print so of 500 random
+    digit strings, and of 500 with zeros between their first and last digit.
+    Of one digit there are only 9 strings, and at some k none prints so."""
+    draws = rng.integers(0, 10, (2, 500, count))
+    draws[:, :, [0, -1]] = rng.integers(1, 10, (2, 500, 2))
+    draws[1, :, 1:-1] = 0
+    found = []
+    for strings in draws:
+        for digits in strings:
+            mantissa = "".join(map(str, digits))
+            value = float(f"{mantissa[0]}.{mantissa[1:]}e{k}")
+            if "%.16e" % value == f"{mantissa[0]}.{mantissa[1:]:0<16}e{k:+03d}":
+                found += [value, -value]
+                break
+    return found
+
+
+def test_row_formatter_matches_percent_at_every_exponent_and_digit_count():
+    # every point position (k = 0..15 with more than k + 1 digits), the last
+    # significant digit in each of the four groups of digits 2-17, zero
+    # groups between nonzero digits, and the prefix and exponent forms
+    rng = np.random.default_rng(22)
+    values, missing = [], []
+    for k in range(-6, 19):
+        for count in range(1, 18):
+            found = exact_decimals(k, count, rng)
+            values += found
+            if len(found) < 4:
+                missing.append((k, count, len(found)))
+    # no double prints as one digit times 1e-6 or 1e-5
+    assert missing == [(-6, 1, 0), (-5, 1, 0)]
+    values += [1.0000000000000002, 100000000.00000001, 10000000000000002.0,
+               1.0000000000000003e-5, 0.00012000000000000002, 9000000000000000.0]
+    assert_rows_match_percent(np.array(values).reshape(-1, 2))
+
+
+def test_digit_group_tables_match_their_text():
+    # each group g < 10**4 as its 4 ASCII digits, in the low and the high
+    # half of a little-endian word, and its trailing zeros
+    _, text4, high_text4, zeros, *_ = cli._tables()
+    groups = [f"{g:04d}" for g in range(10**4)]
+    assert text4.astype("<u4").tobytes() == "".join(groups).encode()
+    assert high_text4.astype("<u8").tobytes() == "".join("\0" * 4 + g for g in groups).encode()
+    assert zeros.tolist() == [len(g) - len(g.rstrip("0")) for g in groups]
+
+
 def test_time_grid_csvs_match_percent_reference(tmp_path, monkeypatch):
     # every CSV of an n_max 20 run with all four outputs, byte for byte the
     # % expression applied to the arrays the run formats
