@@ -5,6 +5,9 @@ With omega / lambda = 3 the superposition C0 |0> + C1 |1> is exchanged
 exactly at the first exchange time tau_0 = pi / (2 lambda), a few
 nanoseconds at omega ~ 1e9 rad/s. Prints the numbers and optionally
 writes the fidelity trace as CSV.
+
+The closed-form product-state functions (``exchange_fidelities`` here) take
+a normalized phi, as ``oscswap.core.product_amplitudes`` returns it.
 """
 
 import argparse
@@ -13,7 +16,7 @@ import math
 import numpy as np
 
 from oscswap.analysis import exchange_fidelities, exchange_fidelity, exchange_times
-from oscswap.core import CouplingParams, make_product_state
+from oscswap.core import CouplingParams, make_product_state, product_amplitudes
 from oscswap.evolution import EvolutionOperator
 
 
@@ -43,7 +46,7 @@ def main():
     if args.csv:
         ts = np.linspace(0.0, 2.0 * tau0, 401)
         rows = ["t,fidelity"]
-        for t, f in zip(ts, exchange_fidelities(state0, evo, ts)):
+        for t, f in zip(ts, exchange_fidelities(product_amplitudes(phi), evo, ts)):
             rows.append(f"{t:.17g},{f:.17g}")
         with open(args.csv, "w") as handle:
             handle.write("\n".join(rows) + "\n")

@@ -19,9 +19,13 @@ from .core import (
     TwoModeState,
     ZeroVectorError,
     _freeze,
-    make_product_state,
+    product_amplitudes,
 )
 from .evolution import EvolutionOperator
+
+# Not used here. perfbench/spans.py wraps the name analysis.make_product_state,
+# so it stays importable until the benchmark's trace list changes.
+from .core import make_product_state  # noqa: F401
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -162,14 +166,13 @@ def exchange_fidelity(state_t: TwoModeState, target_phi: Sequence[complex]) -> f
 
 
 def exchange_fidelities(
-    state0: TwoModeState, evo: EvolutionOperator, ts: Sequence[float] | np.ndarray
+    phi: np.ndarray, evo: EvolutionOperator, ts: Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """:func:`exchange_fidelity` of the product state |phi> (x) |0> evolved
-    to every time in ``ts``, with phi as its own target, in closed form:
-    |sum_n p_n T^n|^2 with p_n = |phi_n|^2 and T the single-quantum
-    transfer amplitude. Costs O(n_max) per time and builds no table.
+    """:func:`exchange_fidelity` of the product state |phi> (x) |0>, ``phi``
+    normalized, evolved to every time in ``ts`` with phi as its own target,
+    in closed form: |sum_n p_n T^n|^2 with p_n = |phi_n|^2 and T the
+    single-quantum transfer amplitude. Costs O(n_max) per time, no table.
     """
-    phi = _product_amplitudes(state0)
     return np.concatenate([
         _clip_fidelities(np.abs(hops @ np.abs(phi) ** 2) ** 2)
         for _, hops in evo.product_hops(phi, ts)
@@ -202,24 +205,23 @@ def complete_exchange_ratio(level: int, turns: int) -> float:
 
 
 def verify_statistics_exchange(
-    state0: TwoModeState, evo: EvolutionOperator, t: float
+    phi: np.ndarray, evo: EvolutionOperator, t: float
 ) -> ExchangeReport:
-    """Evolve a product state |phi> (x) |0> to time t and grade the exchange:
-    the one-time case of :func:`statistics_exchanges`."""
-    fid, stats, defect = statistics_exchanges(state0, evo, [t])[0].tolist()
+    """Evolve the product state |phi> (x) |0>, ``phi`` normalized, to time t
+    and grade the exchange: the one-time case of :func:`statistics_exchanges`."""
+    fid, stats, defect = statistics_exchanges(phi, evo, [t])[0].tolist()
     return ExchangeReport(
         time=t, fidelity_exchange=fid, statistics_match=stats, phase_defect=defect
     )
 
 
 def statistics_exchanges(
-    state0: TwoModeState,
-    evo: EvolutionOperator,
-    ts: Sequence[float] | np.ndarray,
+    phi: np.ndarray, evo: EvolutionOperator, ts: Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """Grade the exchange of a product state |phi> (x) |0> at every time in
-    ``ts``, in closed form: the amplitude on |0, n> is phi_n T^n. Row k is
-    (fidelity_exchange, statistics_match, phase_defect) at ``ts[k]``.
+    """Grade the exchange of the product state |phi> (x) |0>, ``phi``
+    normalized, at every time in ``ts``, in closed form: the amplitude on
+    |0, n> is phi_n T^n. Row k is (fidelity_exchange, statistics_match,
+    phase_defect) at ``ts[k]``.
 
     statistics_match is the worst mismatch of the moduli |phi_n T^n| and
     |phi_n|; it vanishes at every exchange time on resonance. phase_defect
@@ -230,7 +232,6 @@ def statistics_exchanges(
     construction, so phase_defect is a rounding-level consistency figure;
     the exchange suite compares all three grades with eigen-path tables.
     """
-    phi = _product_amplitudes(state0)
     return np.concatenate([
         grade_exchanges(phi, phi * hops, evo.transfer_amplitude(1, times))
         for times, hops in evo.product_hops(phi, ts)
@@ -267,9 +268,9 @@ def find_exchange_time(
 ) -> tuple[float, float]:
     """Numerically locate the time of maximal exchange fidelity in a window.
 
-    Coarse grid scan, then a zoom. The coarse step is
-    :func:`coarse_scan_step`, or 1/200 of the window in the decoupled
-    limit; a step that underflows to 0 raises ``ValueError``. The zoom
+    ``phi`` is normalized by :func:`~oscswap.core.product_amplitudes`. Coarse
+    grid scan, then a zoom. The coarse step is :func:`coarse_scan_step`, or
+    1/200 of the window in the decoupled limit; a step that underflows to 0 raises ``ValueError``. The zoom
     evaluates the two grid steps around the best point again on a grid of
     65 times, six times over, which narrows the bracket below 1e-9 of its
     starting width. Every grid is evaluated in closed form, in
@@ -291,7 +292,7 @@ def find_exchange_time(
     if not step > 0.0:
         raise ValueError(f"need a coarse step > 0, got {step!r}")
     steps = max(3, int(math.ceil((t_end - t_start) / step)) + 1)
-    target = _product_amplitudes(make_product_state(phi))  # phi, normalized
+    target = product_amplitudes(phi)
     weights = np.abs(target) ** 2
     levels = np.arange(1, len(target))
 
@@ -334,9 +335,3 @@ def __getattr__(name: str):
         return optimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def _product_amplitudes(state: TwoModeState) -> np.ndarray:
-    """Mode-1 amplitudes of a |phi> (x) |0> state; rejects anything else."""
-    if state.table[:, 1:].any():
-        raise ValueError("state is not of product form |phi> (x) |0>")
-    return state.table[:, 0]

@@ -37,7 +37,6 @@ from .core import (
     DecoupledSystemError,
     NumericalIntegrityError,
     TruncationTooSmallError,
-    TwoModeState,
     ZeroVectorError,
 )
 from .evolution import EvolutionOperator, _chunks
@@ -317,13 +316,13 @@ def _hermitian_twins(dim: int) -> np.ndarray:
     return np.r_[0, 1 + np.minimum(cells, cells.swapaxes(1, 2)).ravel()]
 
 
-def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
-                   phi: np.ndarray, csvs: _CsvFiles) -> tuple[float, float, list[str]]:
+def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
+                   csvs: _CsvFiles) -> tuple[float, float, list[str]]:
     sched = scenario.schedule
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
     dim = scenario.n_max + 1
     occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
-    fidelities = analysis.exchange_fidelities(state0, evo, ts)
+    fidelities = analysis.exchange_fidelities(phi, evo, ts)
     names = [name for name in scenario.outputs if name != "report"]
     for name in names:
         csvs.open(name, csv_header(name, scenario.n_max, occupied))
@@ -335,12 +334,11 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeSt
             profile = analysis.transfer_probability(evo.mix, scenario.params.lam, levels,
                                                     times[:, np.newaxis])
             csvs.write("transfer_profile", np.column_stack([times, profile]))
-    column = state0.table[:, 0]  # phi, normalized and padded to n_max + 1
     # amplitude tables only for the densities
     densities = [name for name in names if name in ("number_distribution", "reduced_density")]
     if densities:
         twins = {"reduced_density": _hermitian_twins(dim)}
-        for times, tables in evo.product_grid(column, ts):
+        for times, tables in evo.product_grid(phi, ts):
             # each row: t, then mode 1's columns, then mode 2's, filled in place
             rows = {name: np.empty((len(times), csv_width(name, scenario.n_max, ())))
                     for name in densities}
@@ -368,21 +366,23 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeSt
         f"t_at_max: {_fmt(t_best)}",
     ]
     if "report" in scenario.outputs:
-        final_norm = evo.product_norms(column, ts[-1:])[0]
+        final_norm = evo.product_norms(phi, ts[-1:])[0]
         lines.append(f"final_norm: {_fmt(final_norm)}")
     return best_f, t_best, lines
 
 
-def _run_exchange_scan(scenario: Scenario, evo: EvolutionOperator, state0: TwoModeState,
-                       phi: np.ndarray, csvs: _CsvFiles) -> tuple[float, float, list[str]]:
+def _run_exchange_scan(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
+                       csvs: _CsvFiles) -> tuple[float, float, list[str]]:
     taus = analysis.exchange_times(evo.mix, scenario.params.lam, scenario.schedule.k_max)
-    grades = analysis.statistics_exchanges(state0, evo, taus)
+    grades = analysis.statistics_exchanges(phi, evo, taus)
     csvs.open("exchange_scan", ["k", "tau", "fidelity", "statistics_match", "phase_defect"])
     csvs.write("exchange_scan", np.column_stack([np.arange(len(taus)), taus, grades]))
     candidates = list(zip(taus, grades[:, 0].tolist()))
 
     window_end = taus[-1] + taus[0]  # half an exchange period past the last tau_k
-    t_scan, f_scan = analysis.find_exchange_time(evo, phi, 0.0, window_end)
+    # the scan normalizes phi again, over the given entries only: padding reorders the norm's sum
+    given = scenario.initial.support[0] + 1
+    t_scan, f_scan = analysis.find_exchange_time(evo, phi[:given], 0.0, window_end)
     candidates.append((t_scan, f_scan))
     best_f = max(f for _, f in candidates)
     # near-ties resolve to the earliest candidate; closed-form times come first
@@ -417,13 +417,13 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> int:
     if kind == "verify":
         return _run_suite(scenario.schedule.suite, out_dir=out_dir)
     evo = EvolutionOperator(scenario.params)
-    state0, phi, discarded = build_initial_state(scenario)
+    phi, discarded = build_initial_state(scenario)
     coherent = scenario.initial.kind == "coherent"
     if coherent:
         print(f"coherent_tail_discarded={_fmt(discarded)}")
     run = _run_time_grid if kind == "time_grid" else _run_exchange_scan
     with _CsvFiles(out_dir) as csvs:
-        best_f, t_best, lines = run(scenario, evo, state0, phi, csvs)
+        best_f, t_best, lines = run(scenario, evo, phi, csvs)
     if "report" in scenario.outputs:
         lines = [f"schedule: {kind}", *_echo_lines(scenario, evo), *lines]
         if coherent:

@@ -188,12 +188,17 @@ def norm(state: TwoModeState) -> float:
     return float(np.linalg.norm(state.table))
 
 
-def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoModeState:
-    """The product state |phi> (x) |0>: mode 1 in sum_n phi[n] |n>, mode 2 in vacuum.
+def product_amplitudes(phi: Sequence[complex], n_max: int | None = None) -> np.ndarray:
+    """Mode-1 amplitudes of the product state |phi> (x) |0>: ``phi``
+    normalized over every entry given, cut at its support and zero-padded
+    to ``n_max + 1`` entries. The support is the highest index with a
+    nonzero entry; ``n_max`` defaults to it and must not be smaller.
 
-    ``phi`` is normalized on input. Its support is the highest index with a
-    nonzero entry; ``n_max`` defaults to that support and must not be
-    smaller.
+    ``phi`` is first scaled by the power of two that brings its largest
+    real or imaginary part into [0.5, 1), so the norm neither overflows
+    (entries above about 1e154) nor underflows (below about 1e-154). That
+    scaling is exact for every entry it leaves in the normal range, so
+    there the result equals the plain division bit for bit.
     """
     amps = np.asarray(list(phi), dtype=np.complex128)
     if amps.ndim != 1:
@@ -208,25 +213,21 @@ def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoM
         raise TruncationTooSmallError(
             f"phi has support on n = {support} but the truncation is n_max = {n_max}"
         )
-    amps = _normalized(amps)
-    table = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-    table[: support + 1, 0] = amps[: support + 1]
-    return TwoModeState(table)
-
-
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    """``amps / ||amps||`` for a nonzero contiguous complex array.
-
-    The array is first scaled by the power of two that brings its largest
-    real or imaginary part into [0.5, 1), so the norm neither overflows
-    (entries above about 1e154) nor underflows (below about 1e-154). That
-    scaling is exact for every entry it leaves in the normal range, so
-    there the result equals the plain division bit for bit.
-    """
     parts = amps.view(np.float64)  # real and imaginary parts, interleaved
     exponent = math.frexp(float(np.max(np.abs(parts))))[1]
     scaled = np.ldexp(parts, -exponent).view(np.complex128)
-    return scaled / np.linalg.norm(scaled)
+    column = np.zeros(n_max + 1, dtype=np.complex128)
+    column[: support + 1] = scaled[: support + 1] / np.linalg.norm(scaled)
+    return column
+
+
+def make_product_state(phi: Sequence[complex], n_max: int | None = None) -> TwoModeState:
+    """The product state |phi> (x) |0> as a table: :func:`product_amplitudes`
+    in its first column, mode 2 in vacuum."""
+    column = product_amplitudes(phi, n_max)
+    table = np.zeros((len(column), len(column)), dtype=np.complex128)
+    table[:, 0] = column
+    return TwoModeState(table)
 
 
 def annihilation_expectation(state: TwoModeState, mode: int) -> complex:

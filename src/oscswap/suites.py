@@ -264,7 +264,7 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
     for _ in range(20):
         phi = _random_phi(rng, rng.integers(1, 7))
         state0 = make_product_state(phi)
-        report = analysis.verify_statistics_exchange(state0, evo, tau0)
+        report = analysis.verify_statistics_exchange(state0.table[:, 0], evo, tau0)
         worst_stats = max(worst_stats, report.statistics_match)
         rho1_initial = analysis.reduce(state0, 1)
         rho2_final = analysis.reduce(evo.evolve(state0, tau0), 2)
@@ -282,7 +282,7 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         phi = state0.table[:, 0]
         (_, tables), = evo_g.evolve_grid(state0, ts)
         eigen = analysis.grade_exchanges(phi, tables[:, 0, :], evo_g.transfer_amplitude(1, ts))
-        closed = analysis.statistics_exchanges(state0, evo_g, ts)
+        closed = analysis.statistics_exchanges(phi, evo_g, ts)
         worst_grades = max(worst_grades, float(np.max(np.abs(closed - eigen))))
 
     worst_exact = 0.0

@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from oscswap import cli
 from oscswap.cli import _csv_rows, _fmt, main
-from oscswap.core import CouplingParams, derive_mixing
+from oscswap.core import CouplingParams, TwoModeState, derive_mixing
 from oscswap.scenario import ScenarioError, load_scenario, parse_scenario
 from conftest import mp_exchange_fidelity
 
@@ -217,20 +217,29 @@ outputs: [fidelity]
         _, rows = read_csv(out / "fidelity.csv")
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-15)  # the state is its own target at t = 0
 
-    @pytest.mark.parametrize("alpha", ["1.0e+160", "[0.0, 1.0e+200]"], ids=["real", "imaginary"])
-    def test_huge_coherent_alpha_names_the_field(self, tmp_path, capsys, alpha):
-        # |alpha|**2 overflows a double
+    @pytest.mark.parametrize(
+        "alpha, field, message",
+        [
+            ("1.0e+160", "initial.alpha", "|alpha|**2 overflows a double"),
+            ("[0.0, 1.0e+200]", "initial.alpha", "|alpha|**2 overflows a double"),
+            # every kept weight underflows to 0; the tail, 1, is below the threshold 2
+            ("1000", "initial", "phi has zero norm and cannot be normalized"),
+        ],
+        ids=["real", "imaginary", "zero-norm"],
+    )
+    def test_huge_coherent_alpha_names_the_field(self, tmp_path, capsys, alpha, field, message):
         scenario = write_scenario(
             tmp_path,
             f"""\
 params: {{omega1: 1.0, omega2: 1.0, lambda: 0.5}}
 initial: {{kind: coherent, alpha: {alpha}, truncation: 10}}
+coherent_tail_threshold: 2
 schedule: {{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}}
 outputs: [fidelity]
 """,
         )
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
-        assert 'scenario field "initial.alpha"' in capsys.readouterr().err
+        assert f'error: scenario field "{field}": {message}' in capsys.readouterr().err
 
     @pytest.mark.parametrize("initial, field, message", BAD_AMPLITUDES, ids=BAD_AMPLITUDE_IDS)
     def test_bad_amplitude_names_the_field(self, tmp_path, capsys, initial, field, message):
@@ -276,11 +285,9 @@ outputs: [report]
 
     def test_numerical_breach_exits_three(self, tmp_path, monkeypatch):
         import oscswap.cli as cli_module
-        from oscswap.core import TwoModeState
 
         def broken_initial(scenario):
-            table = np.array([[2.0, 0.0], [0.0, 0.0]])
-            return TwoModeState(table), np.array([1.0, 0.0]), 0.0
+            return np.array([2.0, 0.0]), 0.0  # not normalized
 
         monkeypatch.setattr(cli_module, "build_initial_state", broken_initial)
         scenario = write_scenario(
@@ -1055,32 +1062,68 @@ outputs: [reduced_density]
     assert peak < size / 3, f"traced peak {peak} bytes for a CSV of {size} bytes"
 
 
-def test_final_norm_builds_no_table(tmp_path, monkeypatch):
-    # at n_max 1000 one amplitude table is 16 MB; the report's final norm is
-    # the closed form sqrt(sum_n |phi_n|^2 (|S|^2 + |T|^2)^n), O(n_max)
-    scenario = load_scenario(write_scenario(
-        tmp_path,
-        """\
-params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
-initial: {kind: fock, n: 1000}
-schedule: {kind: time_grid, t_start: 0.0, t_end: 10.0, steps: 5}
-outputs: [fidelity, report]
-""",
-    ))
-    initial = cli.build_initial_state(scenario)  # its own table is built before tracing
-    monkeypatch.setattr(cli, "build_initial_state", lambda _: initial)
-    out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.run_scenario(scenario, out) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_final_norm_builds_no_table(tmp_path):
+    # at n_max 1000 one amplitude table is 16 MB. The run carries phi alone:
+    # the report's final norm is the closed form
+    # sqrt(sum_n |phi_n|^2 (|S|^2 + |T|^2)^n), and an exchange scan grades
+    # the amplitudes phi_n T^n, both O(n_max) per time
     table = 1001**2 * np.dtype(np.complex128).itemsize
-    assert peak < table / 4, f"traced peak {peak} bytes against a {table}-byte table"
-    final_norm = float((out / "report.txt").read_text().split("final_norm: ")[1].split()[0])
+    flat = ", ".join(["1.0"] * 1001)
+    cases = [
+        ("initial: {kind: fock, n: 1000}\n"
+         "schedule: {kind: time_grid, t_start: 0.0, t_end: 10.0, steps: 5}\n"
+         "outputs: [fidelity, report]\n", 2**20),
+        (f"initial: {{kind: amplitudes, values: [{flat}]}}\n"
+         "schedule: {kind: exchange_scan, k_max: 3}\noutputs: [report]\n", table),
+    ]
+    for i, (body, limit) in enumerate(cases):
+        scenario = load_scenario(write_scenario(
+            tmp_path, "params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}\n" + body, f"{i}.yaml"))
+        tracemalloc.start()  # the initial state is built inside
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run_scenario(scenario, tmp_path / f"out{i}") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"traced peak {peak} bytes above {limit} for case {i}"
+    report = (tmp_path / "out0" / "report.txt").read_text()
+    final_norm = float(report.split("final_norm: ")[1].split()[0])
     assert final_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_runs_build_no_two_mode_state(tmp_path, monkeypatch):
+    # a run carries phi alone; the densities come from plain arrays of tables
+    def refuse(self):
+        raise AssertionError("a TwoModeState was built on the run path")
+
+    monkeypatch.setattr(TwoModeState, "__post_init__", refuse)
+    five = FOCK_GRID.replace("outputs: [", "outputs: [reduced_density, ")
+    for i, text in enumerate([five, QUBIT_SCAN]):
+        scenario = write_scenario(tmp_path, text, f"{i}.yaml")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(scenario), "--out", str(tmp_path / f"out{i}")]) == 0
+    assert len(list((tmp_path / "out0").glob("*.csv"))) == 4
+
+
+def test_scan_does_not_depend_on_n_max(tmp_path):
+    # find_exchange_time normalizes phi again, over the entries the scenario
+    # gives; over phi padded to n_max + 1 the norm's sum would run in another
+    # order, which moves the last digits of these amplitudes' scan
+    values = ("[[-0.3996743969219966, -0.3171435340207458],"
+              " [0.5454553063164224, -0.6300071469626134]]")
+    scans = []
+    for i, n_max in enumerate(["", "n_max: 34\n"]):
+        scenario = write_scenario(tmp_path, (
+            "params: {omega1: 1.3, omega2: 0.9, lambda: 0.4}\n"
+            f"initial: {{kind: amplitudes, values: {values}}}\n{n_max}"
+            "schedule: {kind: exchange_scan, k_max: 4}\noutputs: [report]\n"), f"{i}.yaml")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(scenario), "--out", str(tmp_path / f"out{i}")]) == 0
+        lines = (tmp_path / f"out{i}" / "report.txt").read_text().splitlines()
+        scans.append([line for line in lines if line.startswith("numerical_scan")])
+    assert len(scans[0]) == 2
+    assert scans[0] == scans[1]
 
 
 @pytest.mark.parametrize("off", [-1.0, 1.0])

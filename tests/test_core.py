@@ -16,6 +16,7 @@ from oscswap.core import (
     derive_mixing,
     make_product_state,
     norm,
+    product_amplitudes,
 )
 from conftest import mixing_for_detuning
 
@@ -180,16 +181,49 @@ class TestMakeProductState:
         assert state.table[1, 0] == 0
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVectorError):
-            make_product_state([0.0, 0.0])
+        for phi in ([0.0, 0.0], [0.0, -0.0]):
+            for build in (make_product_state, product_amplitudes):
+                with pytest.raises(ZeroVectorError, match="zero norm"):
+                    build(phi)
 
     def test_truncation_too_small(self):
-        with pytest.raises(TruncationTooSmallError):
-            make_product_state([0.0, 1.0], n_max=0)
+        for build in (make_product_state, product_amplitudes):
+            with pytest.raises(TruncationTooSmallError, match="n = 1 but .* n_max = 0"):
+                build([0.0, 1.0], n_max=0)
+
+    def test_rejects_a_two_dimensional_phi(self):
+        for build in (make_product_state, product_amplitudes):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                build([[0.6], [0.8]])
 
     def test_trailing_zeros_do_not_count_as_support(self):
         state = make_product_state([1.0, 1.0, 0.0, 0.0], n_max=1)
         assert state.n_max == 1
+
+    @pytest.mark.parametrize(
+        "phi, n_max",
+        [
+            ([1.0], None),
+            ([0.6, 0.0, 0.0, 0.8], 6),
+            ([1.0, 1.0, -0.0, -0.0], 1),  # trailing -0.0 entries are no support
+            ([0.6, [0.0, -0.0], 0.8, -0.0], None),
+            ([-0.0, 1j, complex(0.0, -0.0)], 4),
+            ([3e-310, 1e-310j, 0.0], 2),  # subnormal: the plain norm would underflow
+            ([1e200, -3e160j, 0.5], None),  # above 1e154: the plain norm would overflow
+        ],
+        ids=["vacuum", "padded", "trailing-minus-zero", "minus-zero-inside",
+             "minus-zero-lead", "subnormal", "huge"],
+    )
+    def test_amplitudes_are_the_table_column_bit_for_bit(self, phi, n_max):
+        phi = [complex(*v) if isinstance(v, list) else v for v in phi]
+        column = product_amplitudes(phi, n_max)
+        table = make_product_state(phi, n_max).table
+        assert column.shape == (table.shape[0],)
+        assert column.tobytes() == table[:, 0].tobytes()  # signs of zeros included
+        assert not table[:, 1:].any()
+        assert np.linalg.norm(column) == pytest.approx(1.0, abs=1e-15)
+        support = np.flatnonzero(np.asarray(phi, dtype=complex))[-1]
+        assert not np.signbit(column[support + 1:].view(np.float64)).any()  # padded with +0
 
     def test_huge_amplitudes_normalize_like_unit_ones(self):
         # the plain norm of [1e200, 1e200] overflows

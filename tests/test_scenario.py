@@ -119,7 +119,7 @@ class TestCoherentState:
             initial={"kind": "coherent", "alpha": alpha, "truncation": truncation},
             coherent_tail_threshold=1.0,
         )
-        _, phi, discarded = build_initial_state(parse_scenario(raw))
+        phi, discarded = build_initial_state(parse_scenario(raw))
         assert phi.shape == (truncation + 1,)
         assert np.all(np.isfinite(phi))
         assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
@@ -154,7 +154,7 @@ class TestCoherentState:
                          "truncation": truncation},
                 coherent_tail_threshold=1e300,
             )
-            discarded = build_initial_state(parse_scenario(raw))[2]
+            discarded = build_initial_state(parse_scenario(raw))[1]
             with mpmath.workdps(40):
                 exact = float(mpmath.gammainc(truncation + 1, 0, math.sqrt(mean) ** 2,
                                               regularized=True))
@@ -166,7 +166,7 @@ class TestCoherentState:
     def test_amplitudes_follow_alpha_power_over_root_factorial(self):
         alpha = complex(0.8, 0.3)
         raw = raw_scenario(initial={"kind": "coherent", "alpha": [0.8, 0.3], "truncation": 20})
-        _, phi, _ = build_initial_state(parse_scenario(raw))
+        phi, _ = build_initial_state(parse_scenario(raw))
         expected = np.array([alpha**n / math.sqrt(math.factorial(n)) for n in range(21)])
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(phi, expected, rtol=1e-14)
