@@ -17,7 +17,6 @@ from .core import (
     MixingParams,
     NumericalIntegrityError,
     TwoModeState,
-    ZeroVectorError,
     _freeze,
     product_amplitudes,
 )
@@ -153,15 +152,14 @@ def exchange_fidelity(state_t: TwoModeState, target_phi: Sequence[complex]) -> f
     """Squared overlap of the state with |0> (x) |phi|.
 
     Global-phase invariant: equals 1 iff the state is |0> (x) |phi> up to
-    an overall phase. ``target_phi`` is normalized on input.
+    an overall phase. ``target_phi`` is normalized on input by
+    :func:`oscswap.core.product_amplitudes`, so that neither tiny nor huge
+    entries lose it; entries beyond the state's n_max are dropped after.
     """
-    phi = np.asarray(list(target_phi), dtype=np.complex128)
-    total = np.linalg.norm(phi)
-    if total == 0.0:
-        raise ZeroVectorError("target_phi has zero norm")
+    phi = product_amplitudes(target_phi)
     top = min(len(phi), state_t.n_max + 1)
     # the overlap from the amplitudes on |0, n>
-    overlap = state_t.table[:1, :top] @ np.conj(phi[:top] / total)
+    overlap = state_t.table[:1, :top] @ np.conj(phi[:top])
     return float(_clip_fidelities(np.abs(overlap) ** 2)[0])
 
 

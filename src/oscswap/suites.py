@@ -172,8 +172,10 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         )
         evo = EvolutionOperator(params)
         state = _random_state(rng, n_max=4)
-        for t in (0.0, 0.37, 2.2):
-            evolved = evo.evolve(state, t)
+        ts = (0.0, 0.37, 2.2)
+        (_, tables), = evo.evolve_grid(state, ts)
+        for t, table in zip(ts, tables):
+            evolved = TwoModeState(table)
             for mode in (1, 2):
                 heis = evo.heisenberg_mode_expectation(state, mode, t)
                 schro = annihilation_expectation(evolved, mode)
@@ -229,10 +231,10 @@ def _oracle_suite() -> tuple[list[CheckResult], list[str]]:
         worst_sym = max(
             worst_sym, float(np.max(np.abs(hamiltonians - hamiltonians.swapaxes(-1, -2))))
         )
+        worst_spec = max(worst_spec, oracle.spectrum_deviation(draws, hamiltonians))
         l = np.arange(n + 1)
-        for params, evo, t_grid, phi, product, taylor in zip(
-            draws, operators, t_grids, phis, products,
-            oracle.expm_evolution(hamiltonians, t_grids),
+        for evo, t_grid, phi, product, taylor in zip(
+            operators, t_grids, phis, products, oracle.expm_evolution(hamiltonians, t_grids)
         ):
             worst_dev = max(worst_dev, float(np.max(np.abs(evo.ut_block(n, t_grid) - taylor))))
             worst_unit = max(worst_unit, unitarity_defect(taylor))
@@ -240,7 +242,6 @@ def _oracle_suite() -> tuple[list[CheckResult], list[str]]:
             worst_product = max(worst_product, float(
                 np.max(np.abs(product[:, n - l, l] - phi[n] * taylor[:, l, 0]))
             ))
-            worst_spec = max(worst_spec, oracle.spectrum_deviation(params, n))
     checks = [
         CheckResult("analytic vs Taylor exponential evolution, n <= 12", worst_dev, 1e-9),
         CheckResult("closed-form product amplitudes vs Taylor exponential, n <= 12",
@@ -328,14 +329,14 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         for level in range(1, 6):
             phi = np.zeros(level + 1, dtype=complex)
             phi[level] = 1.0
-            state0 = make_product_state(phi)
-            for tau in taus:
-                fid = analysis.exchange_fidelity(evo_f.evolve(state0, tau), phi)
-                worst_fock = max(worst_fock, abs(1.0 - fid))
-            for t in printed:
-                fid = analysis.exchange_fidelity(evo_f.evolve(state0, t), phi)
-                if abs(1.0 - fid) > 1e-9:
-                    printed_all_exact = False
+            # the exchange times, then the printed instants, in one grid
+            (_, tables), = evo_f.evolve_grid(make_product_state(phi), taus + printed)
+            misses = [
+                abs(1.0 - analysis.exchange_fidelity(TwoModeState(table), phi)) for table in tables
+            ]
+            worst_fock = max(worst_fock, *misses[: len(taus)])
+            if max(misses[len(taus) :]) > 1e-9:
+                printed_all_exact = False
         strict_subset = all(any(abs(t - tau) < 1e-12 for tau in taus) for t in printed) and len(
             printed
         ) < len(taus)

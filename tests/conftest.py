@@ -7,6 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -120,3 +121,15 @@ def mp_element(x, n1, n2, m1, m2):
     """The finite sum in 50-digit arithmetic, rounded to a double."""
     with mpmath.workdps(50):
         return float(mp_rotation_element(x, n1, n2, m1, m2))
+
+
+def beam_splitter_generator(n_total):
+    """Anti-symmetric hop generator restricted to one block (oracle only)."""
+    k = np.zeros((n_total + 1, n_total + 1))
+    for l in range(n_total + 1):
+        n1, n2 = n_total - l, l
+        if n2 >= 1:
+            k[l - 1, l] += math.sqrt((n1 + 1) * n2)
+        if n1 >= 1:
+            k[l + 1, l] -= math.sqrt(n1 * (n2 + 1))
+    return k

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ class TestExchangeFidelity:
     def test_rejects_zero_target(self):
         with pytest.raises(ZeroVectorError):
             exchange_fidelity(make_product_state([1.0]), [0.0])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_tiny_and_huge_targets_score_as_their_direction(self, scale):
+        # the norm of [1e-170, 1e-170] underflows to 0 and that of
+        # [1e200, 1e200] overflows; the target is only a direction
+        state = TwoModeState([[0.6, 0.8], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fid = exchange_fidelity(state, [scale, scale])
+        assert fid == pytest.approx(exchange_fidelity(state, [1.0, 1.0]), abs=1e-15)
+        assert fid == pytest.approx(0.98, abs=1e-15)
+
+    def test_target_beyond_the_truncation_is_dropped_after_normalizing(self):
+        state = TwoModeState([[0.6, 0.8], [0.0, 0.0]])
+        # [1, 0, 1] / sqrt(2) cut to n_max = 1: |0.6 / sqrt(2)|^2
+        assert exchange_fidelity(state, [1.0, 0.0, 1.0]) == pytest.approx(0.18, abs=1e-15)
 
 
 class TestCompleteExchangeRatio:

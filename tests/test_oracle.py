@@ -18,6 +18,7 @@ from oscswap.oracle import (
     expm_evolution,
     spectrum_deviation,
 )
+from conftest import beam_splitter_generator
 
 
 NO_SCIPY_VERIFY = """
@@ -112,6 +113,17 @@ class TestExpmEvolution:
             exact = np.array(exact.tolist(), dtype=complex)
         assert np.max(np.abs(expm_evolution(block, t) - exact)) < 1e-12
 
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("t", [0.37, 71.0])
+    def test_complex_block_matches_mpmath_expm(self, n, t):
+        # i G for the real antisymmetric hop generator G: Hermitian, complex,
+        # and exp(-i (i G) t) = exp(G t) is a real rotation
+        block = 1j * beam_splitter_generator(n)
+        with mpmath.workdps(50):
+            exact = mpmath.expm(mpmath.mpc(0, -t) * mpmath.matrix(block.tolist()))
+            exact = np.array(exact.tolist(), dtype=complex)
+        assert np.max(np.abs(expm_evolution(block, t) - exact)) < 1e-12
+
     @pytest.mark.parametrize("omega1, omega2, lam", [(1.2, 0.8, 0.2), (5.0, 0.1, 1.5)])
     def test_two_by_two_closed_form(self, omega1, omega2, lam):
         # exp(-i H t) = e^{-i m t} (cos(w t) - i sin(w t) (H - m) / w), with m the
@@ -157,6 +169,17 @@ class TestExpmEvolution:
         monkeypatch.setattr(oracle, "_SLAB_AMPLITUDES", 1)
         assert np.array_equal(expm_evolution(blocks, ts), stack)
 
+    def test_each_slice_of_a_complex_stack_equals_its_single_call(self):
+        # complex Hamiltonians take the same route in their own dtype
+        blocks = np.stack([1j * beam_splitter_generator(6), 0.5j * beam_splitter_generator(6)])
+        ts = np.array([[0.0, 0.37, 71.0], [2.2, 0.0, 13.1]])
+        stack = expm_evolution(blocks, ts)
+        assert stack.shape == (2, 3, 7, 7) and not stack.flags.writeable
+        for block, t, slices in zip(blocks, ts, stack):
+            for one_t, one in zip(t, slices):
+                assert np.array_equal(one, expm_evolution(block, one_t))
+        assert np.array_equal(stack[0, 0], np.eye(7))
+
     def test_stack_memory_is_its_output_plus_one_slab(self):
         # the exponential works on a slab of whole Hamiltonians at a time, so its
         # temporaries do not grow with the stack (unsplit, they were 10 outputs)
@@ -170,13 +193,27 @@ class TestExpmEvolution:
             tracemalloc.stop()
         assert peak < stack.nbytes + 2**20
 
+    def test_stack_memory_counts_each_hamiltonians_powers(self):
+        # with one time each, the 29 powers of a Hamiltonian outweigh its output,
+        # so a slab sized by the outputs alone would hold megabytes of powers
+        blocks = np.stack([build_block(CouplingParams(omega1=5.0, omega2=0.1, lam=1.5), 12)] * 200)
+        ts = np.linspace(0.0, 20.0, 200).reshape(200, 1)
+        tracemalloc.start()
+        try:
+            stack = expm_evolution(blocks, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes + 2**20
+
     def test_squaring_counts_differ_within_a_stack(self):
-        # the slices are scaled by their own powers of two: t = 0 needs none,
-        # and the longest time needs more than the middle one
+        # H - mu is scaled by beta, the least power of two above its 1-norm, and
+        # each slice squared s times, the least s with |t| beta 2^-s < 2: t = 0
+        # needs none, and the longest time needs more than the middle one
         block = build_block(CouplingParams(omega1=5.0, omega2=0.1, lam=1.5), 12)
         centred = block - np.trace(block) / 13 * np.eye(13)
-        norms = np.array([0.0, 0.3, 20.0]) * np.max(np.sum(np.abs(centred), axis=0))
-        counts = np.ceil(np.log2(np.maximum(2.0 * norms, 1.0)))
+        beta = 2.0 ** math.floor(math.log2(np.max(np.sum(np.abs(centred), axis=0))) + 1)
+        counts = [max(0, math.floor(math.log2(t * beta))) if t else 0 for t in (0.0, 0.3, 20.0)]
         assert counts[0] == 0 and 0 < counts[1] < counts[2]
         stack = expm_evolution(block[np.newaxis], [[0.0, 0.3, 20.0]])
         for t, one in zip((0.0, 0.3, 20.0), stack[0]):
@@ -247,7 +284,23 @@ class TestSpectrumIdentity:
                 lam=rng.uniform(0.05, 1.5),
             )
             for n in range(13):
-                assert spectrum_deviation(params, n) < 1e-10
+                assert spectrum_deviation(params, build_block(params, n)) < 1e-10
+
+    def test_several_draws_give_the_worst_of_their_single_calls(self):
+        rng = np.random.default_rng(43)
+        params = [
+            CouplingParams(omega1=rng.uniform(0.1, 5.0), omega2=rng.uniform(0.1, 5.0),
+                           lam=rng.uniform(0.05, 1.5))
+            for _ in range(4)
+        ]
+        for n in (0, 3, 12):
+            blocks = np.stack([build_block(p, n) for p in params])
+            singles = [spectrum_deviation(p, block) for p, block in zip(params, blocks)]
+            assert spectrum_deviation(params, blocks) == max(singles)
+
+    def test_a_wrong_spectrum_is_seen(self, detuned):
+        block = build_block(detuned, 4)
+        assert spectrum_deviation(detuned, block + 1e-6 * np.eye(5)) > 0.5e-6
 
 
 class TestCompareToAnalytic:

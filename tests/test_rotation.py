@@ -16,7 +16,7 @@ from oscswap.rotation import (
     verify_recursions,
 )
 from oscswap.suites import verify_suite
-from conftest import mixing_for_detuning, mp_element
+from conftest import beam_splitter_generator, mixing_for_detuning, mp_element
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -48,18 +48,6 @@ def looped_block(mix, n):
         [[looped_element(mix.c, mix.s, n - r, r, n - col, col) for col in range(n + 1)]
          for r in range(n + 1)]
     )
-
-
-def beam_splitter_generator(n_total):
-    """Anti-symmetric hop generator restricted to one block (oracle only)."""
-    k = np.zeros((n_total + 1, n_total + 1))
-    for l in range(n_total + 1):
-        n1, n2 = n_total - l, l
-        if n2 >= 1:
-            k[l - 1, l] += math.sqrt((n1 + 1) * n2)
-        if n1 >= 1:
-            k[l + 1, l] -= math.sqrt(n1 * (n2 + 1))
-    return k
 
 
 class TestSingleElements:
