@@ -302,10 +302,13 @@ def find_exchange_time(
             dt = mix.half_splitting * times
             # |S|^2 as a sum of squares, and 1 - |T|^{2n} = 1 - (1 - |S|^2)^n
             stay = np.minimum(np.cos(dt) ** 2 + (mix.c**2 - mix.s**2) ** 2 * np.sin(dt) ** 2, 1.0)
+            hops -= overlap[:, np.newaxis]  # in place, and each array freed once read
+            spread = np.abs(hops)
+            del hops
             with np.errstate(divide="ignore"):
                 lost = -np.expm1(np.outer(np.log1p(-stay), levels))
-            spread = np.abs(hops - overlap[:, np.newaxis]) ** 2
-            leaks.append(lost @ weights[1:] + spread @ weights)
+            leaks.append(lost @ weights[1:] + (spread * spread) @ weights)
+            del spread, lost
             fids.append(_clip_fidelities(np.abs(overlap) ** 2))
         return np.concatenate(fids), np.concatenate(leaks)
 

@@ -45,7 +45,6 @@ from .scenario import (
     ScenarioError,
     build_initial_state,
     csv_header,
-    csv_width,
     load_scenario,
 )
 from .suites import UnknownSuiteError, verify_suite
@@ -320,7 +319,6 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
                    csvs: _CsvFiles) -> tuple[float, float, list[str]]:
     sched = scenario.schedule
     ts = np.linspace(sched.t_start, sched.t_end, sched.steps)
-    dim = scenario.n_max + 1
     occupied = [n for n in range(1, len(phi)) if phi[n] != 0]
     fidelities = analysis.exchange_fidelities(phi, evo, ts)
     names = [name for name in scenario.outputs if name != "report"]
@@ -334,27 +332,19 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
             profile = analysis.transfer_probability(evo.mix, scenario.params.lam, levels,
                                                     times[:, np.newaxis])
             csvs.write("transfer_profile", np.column_stack([times, profile]))
-    # amplitude tables only for the densities
-    densities = [name for name in names if name in ("number_distribution", "reduced_density")]
-    if densities:
-        twins = {"reduced_density": _hermitian_twins(dim)}
+    if "number_distribution" in names:
+        for times, p1, p2 in evo.product_populations(phi, ts):
+            csvs.write("number_distribution", np.column_stack([times, p1, p2]))
+    if "reduced_density" in names:
+        twins, width = _hermitian_twins(len(phi)), 2 * len(phi) ** 2
         for times, tables in evo.product_grid(phi, ts):
-            # each row: t, then mode 1's columns, then mode 2's, filled in place
-            rows = {name: np.empty((len(times), csv_width(name, scenario.n_max, ())))
-                    for name in densities}
-            for mode in (1, 2):
-                rho = analysis.reduced_densities(tables, mode)
-                parts = {
-                    "number_distribution": np.diagonal(rho, axis1=1, axis2=2).real,
-                    # row, column, then re and im side by side
-                    "reduced_density": rho.view(np.float64).reshape(len(times), -1),
-                }
-                for name in densities:
-                    width = parts[name].shape[1]
-                    rows[name][:, 1 + (mode - 1) * width:1 + mode * width] = parts[name]
-            for name in densities:
-                rows[name][:, 0] = times
-                csvs.write(name, rows[name], twins.get(name))
+            # each row: t, then mode 1's matrix, then mode 2's, filled in place
+            rows = np.empty((len(times), 1 + 2 * width))
+            rows[:, 0] = times
+            for mode in (1, 2):  # row, column, then re and im side by side
+                rho = analysis.reduced_densities(tables, mode).view(np.float64)
+                rows[:, 1 + (mode - 1) * width:1 + mode * width] = rho.reshape(len(times), -1)
+            csvs.write("reduced_density", rows, twins)
 
     best = int(np.argmax(fidelities))
     best_f, t_best = fidelities[best], float(ts[best])

@@ -200,7 +200,7 @@ def product_amplitudes(phi: Sequence[complex], n_max: int | None = None) -> np.n
     scaling is exact for every entry it leaves in the normal range, so
     there the result equals the plain division bit for bit.
     """
-    amps = np.asarray(list(phi), dtype=np.complex128)
+    amps = np.asarray(phi if isinstance(phi, np.ndarray) else list(phi), np.complex128, order="C")
     if amps.ndim != 1:
         raise ValueError("phi must be a one-dimensional amplitude vector")
     nonzero = np.flatnonzero(amps)
@@ -213,7 +213,7 @@ def product_amplitudes(phi: Sequence[complex], n_max: int | None = None) -> np.n
         raise TruncationTooSmallError(
             f"phi has support on n = {support} but the truncation is n_max = {n_max}"
         )
-    parts = amps.view(np.float64)  # real and imaginary parts, interleaved
+    parts = amps.view(np.float64)  # real and imaginary parts, interleaved: amps is in C order
     exponent = math.frexp(float(np.max(np.abs(parts))))[1]
     scaled = np.ldexp(parts, -exponent).view(np.complex128)
     column = np.zeros(n_max + 1, dtype=np.complex128)

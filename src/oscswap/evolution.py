@@ -17,7 +17,8 @@ which the exchange diagnostics cost O(n_max) per time without any table, as
 does the norm (:meth:`EvolutionOperator.product_norms`);
 :meth:`EvolutionOperator.product_grid` builds the amplitude tables, in
 O(n_max^2) per time, with magnitudes taken from lgamma so that no binomial
-overflows.
+overflows, and :meth:`EvolutionOperator.product_populations` thins |phi_n|^2
+into both modes' number distributions in O(n_max^2) without them.
 
 **Any state from eigendecomposed blocks: the library and check path.**
 The evolution operator is block diagonal in total quanta. Within the block
@@ -77,7 +78,7 @@ class EvolutionOperator:
     """Analytic evolution operator of the coupled pair.
 
     Product states evolve in closed form (:meth:`product_hops`,
-    :meth:`product_grid`), any state through the eigen blocks
+    :meth:`product_grid`, :meth:`product_populations`), any state through the eigen blocks
     (:meth:`evolve_grid`). Blocks are materialized lazily under a lock and
     are immutable afterwards; evaluations at distinct times are independent.
 
@@ -154,7 +155,6 @@ class EvolutionOperator:
         zero where n1 + n2 > n_max. Total quanta are conserved: blocks that
         start empty stay exactly empty. The norm is checked at every time.
         """
-        ts = np.asarray(ts, dtype=float)
         dim = state.n_max + 1
         occupied = []
         for n in range(dim):
@@ -233,7 +233,6 @@ class EvolutionOperator:
         norm check. ``phi`` must be normalized: :meth:`product_norms` is
         checked against 1 at every time.
         """
-        ts = np.asarray(ts, dtype=float)
         weights = np.abs(phi) ** 2
         for times in _chunks(ts, len(phi)):
             stay, hop = self._one_quantum(times)
@@ -252,20 +251,28 @@ class EvolutionOperator:
         powers by repeated multiplication, with 0^0 = 1. ``phi`` must be
         normalized; the norm of every table is checked against 1.
         """
-        ts = np.asarray(ts, dtype=float)
-        dim = len(phi)
-        n1, n2 = np.ogrid[:dim, :dim]  # a column and a row, broadcast to the table
-        inside = n1 + n2 < dim
-        level = np.where(inside, n1 + n2, 0)
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-        root_binom = np.exp(0.5 * (log_fact[level] - log_fact[n1] - log_fact[n2]))
-        scale = np.where(inside, phi[level] * root_binom, 0.0)
+        dim, scale = len(phi), _product_scale(phi)
         for times in _chunks(ts, dim * dim):
             stay, hop = self._one_quantum(times)
             stays, hops = _powers(stay, dim), _powers(hop, dim)
             tables = scale * stays[:, :, np.newaxis] * hops[:, np.newaxis, :]
             _check_norms(np.linalg.norm(tables.reshape(len(times), -1), axis=1), 1.0)
             yield times, tables
+
+    def product_populations(
+        self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Both modes' number distributions of |phi> (x) |0>, without tables:
+        yields ``(times, p1, p2)`` chunk by chunk, ``p2[k, m]`` the binomial
+        thinning |T|^{2m} sum_j H[m, j] |S|^{2j} of p_n = |phi_n|^2 at ``times[k]``,
+        H the squared :meth:`product_grid` scale p_{n1+n2} binom(n1 + n2, n2), and
+        p1 the same with S and T swapped. No term is negative; row sums are checked to be 1."""
+        weights = np.abs(_product_scale(phi)) ** 2
+        for times in _chunks(ts, len(phi)):
+            stays, hops = (_powers(np.abs(z) ** 2, len(phi)) for z in self._one_quantum(times))
+            p1, p2 = stays * (hops @ weights.T), hops * (stays @ weights)
+            _check_norms(np.array([p1.sum(axis=1), p2.sum(axis=1)]), 1.0)
+            yield times, p1, p2
 
     def heisenberg_mode_expectation(self, state0: TwoModeState, mode: int, t: float) -> complex:
         """<a_mode(t)> from the closed-form ladder-operator solution.
@@ -286,9 +293,9 @@ class EvolutionOperator:
         return (mix.c**2 * e2 + mix.s**2 * e1) * a2 + cross * a1
 
 
-def _chunks(ts: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """``ts`` in consecutive slices of at most _CHUNK_AMPLITUDES // width times."""
-    per_chunk = max(1, _CHUNK_AMPLITUDES // width)
+def _chunks(ts: Sequence[float] | np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """``ts`` as floats, in consecutive slices of at most _CHUNK_AMPLITUDES // width times."""
+    ts, per_chunk = np.asarray(ts, dtype=float), max(1, _CHUNK_AMPLITUDES // width)
     for start in range(0, len(ts), per_chunk):
         yield ts[start:start + per_chunk]
 
@@ -297,6 +304,17 @@ def _check_norms(norms: np.ndarray, before: float) -> None:
     drift = float(np.max(np.abs(norms - before)))  # NaN anywhere gives NaN
     if not drift <= _NORM_TOL * max(1.0, before):
         raise NumericalIntegrityError(f"evolution changed the norm by {drift:.3e}")
+
+
+def _product_scale(phi: np.ndarray) -> np.ndarray:
+    """``scale[n1, n2] = phi_{n1+n2} sqrt(binom(n1 + n2, n2))``, 0 past len(phi)."""
+    dim = len(phi)
+    n1, n2 = np.ogrid[:dim, :dim]  # a column and a row, broadcast to the table
+    inside = n1 + n2 < dim
+    level = np.where(inside, n1 + n2, 0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    root_binom = np.exp(0.5 * (log_fact[level] - log_fact[n1] - log_fact[n2]))
+    return np.where(inside, phi[level] * root_binom, 0.0)
 
 
 def _product_norms(weights: np.ndarray, stay: np.ndarray, hop: np.ndarray) -> np.ndarray:

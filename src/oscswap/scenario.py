@@ -42,26 +42,16 @@ _DEFAULT_TAIL_THRESHOLD = 1e-10
 _HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
-# Product states evolve in closed form, so the fidelity, the transfer profile
-# and the exchange scan cost O(n_max) per time point: the n_max + 1 powers
-# T^n. The field limits bound that work to 100000 x 1001 for a time grid and
-# (51 x 1001 + 390) x 1001 for an exchange scan (its coarse grid and zoom),
-# far below the work limit. Only the density outputs build amplitude tables,
-# (n_max + 1)**2 entries per time point, and add per mode a partial trace and
-# a positivity check of an (n_max + 1)-square matrix: (n_max + 1)**3 each,
-# plus a fixed amount for LAPACK's poorer speed on small matrices. The
-# weights were set when the check was an eigvalsh, which costs more than the
-# Cholesky factorization that decides it now. The density work is weighed as
-# 3 (n_max + 1)**3 per time point, tables included, and the density outputs
-# keep the lower truncation limit of the cubic work.
+# Closed forms cost O(n_max), or O(n_max**2) for the number distributions, per
+# time point: the field and CSV-cell limits bound every run to seconds. Only
+# reduced_density builds tables, cubic in n_max with its partial traces and
+# checks, and two of its steps at n_max 1000 peak above 400 MB: it keeps a lower
+# n_max limit.
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 1000
-_DENSITY_N_MAX_LIMIT = 200
-_DENSITY_OUTPUTS = ("number_distribution", "reduced_density")
+_DENSITY_N_MAX_LIMIT = 200  # with reduced_density
 _CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
-_GRID_WORK_LIMIT = 2 * 10**10  # time points x the density work per point below
-_DENSITY_POINT_WORK = 500_000
 
 
 class ScenarioError(ValueError):
@@ -156,25 +146,17 @@ def parse_scenario(raw: object) -> Scenario:
             )
     else:
         n_max = n_max if n_max is not None else 0
-    densities = [name for name in _DENSITY_OUTPUTS if name in outputs]
-    limit = _DENSITY_N_MAX_LIMIT if densities else _N_MAX_LIMIT
+    density = "reduced_density" in outputs
+    limit = _DENSITY_N_MAX_LIMIT if density else _N_MAX_LIMIT
     if n_max > limit:
         default_note = "" if n_max_field == "n_max" else " (n_max defaults to the initial support)"
-        with_outputs = f" with outputs {', '.join(densities)}" if densities else ""
+        with_output = " with output reduced_density" if density else ""
         raise ScenarioError(
             n_max_field,
-            f"n_max = {n_max} is above the limit {limit}{with_outputs}{default_note}",
+            f"n_max = {n_max} is above the limit {limit}{with_output}{default_note}",
         )
     if schedule.kind == "exchange_scan" and params.lam > 0:
         _check_exchange_window(params, schedule.k_max)
-    if densities:  # only a time grid has them
-        work = schedule.steps * (3 * (n_max + 1) ** 3 + _DENSITY_POINT_WORK)
-        if work > _GRID_WORK_LIMIT:
-            raise ScenarioError(
-                "schedule.steps",
-                f"{schedule.steps} time points x (3 (n_max + 1)**3 + {_DENSITY_POINT_WORK})"
-                f" = {work} is above the limit {_GRID_WORK_LIMIT}; lower it or n_max = {n_max}",
-            )
     if schedule.kind == "time_grid":
         # transfer_profile counted at its widest, before the initial state is built
         levels = range(1, support + 1)

@@ -133,7 +133,7 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
     t_grid = np.array([0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0])  # t_grid[0] = 0: the identity
     # (t1, t2) of the group property as indices into t_grid: (0.1, 0.37), (1.0, 2.9), (7.3, 0.1)
     first, second = np.array([1, 3, 5]), np.array([2, 4, 1])
-    worst_identity = worst_unitary = worst_group = worst_product = 0.0
+    worst_identity = worst_unitary = worst_group = worst_product = worst_populations = 0.0
     product_rng = np.random.default_rng(20261018)
     # one operator per detuning, so that each block is built once for all checks
     operators = {
@@ -146,6 +146,10 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         (_, eigen), = evo.evolve_grid(state, t_grid)
         (_, closed), = evo.product_grid(state.table[:, 0], t_grid)
         worst_product = max(worst_product, float(np.max(np.abs(closed - eigen))))
+        (_, *populations), = evo.product_populations(state.table[:, 0], t_grid)
+        for mode, p in enumerate(populations, start=1):
+            diagonals = np.diagonal(analysis.reduced_densities(eigen, mode), axis1=1, axis2=2)
+            worst_populations = max(worst_populations, float(np.max(np.abs(p - diagonals))))
         for n in range(13):
             blocks = evo.ut_block(n, t_grid)
             worst_identity = max(
@@ -201,6 +205,7 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         CheckResult("closed-form transfer/survival vs generic sum, n <= 20", worst_closed, 1e-10),
         CheckResult("closed-form product tables vs eigen tables, n_max <= 20", worst_product,
                     1e-12),
+        CheckResult("binomial thinning vs eigen density diagonals", worst_populations, 1e-12),
         CheckResult("Heisenberg vs Schrodinger mode expectations", worst_picture, 1e-10),
         CheckResult("transfer modulus periodicity", worst_period, 1e-10),
     ]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -499,3 +500,17 @@ class TestFindExchangeTime:
         # the coarse grid find_exchange_time scans: step at most pi / 50
         ts = np.linspace(*window, math.ceil((window[1] - window[0]) / (math.pi / 50.0)) + 1)
         assert f_best >= np.max(exchange_fidelities(np.array([0.0, 1.0]), evo, ts))
+
+    def test_scan_holds_at_most_one_chunk_beside_its_powers(self):
+        # at n_max 1000 a chunk of powers T^n is 8 MiB, and a window of 2388
+        # coarse times takes five chunks. The scan works on the powers in
+        # place and frees each chunk's arrays before the next one is built
+        chunk = evolution._CHUNK_AMPLITUDES * np.dtype(np.complex128).itemsize
+        evo = resonant_evolution(2.0, 0.5)
+        tracemalloc.start()
+        try:
+            find_exchange_time(evo, np.ones(1001), 0.0, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * chunk, f"traced peak {peak / 2**20:.1f} MiB"

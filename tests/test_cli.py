@@ -607,6 +607,29 @@ outputs: [number_distribution, reduced_density]
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
         assert calls == [(4, 1), (4, 2)]
 
+    def test_number_distribution_builds_no_table(self, tmp_path, monkeypatch):
+        import oscswap.cli as cli_module
+
+        # the distributions are the binomial thinning of |phi_n|^2, without
+        # amplitude tables or reduced densities
+        def refuse(*args):
+            raise AssertionError("a table or a density was built for number_distribution")
+
+        monkeypatch.setattr(cli_module.EvolutionOperator, "product_grid", refuse)
+        monkeypatch.setattr(cli_module.analysis, "reduced_densities", refuse)
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
+initial: {kind: fock, n: 2}
+schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 4}
+outputs: [number_distribution, report]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_csv(tmp_path / "out" / "number_distribution.csv")
+        assert len(rows) == 4
+
 
 class TestValidation:
     def test_negative_lambda_names_the_field(self, tmp_path, capsys):
@@ -724,28 +747,26 @@ BUDGET_CASES = [
      "initial.values"),
     ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 1001}",
      "initial.truncation"),
-    # the density outputs keep the limit n_max <= 200
-    ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity, number_distribution]", "n_max"),
+    # reduced_density keeps the limit n_max <= 200
+    ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity, reduced_density]", "n_max"),
     ("{kind: fock, n: 1}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
      "outputs: [fidelity]",
      "{kind: fock, n: 201}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
      "outputs: [reduced_density]", "initial.n"),
+    # 651 x (1 + 4 x 62**2), 24814 x (1 + 2 x 201) and 37895 x (2 + 1 + 4 x 21**2)
+    # CSV cells exceed 10**7
     ("steps: 2}\noutputs: [fidelity]",
      "steps: 651}\nn_max: 61\noutputs: [reduced_density]", "outputs"),
-    # with a density output, 16462 x (3 x 62**3 + 500000), 805 x (3 x 201**3 + 500000)
-    # and 37895 x (3 x 21**3 + 500000) exceed 2e10
     ("steps: 2}\noutputs: [fidelity]",
-     "steps: 16462}\nn_max: 61\noutputs: [number_distribution]", "schedule.steps"),
+     "steps: 24814}\nn_max: 200\noutputs: [number_distribution]", "outputs"),
     ("steps: 2}\noutputs: [fidelity]",
-     "steps: 805}\nn_max: 200\noutputs: [number_distribution]", "schedule.steps"),
-    ("steps: 2}\noutputs: [fidelity]",
-     "steps: 37895}\nn_max: 20\noutputs: [fidelity, reduced_density]", "schedule.steps"),
+     "steps: 37895}\nn_max: 20\noutputs: [fidelity, reduced_density]", "outputs"),
     ("{kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\noutputs: [fidelity]",
      "{kind: exchange_scan, k_max: 40}\nn_max: 1001\noutputs: [report]", "n_max"),
 ]
 BUDGET_IDS = ["k_max", "k_max-huge", "steps", "n_max", "fock-n", "qubit-n", "amplitudes",
-              "coherent", "n_max-density", "fock-n-density", "csv-cells", "grid-work-steps",
-              "grid-work-density-n_max-200", "grid-work-density-n_max-20", "scan-n_max"]
+              "coherent", "n_max-density", "fock-n-density", "csv-cells",
+              "csv-cells-number_distribution", "csv-cells-density", "scan-n_max"]
 
 
 class TestCostBudget:

@@ -359,11 +359,13 @@ class TestProductClosedForm:
         if x == 0.0:
             assert fidelities[3] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("method", ["product_hops", "product_grid"])
+    @pytest.mark.parametrize("method", ["product_hops", "product_grid", "product_populations"])
     def test_norm_breach_is_an_integrity_error(self, detuned, method):
         evo = EvolutionOperator(detuned)
         phi = np.array([0.6, 0.8])
-        with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by 1.000e"):
+        # the populations sum to the squared norm, 4
+        drift = "3.000e" if method == "product_populations" else "1.000e"
+        with pytest.raises(NumericalIntegrityError, match=f"evolution changed the norm by {drift}"):
             list(getattr(evo, method)(2.0 * phi, [0.0, 1.0]))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalIntegrityError, match="evolution changed the norm by nan"):
@@ -371,8 +373,66 @@ class TestProductClosedForm:
 
     def test_suite_checks_the_closed_form_against_the_eigen_path(self):
         assert_suite_checks(
-            "evolution", ["closed-form product tables vs eigen tables, n_max <= 20"]
+            "evolution", ["closed-form product tables vs eigen tables, n_max <= 20",
+                          "binomial thinning vs eigen density diagonals"]
         )
+
+    @pytest.mark.parametrize("n_max, x", [(7, 5.0), (60, -2.0)], ids=["n7-x5", "n60-x-2"])
+    def test_populations_are_the_density_diagonals_across_chunks(self, monkeypatch, n_max, x):
+        # four times per chunk, so that eleven times give chunks of 4, 4 and 3
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 4 * (n_max + 1))
+        evo = EvolutionOperator(params_for_detuning(x, lam=0.7, omega2=1.3))
+        phi = product_amplitudes(random_phi(np.random.default_rng(n_max), n_max))
+        ts = np.linspace(0.0, 20.0, 11)
+        chunks = list(evo.product_populations(phi, ts))
+        assert [len(times) for times, _, _ in chunks] == [4, 4, 3]
+        tables = np.concatenate([tables for _, tables in evo.product_grid(phi, ts)])
+        for mode in (1, 2):
+            closed = np.concatenate([chunk[mode] for chunk in chunks])
+            diagonals = np.diagonal(reduced_densities(tables, mode), axis1=1, axis2=2).real
+            assert np.max(np.abs(closed - diagonals)) < 1e-13
+
+    def test_populations_exchange_the_statistics_at_resonance(self):
+        # at resonance |T(tau_k)| = 1: mode 2 holds mode 1's initial number
+        # distribution, and mode 1 is left in vacuum
+        lam = 0.5
+        evo = EvolutionOperator(params_for_detuning(0.0, lam=lam, omega2=1.0))
+        phi = product_amplitudes(random_phi(np.random.default_rng(7), 30))
+        taus = [(k + 0.5) * math.pi / lam for k in range(4)]
+        (_, p1, p2), = evo.product_populations(phi, taus)
+        assert np.max(np.abs(p2 - np.abs(phi) ** 2)) < 1e-12
+        assert np.max(np.abs(p1[:, 0] - 1.0)) < 1e-12
+        assert np.max(p1[:, 1:]) < 1e-12
+
+    def test_populations_match_mpmath_at_n_max_1000(self):
+        # mode 2's distribution is the binomial thinning
+        # p2(m) = sum_n p_n binom(n, m) |T|^{2m} |S|^{2(n - m)}, mode 1's the same
+        # with S and T swapped, summed here at 40 digits over every n for a
+        # sample of levels, from S and T as the program evaluates them
+        evo = EvolutionOperator(params_for_detuning(0.8, lam=1.0, omega2=3.0))
+        fock = np.zeros(1001)
+        fock[1000] = 1.0
+        phis = [product_amplitudes(random_phi(np.random.default_rng(1000), 1000)), fock]
+        ts = np.array([0.4, 1.1])
+        stays, hops = evo.survival_amplitude(1, ts), evo.transfer_amplitude(1, ts)
+        levels = list(range(0, 1001, 100)) + [480, 490, 500, 510, 520, 999]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for phi in phis:
+                p = [mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2 for v in phi.tolist()]
+                (_, *populations), = evo.product_populations(phi, ts)
+                for k, (stay, hop) in enumerate(zip(stays.tolist(), hops.tolist())):
+                    kept = [mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2 for v in (stay, hop)]
+                    for mode, (own, other) in enumerate([kept, kept[::-1]]):
+                        powers = [other**j for j in range(1001)]
+                        for m in levels:
+                            terms = (p[n] * math.comb(n, m) * powers[n - m]
+                                     for n in range(m, 1001) if p[n])
+                            want = own**m * mpmath.fsum(terms)
+                            worst = max(worst, abs(populations[mode][k, m] - float(want)))
+        # measured 9.5e-16 for the random phi and 1.2e-14 for |1000>, whose
+        # binomials carry the rounding of lgamma near 5900
+        assert worst < 5e-14, worst
 
 
 class TestHeisenbergPicture:

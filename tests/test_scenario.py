@@ -71,13 +71,15 @@ class TestCostBudgetLimitsParse:
         [
             ({"kind": "fock", "n": 1}, {"n_max": 1000, "outputs": ["fidelity", "report"]}),
             ({"kind": "coherent", "alpha": 20.0, "truncation": 1000}, {}),
-            ({"kind": "fock", "n": 1}, {"n_max": 200, "outputs": ["number_distribution"]}),
-            ({"kind": "fock", "n": 200}, {"outputs": ["fidelity", "number_distribution"]}),
+            ({"kind": "fock", "n": 1}, {"n_max": 200, "outputs": ["reduced_density"]}),
+            ({"kind": "fock", "n": 200}, {"outputs": ["fidelity", "reduced_density"]}),
+            ({"kind": "fock", "n": 1}, {"n_max": 1000, "outputs": ["number_distribution"]}),
         ],
-        ids=["explicit-1000", "coherent-1000", "density-explicit-200", "density-fock-200"],
+        ids=["explicit-1000", "coherent-1000", "density-explicit-200", "density-fock-200",
+             "number_distribution-1000"],
     )
     def test_n_max_limit_without_and_with_densities(self, initial, top):
-        # the closed form has no cubic work; the density outputs keep n_max <= 200
+        # the closed forms have no cubic work; reduced_density keeps n_max <= 200
         assert parse_scenario(raw_scenario(initial=initial, **top)).n_max in (200, 1000)
 
     def test_csv_cells_limit(self):
@@ -98,14 +100,20 @@ class TestCostBudgetLimitsParse:
             ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 100000}, 1000,
              ["fidelity"]),
             ({"kind": "exchange_scan", "k_max": 1000}, 1000, []),
-            # with a density output: 804 x (3 x 201**3 + 500000) and
-            # 37894 x (3 x 21**3 + 500000) stay under 2e10
-            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 804}, 200,
+            # with a density output, only the cell limit bounds the steps:
+            # 24813 x (1 + 2 x 201), 5530 x (1 + 2 x 21 + 1 + 4 x 21**2),
+            # 4992 x (1 + 2 x 1001) and 99009 x (1 + 4 x 5**2) stay within 10**7
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 24813}, 200,
              ["number_distribution"]),
-            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 37894}, 20,
-             ["fidelity", "number_distribution"]),
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 5530}, 20,
+             ["number_distribution", "reduced_density"]),
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 4992}, 1000,
+             ["number_distribution", "report"]),
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 99009}, 4,
+             ["reduced_density", "report"]),
         ],
-        ids=["time_grid", "exchange_scan", "density-n_max-200", "density-n_max-20"],
+        ids=["time_grid", "exchange_scan", "density-n_max-200", "density-n_max-20",
+             "density-n_max-1000", "reduced-density-n_max-4"],
     )
     def test_grid_work_limit(self, schedule, n_max, outputs):
         raw = raw_scenario(schedule=schedule, n_max=n_max, outputs=outputs)
