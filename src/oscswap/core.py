@@ -200,7 +200,7 @@ def product_amplitudes(phi: Sequence[complex], n_max: int | None = None) -> np.n
     scaling is exact for every entry it leaves in the normal range, so
     there the result equals the plain division bit for bit.
     """
-    amps = np.asarray(phi if isinstance(phi, np.ndarray) else list(phi), np.complex128, order="C")
+    amps = np.asarray(phi, np.complex128, order="C")
     if amps.ndim != 1:
         raise ValueError("phi must be a one-dimensional amplitude vector")
     nonzero = np.flatnonzero(amps)

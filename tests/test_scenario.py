@@ -116,6 +116,7 @@ class TestCostBudgetLimitsParse:
              "density-n_max-1000", "reduced-density-n_max-4"],
     )
     def test_grid_work_limit(self, schedule, n_max, outputs):
+        """The largest grids that the steps, k_max, n_max and cell limits admit parse."""
         raw = raw_scenario(schedule=schedule, n_max=n_max, outputs=outputs)
         assert parse_scenario(raw).n_max == n_max
 
