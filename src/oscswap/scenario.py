@@ -106,9 +106,11 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError("(file)", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("(file)", f"not UTF-8 text: {exc}") from exc
     # libyaml's parser where PyYAML was built with it: about 10x faster than
     # the pure-Python SafeLoader, with the same results
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -116,6 +118,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError("(file)", f"not valid YAML: {exc}") from exc
+    except RecursionError:
+        # the pure-Python composer recurses once per nesting level
+        raise ScenarioError("(file)", "nested too deeply to parse") from None
     return parse_scenario(raw)
 
 

@@ -31,7 +31,7 @@ from oscswap.core import (
     make_product_state,
     product_amplitudes,
 )
-from oscswap import analysis, evolution
+from oscswap import analysis, evolution, suites
 from oscswap.evolution import EvolutionOperator
 from conftest import (
     assert_suite_checks,
@@ -39,6 +39,7 @@ from conftest import (
     params_for_detuning,
     random_phi,
     random_state,
+    suite_report,
 )
 
 
@@ -514,3 +515,83 @@ class TestFindExchangeTime:
         finally:
             tracemalloc.stop()
         assert peak < 2 * chunk, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestExchangeSuiteReads:
+    """The exchange suite reads each eigen block once per operator and time and
+    grades every state from that read; each read against the per-state path."""
+
+    @pytest.mark.parametrize("level", (1, 2, 3))
+    def test_two_amplitude_fidelity_is_the_evolved_states(self, level):
+        rng = np.random.default_rng(60 + level)
+        ratio = complete_exchange_ratio(level, 1)
+        for factor in (1.0, 0.95, 1.05, rng.uniform(0.5, 1.5)):
+            evo = resonant_evolution(ratio * factor)
+            tau = exchange_times(evo.mix, 1.0, 0)[0]
+            swap = np.array([evo.ut_block(0, tau)[0, 0], evo.ut_block(level, tau)[level, 0]])
+            for _ in range(10):
+                phi = np.zeros(level + 1, dtype=complex)
+                phi[[0, level]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+                weights = np.abs(product_amplitudes(phi)[[0, level]]) ** 2
+                evolved = evo.evolve(make_product_state(phi), tau)
+                assert abs(abs(weights @ swap) ** 2 - exchange_fidelity(evolved, phi)) < 1e-14
+
+    @pytest.mark.parametrize("x", [0.0, 0.7, -3.0])
+    def test_scattered_block_columns_are_the_evolved_tables(self, x):
+        rng = np.random.default_rng(70)
+        evo = EvolutionOperator(params_for_detuning(x, lam=0.53, omega2=2.37))
+        draws = [product_amplitudes(random_phi(rng, top)) for top in (0, 1, 3, 6, 6, 2)]
+        phis = np.array([np.pad(phi, (0, 7 - len(phi))) for phi in draws])
+        for t in (0.0, 0.37, exchange_times(evo.mix, 0.53, 0)[0], 11.9):
+            tables = suites._product_tables(evo, phis, t)
+            for phi, table in zip(draws, tables):
+                dim = len(phi)
+                want = evo.evolve(make_product_state(phi), t).table
+                assert np.max(np.abs(table[:dim, :dim] - want)) < 1e-15
+                assert not table[dim:].any() and not table[:, dim:].any()
+
+    def test_suite_residuals_are_the_per_state_ones(self):
+        # the suite's samples in its draw order, graded one state at a time by
+        # evolve, reduce and exchange_fidelity
+        rng = np.random.default_rng(424242)
+        omega, lam = 2.37, 0.53
+        evo = EvolutionOperator(CouplingParams(omega1=omega, omega2=omega, lam=lam))
+        tau0 = exchange_times(evo.mix, lam, 0)[0]
+        worst_stats = worst_rho = 0.0
+        for _ in range(20):
+            state0 = make_product_state(suites._random_phi(rng, rng.integers(1, 7)))
+            stats = verify_statistics_exchange(state0.table[:, 0], evo, tau0).statistics_match
+            worst_stats = max(worst_stats, stats)
+            rho1 = reduce(state0, 1)
+            rho2 = reduce(evo.evolve(state0, tau0), 2)
+            kick = np.exp(-1j * (omega * tau0 + 0.5 * math.pi) * np.arange(len(rho1)))
+            worst_rho = max(worst_rho, np.max(np.abs(rho2 - np.outer(kick, kick.conj()) * rho1)))
+        worst_exact, worst_margin = 0.0, -math.inf
+        for level in (1, 2, 3):
+            runs = []
+            for factor in (1.0, 0.95, 1.05):
+                evo_q = resonant_evolution(complete_exchange_ratio(level, 1) * factor)
+                runs.append((evo_q, exchange_times(evo_q.mix, 1.0, 0)[0]))
+            for _ in range(10):
+                weight = rng.uniform(0.2, 0.8)
+                phi = np.zeros(level + 1, dtype=complex)
+                phi[0] = math.sqrt(weight) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                phi[level] = math.sqrt(1 - weight) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                state0 = make_product_state(phi)
+                fids = [exchange_fidelity(e.evolve(state0, t), phi) for e, t in runs]
+                worst_exact = max(worst_exact, abs(1.0 - fids[0]))
+                worst_margin = max(worst_margin, max(fids[1:]) - (1.0 - 1e-4))
+        worst_fock = 0.0
+        for ratio in (3.0, 1.7, 0.513):
+            evo_f = resonant_evolution(ratio)
+            for level in range(1, 6):
+                phi = np.eye(level + 1)[level]
+                for tau in exchange_times(evo_f.mix, 1.0, 4):
+                    evolved = evo_f.evolve(make_product_state(phi), tau)
+                    worst_fock = max(worst_fock, abs(1.0 - exchange_fidelity(evolved, phi)))
+        report = {check.name: check.residual for check in suite_report("exchange").checks}
+        assert abs(report["ratio +-5% drops fidelity below 1 - 1e-4"] - worst_margin) < 1e-12
+        assert abs(report["modulus transfer at the first exchange time"] - worst_stats) < 1e-14
+        assert abs(report["reduced-density phase-kick relation"] - worst_rho) < 1e-14
+        assert abs(report["exact qubit exchange at the matched ratio"] - worst_exact) < 1e-14
+        assert abs(report["Fock exchange exact at every exchange time"] - worst_fock) < 1e-14

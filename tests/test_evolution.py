@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -433,6 +434,37 @@ class TestProductClosedForm:
         # measured 9.5e-16 for the random phi and 1.2e-14 for |1000>, whose
         # binomials carry the rounding of lgamma near 5900
         assert worst < 5e-14, worst
+
+    @pytest.mark.parametrize("n_max", [20, 200, 1000])
+    def test_scale_is_bitwise_the_out_of_place_expression(self, n_max):
+        def out_of_place(phi):  # the expression _product_scale evaluated before it worked in place
+            dim = len(phi)
+            n1, n2 = np.ogrid[:dim, :dim]
+            inside = n1 + n2 < dim
+            level = np.where(inside, n1 + n2, 0)
+            log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+            root_binom = np.exp(0.5 * (log_fact[level] - log_fact[n1] - log_fact[n2]))
+            return np.where(inside, phi[level] * root_binom, 0.0)
+
+        rng = np.random.default_rng(n_max)
+        fock = np.zeros(n_max + 1, dtype=complex)
+        fock[n_max] = -1j
+        for phi in (product_amplitudes(random_phi(rng, n_max)), np.full(n_max + 1, -0.5 + 0.5j),
+                    fock):
+            got, want = evolution._product_scale(phi), out_of_place(phi)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_scale_holds_one_level_table_one_buffer_and_the_output(self):
+        # at n_max 1000: an int64 level table and a float64 buffer of 8 MB each, and the
+        # 16 MB complex output, 31.5 MiB in all; the out-of-place expression peaked at 46.9 MiB
+        phi = np.full(1001, 1.0 / math.sqrt(1001), dtype=complex)
+        tracemalloc.start()
+        try:
+            evolution._product_scale(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestHeisenbergPicture:

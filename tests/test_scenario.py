@@ -290,3 +290,17 @@ class TestYamlLoaders:
         err = capsys.readouterr().err
         assert 'scenario field "(file)": not valid YAML' in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        # one Latin-1 byte, an e-acute in a comment, that is not UTF-8
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(QUBIT_SCAN.encode() + "# caf\u00e9\n".encode("latin-1"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert 'scenario field "(file)": not UTF-8 text' in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_deep_nesting_is_a_file_error_without_libyaml(self, monkeypatch, tmp_path):
+        # the pure-Python composer recurses once per level and would exhaust the stack
+        path = tmp_path / "scenario.yaml"
+        path.write_text(QUBIT_SCAN + "deep: " + "[" * 3000 + "]" * 3000 + "\n")
+        assert load_with(monkeypatch, path, libyaml=False) == "(file)"
