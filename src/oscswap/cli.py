@@ -8,15 +8,15 @@ which computes the same digits with numpy, builds each cell as a 32-byte row
 of four 64-bit words from a table of 4-digit groups, and leaves to ``%`` only
 the cells it cannot prove; smaller arrays are formatted by ``%`` throughout. A
 ``reduced_density`` row holds the Hermitian part of each mode's matrix, so
-each cell below a diagonal has the magnitude of its mirror above it: only
-the mirror is formatted, and the cell copies its digits and writes its own
-sign.
+each cell below a diagonal has the magnitude of its mirror above it: up to
+n_max 89 only the mirror is formatted, and the cell copies its digits and
+writes its own sign.
 
-Each CSV is written as bytes while the run computes it: every chunk of
-rows, and within it every ``_CHUNK_CELLS`` cells, goes to its file as soon
-as it is formatted, so a run holds one chunk of its output at a time, never
-a whole CSV. If a run fails after a CSV is opened (a numerical self-check,
-exit 3), every CSV it opened is deleted, so no partial output is left.
+Each CSV is written as bytes while the run computes it: its header
+``_CHUNK_CELLS`` names at a time, then each chunk of its rows (see
+:func:`_csv_rows`) as it is formatted, so a run holds one chunk of its
+output, never a whole CSV, header or row. If a run fails after a CSV is
+opened (a numerical self-check, exit 3), every CSV it opened is deleted.
 
 :func:`main` may be called any number of times in one process, as a
 closed-loop client or a test suite does: it builds its argument parser on
@@ -26,8 +26,10 @@ namespace, so nothing carries over from one call to the next.
 
 import argparse
 import functools
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +194,10 @@ def _cell_slots(values: np.ndarray) -> np.ndarray:
                        | dot.take(p, axis=1))
     words[inside, 3] |= moved[1] >> _LAST_BYTE
     words[:, 1], words[:, 2] = pair
-    for i in np.flatnonzero(~fast & ~zero):
-        text = ("%.17g" % abs(values[i])).encode()  # at most 23 bytes
-        out[i, 1:] = 0
-        out[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+    slow = np.flatnonzero(~fast & ~zero)
+    if slow.size:  # each text is at most 23 bytes, zero-padded to the slots after the sign
+        texts = ["%.17g" % value for value in np.abs(values.take(slow)).tolist()]
+        out[slow, 1:] = np.array(texts, f"S{_SLOTS - 1}").view(np.uint8).reshape(-1, _SLOTS - 1)
     return out
 
 
@@ -210,59 +212,58 @@ def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None):
     :func:`_fmt` writes it.
 
     Arrays of at least ``_ARRAY_MIN_CELLS`` cells go through
-    :func:`_cell_slots`, at most ``_CHUNK_CELLS`` cells per call and per
-    chunk, even within one row; smaller ones, for which that costs more than
-    it saves, are formatted by ``%`` directly, as one chunk.
+    :func:`_cell_slots` ``_CHUNK_CELLS`` of their flattened cells at a time,
+    a chunk that may begin and end inside a row; smaller ones, for which
+    that costs more than it saves, are formatted by ``%`` as one chunk.
 
     ``twins``, one column index per column, may name for each column ``c`` a
     column whose values have the magnitudes of column ``c``'s, as the lower
     triangle of a Hermitian matrix mirrors the upper one; a column that
     names itself is formatted, and every column named must name itself.
-    Every other cell copies its twin's slots after the sign and takes its
-    sign from its own value. A cell whose magnitude is not equal to its
-    twin's (a nan never is) is formatted itself, so the map never changes
-    what is written.
+    Where a row's own columns fit in a chunk, a chunk is as many whole rows
+    as they fit, and every other cell copies its twin's slots after the
+    sign and takes its sign from its own value; a cell whose magnitude is
+    not its twin's (a nan never is) is formatted itself, so the map never
+    changes what is written. Elsewhere the map goes unused: most twins lie
+    in other chunks.
     """
     if rows.size < _ARRAY_MIN_CELLS:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         yield "".join(line % tuple(row) for row in rows.tolist()).encode("ascii")
         return
-    values = np.ascontiguousarray(rows, dtype=np.float64)
-    count, width = values.shape
-    columns = np.arange(width)
-    twins = columns if twins is None else np.asarray(twins)
-    formats = twins == columns
-    own = np.flatnonzero(formats)
-    per_group = max(1, _CHUNK_CELLS // len(own))  # rows whose cells are formatted together
-    # each cell of a group of rows: the index of its twin among the group's formatted cells
-    source = (np.arange(per_group)[:, None] * len(own) + (np.cumsum(formats) - 1)[twins]).ravel()
-    seps = np.full((per_group, width), ord(","), np.uint8)
-    seps[:, -1] = ord("\n")
-    seps = seps.ravel()
-    for start in range(0, count, per_group):
-        group = values[start:start + per_group]
-        cells = group.reshape(-1)
-        formatted = group[:, own].reshape(-1)
-        pieces = [_cell_slots(formatted[i:i + _CHUNK_CELLS])
-                  for i in range(0, formatted.size, _CHUNK_CELLS)]
-        slots = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        for i in range(0, cells.size, _CHUNK_CELLS):
-            end = min(i + _CHUNK_CELLS, cells.size)
-            out = slots[i:end]
-            if len(own) < width:
-                piece, twin = cells[i:end], source[i:end]
-                out = slots.view(f"V{_SLOTS}").take(twin).view(np.uint8).reshape(-1, _SLOTS)
-                out[:, 0] = _signs(piece)
-                apart = np.flatnonzero(np.abs(piece) != np.abs(formatted.take(twin)))
-                if apart.size:
-                    out[apart] = _cell_slots(piece[apart])
-            out[:, -1] = seps[i:end]
-            yield out.tobytes().translate(None, b"\0")
+    width = rows.shape[1]
+    cells = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
+    step, source = _CHUNK_CELLS, None
+    if twins is not None:
+        formats = twins == np.arange(width)
+        own = np.flatnonzero(formats)
+        per_chunk = _CHUNK_CELLS // len(own)  # whole rows whose own cells fit in a chunk
+        if per_chunk and len(own) < width:
+            step = per_chunk * width
+            # each cell of a chunk: the index of its twin among the chunk's own cells
+            source = (np.arange(per_chunk)[:, None] * len(own)
+                      + (np.cumsum(formats) - 1)[twins]).ravel()
+    for start in range(0, cells.size, step):
+        chunk = cells[start:start + step]
+        if source is None:
+            out = _cell_slots(chunk)
+        else:
+            formatted = chunk.reshape(-1, width)[:, own].reshape(-1)
+            twin = source[:chunk.size]
+            out = _cell_slots(formatted).view(f"V{_SLOTS}").take(twin)  # frees the slots
+            out = out.view(np.uint8).reshape(-1, _SLOTS)
+            out[:, 0] = _signs(chunk)
+            apart = np.flatnonzero(np.abs(chunk) != np.abs(formatted.take(twin)))
+            if apart.size:
+                out[apart] = _cell_slots(chunk[apart])
+        out[:, -1] = ord(",")
+        out[width - 1 - start % width::width, -1] = ord("\n")
+        yield out.tobytes().translate(None, b"\0")
 
 
 class _CsvFiles:
     """The CSV files of one run in ``out_dir``, each opened once in binary
-    mode and written chunk by chunk as its rows are formatted.
+    mode and written chunk by chunk, its header included, as it is formatted.
 
     Used as a context manager: on leaving it every file is closed, and if
     the run raised, every CSV opened so far is also deleted, so a failed
@@ -273,9 +274,13 @@ class _CsvFiles:
         self.out_dir = out_dir
         self._files = {}
 
-    def open(self, name: str, header: list[str]) -> None:
+    def open(self, name: str, header: Iterable[str]) -> None:
         self._files[name] = out = (self.out_dir / f"{name}.csv").open("wb")
-        out.write((",".join(header) + "\n").encode("ascii"))
+        names, sep = iter(header), ""
+        while batch := list(itertools.islice(names, _CHUNK_CELLS)):
+            out.write((sep + ",".join(batch)).encode("ascii"))
+            sep = ","
+        out.write(b"\n")
 
     def write(self, name: str, rows: np.ndarray, twins: np.ndarray | None = None) -> None:
         self._files[name].writelines(_csv_rows(rows, twins))
@@ -306,11 +311,13 @@ def _echo_lines(scenario: Scenario, evo: EvolutionOperator) -> list[str]:
     ]
 
 
-def _hermitian_twins(dim: int) -> np.ndarray:
+def _hermitian_twins(dim: int) -> np.ndarray | None:
     """The twin map (see :func:`_csv_rows`) of a ``reduced_density`` row, in
     csv_header's order: ``t``, then mode, row, column, and re and im side by
     side. Each cell below a diagonal names its mirror above it, the smaller
-    index; every other cell names itself."""
+    index; every other cell names itself. None from n_max 90, where it goes unused."""
+    if 1 + 2 * dim * (dim + 1) > _CHUNK_CELLS:
+        return None
     cells = np.arange(4 * dim * dim).reshape(2, dim, dim, 2)
     return np.r_[0, 1 + np.minimum(cells, cells.swapaxes(1, 2)).ravel()]
 
@@ -346,6 +353,7 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
                 rows[:, 1 + (mode - 1) * width:1 + mode * width] = rho.reshape(len(times), -1)
                 del rho  # freed before mode 2's is built: 8 MB per chunk at n_max 200
             csvs.write("reduced_density", rows, twins)
+            del rows  # freed before the next chunk's tables: 32 MB per time at n_max 1000
 
     best = int(np.argmax(fidelities))
     best_f, t_best = fidelities[best], float(ts[best])

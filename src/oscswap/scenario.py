@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -40,17 +40,17 @@ _OUTPUTS_BY_SCHEDULE = {
 }
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 _HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
+# libyaml recurses per nesting level and kills the process near 20000 levels. A
+# level opens with '[', '{' or '- ', so their count bounds the depth (1001 [re, im] need 1002).
+_OPENERS_LIMIT = 10_000
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
 # Closed forms cost O(n_max), or O(n_max**2) for the number distributions, per
-# time point: the field and CSV-cell limits bound every run to seconds. Only
-# reduced_density builds tables, cubic in n_max with its partial traces and
-# checks, and two of its steps at n_max 1000 peak above 400 MB: it keeps a lower
-# n_max limit.
+# time point, and reduced_density O(n_max**3): the field and CSV-cell limits
+# bound every run to seconds (2 reduced_density steps at n_max 1000 take 6-8 s).
 _K_MAX_LIMIT = 1000
 _STEPS_LIMIT = 100_000
 _N_MAX_LIMIT = 1000
-_DENSITY_N_MAX_LIMIT = 200  # with reduced_density
 _CSV_CELLS_LIMIT = 10_000_000  # steps x the columns of each requested CSV output
 
 
@@ -111,6 +111,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("(file)", f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError("(file)", f"not UTF-8 text: {exc}") from exc
+    openers = sum(map(text.count, ("[", "{", "- ")))
+    if openers > _OPENERS_LIMIT:
+        raise ScenarioError(
+            "(file)", f"has {openers} of '[', '{{' and '- ', above the limit {_OPENERS_LIMIT}")
     # libyaml's parser where PyYAML was built with it: about 10x faster than
     # the pure-Python SafeLoader, with the same results
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -151,14 +155,10 @@ def parse_scenario(raw: object) -> Scenario:
             )
     else:
         n_max = n_max if n_max is not None else 0
-    density = "reduced_density" in outputs
-    limit = _DENSITY_N_MAX_LIMIT if density else _N_MAX_LIMIT
-    if n_max > limit:
+    if n_max > _N_MAX_LIMIT:
         default_note = "" if n_max_field == "n_max" else " (n_max defaults to the initial support)"
-        with_output = " with output reduced_density" if density else ""
         raise ScenarioError(
-            n_max_field,
-            f"n_max = {n_max} is above the limit {limit}{with_output}{default_note}",
+            n_max_field, f"n_max = {n_max} is above the limit {_N_MAX_LIMIT}{default_note}"
         )
     if schedule.kind == "exchange_scan" and params.lam > 0:
         _check_exchange_window(params, schedule.k_max)
@@ -204,28 +204,27 @@ def _check_exchange_window(params: CouplingParams, k_max: int) -> None:
         )
 
 
-def csv_header(output: str, n_max: int, levels: Sequence[int]) -> list[str]:
-    """Column names of a time grid's CSV output ``output``, one row per time.
+def csv_header(output: str, n_max: int, levels: Sequence[int]) -> Iterator[str]:
+    """Column names of a time grid's CSV output ``output`` (one row per time), made lazily.
 
     ``levels`` are the mode-1 levels whose transfer probability
     ``transfer_profile`` writes.
     """
     dim = n_max + 1
+    yield "t"
     if output == "fidelity":
-        return ["t", "fidelity"]
-    if output == "number_distribution":
-        return ["t"] + [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)]
-    if output == "reduced_density":
-        # mode, row, column, then re and im side by side
-        return ["t"] + [
-            f"rho{mode}_{i}_{j}_{part}"
-            for mode in (1, 2) for i in range(dim) for j in range(dim) for part in ("re", "im")
-        ]
-    return ["t"] + [f"transfer_prob_{n}" for n in levels]
+        yield "fidelity"
+    elif output == "number_distribution":
+        yield from (f"p{mode}_{n}" for mode in (1, 2) for n in range(dim))
+    elif output == "reduced_density":  # mode, row, column, then re and im side by side
+        yield from (f"rho{mode}_{i}_{j}_{part}" for mode in (1, 2) for i in range(dim)
+                    for j in range(dim) for part in ("re", "im"))
+    else:
+        yield from (f"transfer_prob_{n}" for n in levels)
 
 
 def csv_width(output: str, n_max: int, levels: Sequence[int]) -> int:
-    """``len(csv_header(output, n_max, levels))``, without building the names."""
+    """The number of names :func:`csv_header` makes, without making them."""
     dim = n_max + 1
     return 1 + {"fidelity": 1, "number_distribution": 2 * dim,
                 "reduced_density": 4 * dim * dim}.get(output, len(levels))

@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from oscswap import cli
 from oscswap.cli import _csv_rows, _fmt, main
 from oscswap.core import CouplingParams, TwoModeState, derive_mixing
-from oscswap.scenario import ScenarioError, load_scenario, parse_scenario
+from oscswap.scenario import ScenarioError, csv_header, load_scenario, parse_scenario
 from conftest import mp_exchange_fidelity
 
 SHORT_GRID = "schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}\noutputs: [fidelity]"
@@ -747,11 +747,11 @@ BUDGET_CASES = [
      "initial.values"),
     ("{kind: fock, n: 1}", "{kind: coherent, alpha: 0.5, truncation: 1001}",
      "initial.truncation"),
-    # reduced_density keeps the limit n_max <= 200
-    ("outputs: [fidelity]", "n_max: 201\noutputs: [fidelity, reduced_density]", "n_max"),
+    # reduced_density has the same limit n_max <= 1000
+    ("outputs: [fidelity]", "n_max: 1001\noutputs: [fidelity, reduced_density]", "n_max"),
     ("{kind: fock, n: 1}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
      "outputs: [fidelity]",
-     "{kind: fock, n: 201}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
+     "{kind: fock, n: 1001}\nschedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}\n"
      "outputs: [reduced_density]", "initial.n"),
     # 651 x (1 + 4 x 62**2), 24814 x (1 + 2 x 201) and 37895 x (2 + 1 + 4 x 21**2)
     # CSV cells exceed 10**7
@@ -1019,12 +1019,31 @@ HERMITIAN_POOL = np.array([
 def test_hermitian_rows_match_percent(monkeypatch, dim, chunk):
     # every cell written as % writes it, with the twin map of the run, whether
     # a chunk holds many rows or a row spans many chunks
+    twins = cli._hermitian_twins(dim)  # the map of the run, even where a chunk cannot use it
     monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
     rng = np.random.default_rng(19 * dim + chunk)
     pool = np.concatenate([HERMITIAN_POOL, rng.normal(size=40) * 10.0 ** rng.integers(-30, 30, 40)])
     rows = hermitian_rows(rng, -(-cli._ARRAY_MIN_CELLS // (1 + 4 * dim * dim)) + 7, dim, pool)
-    twins = cli._hermitian_twins(dim)
     assert b"".join(_csv_rows(rows, twins)).decode("ascii") == percent_rows(rows)
+
+
+def test_a_wide_hermitian_row_is_written_a_chunk_at_a_time():
+    # a row of 1 + 4 x 301**2 cells, 181805 of them its own: it is formatted
+    # _CHUNK_CELLS cells at a time, with a traced peak of a few chunks' slots
+    # (the formatter's temporaries are some ten times a chunk's slots), not
+    # one of the row's
+    rng = np.random.default_rng(301)
+    rows = hermitian_rows(rng, 1, 301, rng.normal(size=50) * 10.0 ** rng.integers(-30, 30, 50))
+    expected = percent_rows(rows)
+    tracemalloc.start()
+    try:
+        chunks = list(_csv_rows(rows, cli._hermitian_twins(301)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b"".join(chunks).decode("ascii") == expected
+    peak -= sum(map(len, chunks))  # the text, which the test keeps and a run writes away
+    assert peak < 16 * cli._CHUNK_CELLS * cli._SLOTS, f"traced peak {peak} bytes"
 
 
 def test_hermitian_rows_format_each_pair_once(monkeypatch):
@@ -1081,6 +1100,35 @@ outputs: [reduced_density]
     size = (out / "reduced_density.csv").stat().st_size
     assert size >= 10 * 2**20
     assert peak < size / 3, f"traced peak {peak} bytes for a CSV of {size} bytes"
+
+
+@pytest.mark.parametrize("chunk", [16384, 5])
+@pytest.mark.parametrize("n_max", [0, 1, 7, 20, 200])
+@pytest.mark.parametrize(
+    "output", ["fidelity", "number_distribution", "reduced_density", "transfer_profile"]
+)
+def test_streamed_header_is_the_joined_names(tmp_path, monkeypatch, output, n_max, chunk):
+    # written batch by batch, the header is what one join of its names writes
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
+    levels = range(1, n_max + 1)
+    with cli._CsvFiles(tmp_path) as csvs:
+        csvs.open(output, csv_header(output, n_max, levels))
+    names = list(csv_header(output, n_max, levels))
+    assert (tmp_path / f"{output}.csv").read_bytes() == (",".join(names) + "\n").encode("ascii")
+
+
+def test_density_header_is_written_a_batch_at_a_time(tmp_path):
+    # the writer holds one batch of names, about 150 bytes a name, where the
+    # 161605 names of n_max 200 at once take 17 MB. (At n_max 1000 there are
+    # 4008005; tracing them all takes some 40 s.)
+    tracemalloc.start()
+    try:
+        with cli._CsvFiles(tmp_path) as csvs:
+            csvs.open("reduced_density", csv_header("reduced_density", 200, range(1, 201)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * cli._CHUNK_CELLS, f"traced peak {peak} bytes"
 
 
 def test_final_norm_builds_no_table(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -18,7 +21,8 @@ from oscswap.scenario import (
 )
 from test_cli import BAD_AMPLITUDES, BUDGET_BASE, BUDGET_CASES, FOCK_GRID, QUBIT_SCAN
 
-SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
 
 
 def raw_scenario(initial=None, schedule=None, **top):
@@ -36,9 +40,9 @@ def raw_scenario(initial=None, schedule=None, **top):
     "output", ["fidelity", "number_distribution", "reduced_density", "transfer_profile"]
 )
 def test_csv_width_counts_the_header(output, n_max):
-    # the budget counts cells by width, without building the names
+    # the budget counts cells by width, without making the names
     for levels in (range(1, n_max + 1), [n for n in range(1, n_max + 1) if n % 3], []):
-        assert csv_width(output, n_max, levels) == len(csv_header(output, n_max, levels))
+        assert csv_width(output, n_max, levels) == len(list(csv_header(output, n_max, levels)))
 
 
 class TestCostBudgetLimitsParse:
@@ -74,12 +78,13 @@ class TestCostBudgetLimitsParse:
             ({"kind": "fock", "n": 1}, {"n_max": 200, "outputs": ["reduced_density"]}),
             ({"kind": "fock", "n": 200}, {"outputs": ["fidelity", "reduced_density"]}),
             ({"kind": "fock", "n": 1}, {"n_max": 1000, "outputs": ["number_distribution"]}),
+            ({"kind": "fock", "n": 1}, {"n_max": 1000, "outputs": ["reduced_density"]}),
         ],
         ids=["explicit-1000", "coherent-1000", "density-explicit-200", "density-fock-200",
-             "number_distribution-1000"],
+             "number_distribution-1000", "reduced_density-1000"],
     )
     def test_n_max_limit_without_and_with_densities(self, initial, top):
-        # the closed forms have no cubic work; reduced_density keeps n_max <= 200
+        # one n_max limit for every output; the cell limit bounds the steps
         assert parse_scenario(raw_scenario(initial=initial, **top)).n_max in (200, 1000)
 
     def test_csv_cells_limit(self):
@@ -102,7 +107,8 @@ class TestCostBudgetLimitsParse:
             ({"kind": "exchange_scan", "k_max": 1000}, 1000, []),
             # with a density output, only the cell limit bounds the steps:
             # 24813 x (1 + 2 x 201), 5530 x (1 + 2 x 21 + 1 + 4 x 21**2),
-            # 4992 x (1 + 2 x 1001) and 99009 x (1 + 4 x 5**2) stay within 10**7
+            # 4992 x (1 + 2 x 1001), 99009 x (1 + 4 x 5**2) and 2 x (1 + 4 x 1001**2)
+            # stay within 10**7
             ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 24813}, 200,
              ["number_distribution"]),
             ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 5530}, 20,
@@ -111,11 +117,13 @@ class TestCostBudgetLimitsParse:
              ["number_distribution", "report"]),
             ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 99009}, 4,
              ["reduced_density", "report"]),
+            ({"kind": "time_grid", "t_start": 0.0, "t_end": 1.0, "steps": 2}, 1000,
+             ["reduced_density", "report"]),
         ],
         ids=["time_grid", "exchange_scan", "density-n_max-200", "density-n_max-20",
-             "density-n_max-1000", "reduced-density-n_max-4"],
+             "density-n_max-1000", "reduced-density-n_max-4", "reduced-density-n_max-1000"],
     )
-    def test_grid_work_limit(self, schedule, n_max, outputs):
+    def test_cell_limit_edges(self, schedule, n_max, outputs):
         """The largest grids that the steps, k_max, n_max and cell limits admit parse."""
         raw = raw_scenario(schedule=schedule, n_max=n_max, outputs=outputs)
         assert parse_scenario(raw).n_max == n_max
@@ -304,3 +312,25 @@ class TestYamlLoaders:
         path = tmp_path / "scenario.yaml"
         path.write_text(QUBIT_SCAN + "deep: " + "[" * 3000 + "]" * 3000 + "\n")
         assert load_with(monkeypatch, path, libyaml=False) == "(file)"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a: " + "[" * 50000 + "]" * 50000 + "\n",
+         "a: " + "{b: " * 50000 + "1" + "}" * 50000 + "\n",
+         "- " * 50000 + "1\n"],
+        ids=["flow-sequence", "flow-mapping", "compact-block-sequence"],
+    )
+    def test_deep_nesting_is_a_file_error_before_parsing(self, tmp_path, text):
+        # libyaml recurses once per level and overflows the C stack, killing
+        # the process with no message: run the file in a child process
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "oscswap.cli", "run", str(path), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith('error: scenario field "(file)": has 50000 of')
+        assert not (tmp_path / "out").exists()
