@@ -12,8 +12,8 @@ each cell below a diagonal has the magnitude of its mirror above it: up to
 n_max 89 only the mirror is formatted, and the cell copies its digits and
 writes its own sign.
 
-Each CSV is written as bytes while the run computes it: its header
-``_CHUNK_CELLS`` names at a time, then each chunk of its rows (see
+Each CSV is written as bytes while the run computes it: its header a piece
+at a time (see :func:`~oscswap.scenario.csv_header`), then each chunk of its rows (see
 :func:`_csv_rows`) as it is formatted, so a run holds one chunk of its
 output, never a whole CSV, header or row. If a run fails after a CSV is
 opened (a numerical self-check, exit 3), every CSV it opened is deleted.
@@ -26,7 +26,6 @@ namespace, so nothing carries over from one call to the next.
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from collections.abc import Iterable
@@ -276,10 +275,8 @@ class _CsvFiles:
 
     def open(self, name: str, header: Iterable[str]) -> None:
         self._files[name] = out = (self.out_dir / f"{name}.csv").open("wb")
-        names, sep = iter(header), ""
-        while batch := list(itertools.islice(names, _CHUNK_CELLS)):
-            out.write((sep + ",".join(batch)).encode("ascii"))
-            sep = ","
+        for i, piece in enumerate(header):  # one or more names, joined by ','
+            out.write(f"{',' if i else ''}{piece}".encode("ascii"))
         out.write(b"\n")
 
     def write(self, name: str, rows: np.ndarray, twins: np.ndarray | None = None) -> None:

@@ -40,9 +40,10 @@ _OUTPUTS_BY_SCHEDULE = {
 }
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 _HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
-# libyaml recurses per nesting level and kills the process near 20000 levels. A
-# level opens with '[', '{' or '- ', so their count bounds the depth (1001 [re, im] need 1002).
-_OPENERS_LIMIT = 10_000
+_OPENERS_LIMIT = 10_000  # of '[', '{' and '- ': bounds input size and depth; 1001 [re, im] use 1002
+_STR, _INT, _FLOAT, _SEQ, _MAP, _MERGE_TAG, _VALUE_TAG = (
+    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "seq", "map", "merge", "value"))
+_MERGE = object()  # a merge key (<<) waiting for its value
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
 # Closed forms cost O(n_max), or O(n_max**2) for the number distributions, per
@@ -115,17 +116,87 @@ def load_scenario(path: str | Path) -> Scenario:
     if openers > _OPENERS_LIMIT:
         raise ScenarioError(
             "(file)", f"has {openers} of '[', '{{' and '- ', above the limit {_OPENERS_LIMIT}")
-    # libyaml's parser where PyYAML was built with it: about 10x faster than
-    # the pure-Python SafeLoader, with the same results
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        raw = yaml.load(text, Loader=loader)
+        return parse_scenario(_read_yaml(text))
     except yaml.YAMLError as exc:
         raise ScenarioError("(file)", f"not valid YAML: {exc}") from exc
-    except RecursionError:
-        # the pure-Python composer recurses once per nesting level
+    except RecursionError:  # the repr, in an error message, of a value nested ~1000 deep
         raise ScenarioError("(file)", "nested too deeply to parse") from None
-    return parse_scenario(raw)
+
+
+def _read_yaml(text: str) -> object:
+    """The one document in ``text`` (None if none) as ``yaml.load(text, yaml.SafeLoader)``
+    builds it, in one loop over the parser's events (libyaml's where PyYAML has it)."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+    anchors, items = {}, []  # items: where the next value goes, a mapping's keys and values in turn
+    document, stack = items, [(items, items, None)]  # open containers: (object, items, start event)
+    try:
+        while (kind := type(event := loader.get_event())) is not yaml.StreamEndEvent:
+            if kind is yaml.ScalarEvent:
+                value, tag = event.value, event.tag
+                try:  # a str or plain decimal number directly, others by SafeLoader's constructor
+                    if tag is None or tag == "!":
+                        tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
+                    if tag == _FLOAT and event.tag is None and not value.strip("0123456789.eE+-"):
+                        value = float(value)
+                    elif tag == _INT and value.isdigit() and value[0] != "0":
+                        value = int(value)
+                    elif tag in (_MERGE_TAG, _VALUE_TAG) and items is not stack[-1][0] \
+                            and not len(items) % 2:  # a mapping's key, as flatten_mapping reads it
+                        value = _MERGE if tag == _MERGE_TAG else value
+                    elif tag != _STR:
+                        value = loader.construct_document(
+                            yaml.ScalarNode(tag, value, event.start_mark, event.end_mark))
+                except (ValueError, LookupError, AttributeError) as exc:  # !!float abc, !!int 1.5
+                    raise _refused(f"cannot read as {tag}: {exc}", event) from None
+                items.append(value)
+            elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+                value = [] if kind is yaml.SequenceStartEvent else {}
+                if event.tag not in (None, "!", _SEQ if kind is yaml.SequenceStartEvent else _MAP):
+                    raise _refused(f"cannot read a collection tagged {event.tag}", event)  # !!set
+                items = value if kind is yaml.SequenceStartEvent else []
+                stack.append((value, items, event))
+            elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                if kind is yaml.MappingEndEvent:
+                    _fill_mapping(stack)
+                value = stack.pop()[0]
+                items = stack[-1][1]
+                items.append(value)
+                continue
+            elif kind is yaml.AliasEvent:
+                if event.anchor not in anchors:
+                    raise _refused(f"found undefined alias {event.anchor!r}", event)
+                items.append(anchors[event.anchor])
+                continue
+            elif kind is yaml.DocumentStartEvent and document:
+                raise _refused("expected a single document, but found another", event)
+            else:  # the stream's start, a document's start or end
+                continue
+            if event.anchor is not None and (event.anchor in anchors or value is _MERGE):
+                raise _refused(f"found anchor {event.anchor!r} twice or on a merge key", event)
+            anchors[event.anchor] = value  # a scalar's or an opening container's; None is no name
+    finally:
+        loader.dispose()
+    return document[0] if document else None
+
+
+def _fill_mapping(stack: list) -> None:
+    """Fill the innermost open mapping as SafeConstructor.flatten_mapping does."""
+    mapping, items, opened = stack[-1]
+    pairs = list(zip(items[::2], items[1::2]))
+    for merged in (value for key, value in pairs if key is _MERGE):  # first, each merge key's
+        for src in merged[::-1] if type(merged) is list else [merged]:  # mappings, last to first
+            if type(src) is not dict or any(f[0] is merged or f[0] is src for f in stack):
+                raise _refused("expected complete mappings for merging", opened)
+            mapping.update(src)
+    try:
+        mapping.update(pair for pair in pairs if pair[0] is not _MERGE)  # then its own pairs
+    except TypeError:  # a list or mapping as a key
+        raise _refused("found unhashable key", opened) from None
+
+
+def _refused(problem: str, event: yaml.Event) -> yaml.YAMLError:
+    return yaml.MarkedYAMLError(problem=problem, problem_mark=event.start_mark)
 
 
 def parse_scenario(raw: object) -> Scenario:
@@ -205,10 +276,9 @@ def _check_exchange_window(params: CouplingParams, k_max: int) -> None:
 
 
 def csv_header(output: str, n_max: int, levels: Sequence[int]) -> Iterator[str]:
-    """Column names of a time grid's CSV output ``output`` (one row per time), made lazily.
-
-    ``levels`` are the mode-1 levels whose transfer probability
-    ``transfer_profile`` writes.
+    """Column names of a time grid's CSV output ``output`` (one row per time), made lazily in
+    pieces that join with ',': a name, or one ``reduced_density`` matrix row of them.
+    ``levels`` are the mode-1 levels whose transfer probability ``transfer_profile`` writes.
     """
     dim = n_max + 1
     yield "t"
@@ -217,8 +287,9 @@ def csv_header(output: str, n_max: int, levels: Sequence[int]) -> Iterator[str]:
     elif output == "number_distribution":
         yield from (f"p{mode}_{n}" for mode in (1, 2) for n in range(dim))
     elif output == "reduced_density":  # mode, row, column, then re and im side by side
-        yield from (f"rho{mode}_{i}_{j}_{part}" for mode in (1, 2) for i in range(dim)
-                    for j in range(dim) for part in ("re", "im"))
+        columns = [f"{j}_{part}" for j in range(dim) for part in ("re", "im")]
+        for prefix in (f"rho{mode}_{i}_" for mode in (1, 2) for i in range(dim)):
+            yield prefix + f",{prefix}".join(columns)  # a row's names from one template
     else:
         yield from (f"transfer_prob_{n}" for n in levels)
 
@@ -454,6 +525,8 @@ def _as_int(raw: object, field: str, minimum: int) -> int:
 
 def _as_complex(raw: object, field: str) -> complex:
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    if type(parts[0]) is type(parts[1]) is float and math.isfinite(sum(parts)):  # so each is
+        return complex(*parts)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise ScenarioError(field, f"must be a number or [re, im], got {raw!r}")
     re, im = (_as_number(v, field) for v in parts)

@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from oscswap import cli
 from oscswap.cli import _csv_rows, _fmt, main
 from oscswap.core import CouplingParams, TwoModeState, derive_mixing
-from oscswap.scenario import ScenarioError, csv_header, load_scenario, parse_scenario
+from oscswap.scenario import ScenarioError, _read_yaml, csv_header, load_scenario, parse_scenario
 from conftest import mp_exchange_fidelity
 
 SHORT_GRID = "schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}\noutputs: [fidelity]"
@@ -815,12 +815,16 @@ SCENARIO_TREES = st.fixed_dictionaries(
 )
 
 
-def _parse_outcome(text, loader):
-    """The parsed scenario, or the field its ScenarioError names."""
-    try:
-        return parse_scenario(yaml.load(text, Loader=loader))
-    except ScenarioError as exc:
-        return exc.field
+def _parse_outcome(text, libyaml):
+    """The scenario the YAML reader and parse_scenario make of ``text``, with or
+    without libyaml, or the field its ScenarioError names."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not libyaml:
+            patch.delattr(yaml, "CSafeLoader", raising=False)
+        try:
+            return parse_scenario(_read_yaml(text))
+        except ScenarioError as exc:
+            return exc.field
 
 
 @settings(max_examples=150, database=None)
@@ -830,7 +834,7 @@ def test_scenario_contract_holds(tmp_path_factory, tree):
     # any scenario exits 0, exits 2 naming a field, or exits 3 on a self-check;
     # never 1 and never a traceback
     text = yaml.safe_dump(tree)
-    outcomes = [_parse_outcome(text, loader) for loader in (yaml.SafeLoader, yaml.CSafeLoader)]
+    outcomes = [_parse_outcome(text, libyaml) for libyaml in (False, True)]
     assert outcomes[0] == outcomes[1]
     path = tmp_path_factory.mktemp("contract") / "scenario.yaml"
     path.write_text(text)

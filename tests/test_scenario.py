@@ -8,11 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, seed, settings, strategies as st
 
 from oscswap.cli import main
 from oscswap.scenario import (
     Scenario,
     ScenarioError,
+    _read_yaml,
     build_initial_state,
     csv_header,
     csv_width,
@@ -42,7 +44,27 @@ def raw_scenario(initial=None, schedule=None, **top):
 def test_csv_width_counts_the_header(output, n_max):
     # the budget counts cells by width, without making the names
     for levels in (range(1, n_max + 1), [n for n in range(1, n_max + 1) if n % 3], []):
-        assert csv_width(output, n_max, levels) == len(list(csv_header(output, n_max, levels)))
+        names = ",".join(csv_header(output, n_max, levels)).split(",")
+        assert csv_width(output, n_max, levels) == len(names)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7, 20, 200])
+@pytest.mark.parametrize(
+    "output", ["fidelity", "number_distribution", "reduced_density", "transfer_profile"]
+)
+def test_header_pieces_join_to_the_names(output, n_max):
+    # the reference makes every name on its own; csv_header makes a density row
+    # from one template
+    dim = n_max + 1
+    levels = [n for n in range(1, n_max + 1) if n % 3]
+    names = {
+        "fidelity": ["fidelity"],
+        "number_distribution": [f"p{mode}_{n}" for mode in (1, 2) for n in range(dim)],
+        "reduced_density": [f"rho{mode}_{i}_{j}_{part}" for mode in (1, 2) for i in range(dim)
+                            for j in range(dim) for part in ("re", "im")],
+        "transfer_profile": [f"transfer_prob_{n}" for n in levels],
+    }[output]
+    assert ",".join(csv_header(output, n_max, levels)) == ",".join(["t", *names])
 
 
 class TestCostBudgetLimitsParse:
@@ -214,6 +236,71 @@ HOSTILE_EDITS = [
      "params: !!python/object/apply:os.getcwd []"),
     ("outputs: [fidelity]", "outputs: [fidelity]\n---\nparams: {}"),
     ("outputs: [fidelity]", "outputs: fidelity"),
+    # scalars that SafeLoader's constructors read, or fail to
+    ("omega1: 1.0", "omega1: '1.0'"),
+    ("steps: 2", 'steps: "2"'),
+    ("steps: 2", "steps: 1:30"),
+    ("steps: 2", "steps: 010"),
+    ("omega1: 1.0", "omega1: +.5"),  # YAML 1.1 reads it as a string
+    ("omega1: 1.0", "omega1: ~"),
+    ("omega1: 1.0", "omega1: !!float abc"),
+    ("steps: 2", "steps: !!int 1.5"),
+    ("omega1: 1.0", "omega1: !!timestamp xx"),
+    # anchors, aliases and merge keys
+    ("omega2: 1.0", "omega2: *nowhere"),
+    ("omega1: 1.0, omega2: 1.0", "omega1: &w 1.0, omega2: *w"),
+    ("omega1: 1.0, omega2: 1.0", "omega1: &w 1.0, omega2: &w 1.0"),
+    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+     "params: {<<: {omega1: 1.0, omega2: 1.0}, lambda: 0.5}"),
+    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+     "params: {<<: [{omega1: 1.0}, {omega1: 2.0, omega2: 1.0}], lambda: 0.5}"),
+    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+     "base: &b {omega1: 1.0, omega2: 1.0}\nparams: {<<: *b, lambda: 0.5}"),
+    ("lambda: 0.5}", "lambda: 0.5, <<: {lambda: 9.0}}"),  # the mapping's own key wins
+    ("lambda: 0.5}", "lambda: 0.5, <<: 1}"),
+    ("lambda: 0.5}", "lambda: 0.5, <<: [{omega3: 1.0}, 2]}"),
+    ("outputs: [fidelity]", "outputs: !!set {fidelity}"),
+]
+# Texts outside the scenario schema that the reader must build as yaml.load
+# does, or refuse as it does: one case of refusal to a text
+READER_TEXTS = [
+    "# a comment alone\n",
+    "---\n",
+    "- 1\n- 2\n",
+    "1.5\n",
+    "a: &x [1, {k: 2}]\nb: *x\nc: [*x, *x]\n",
+    "a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4}\nc: {<<: [*a, *b], w: 0}\nd: {w: 0, <<: *b, z: 9}\n",
+    "a: {<<: [{x: 1}, {x: 2}], <<: {x: 3}}\nb: {<<: {}}\nc: &n {<<: {x: 1}}\nd: {<<: *n}\n",
+    "a: {'<<': {x: 1}, =: 2, &v =: 3, b: *v}\n",
+    "q: ['1.0', \"2\", '~', '0x10']\nn: [0x10, 1_000, 1:30, 07, 010, -0, +5, 0b11, 1__0]\n",
+    "f: [.inf, -.inf, .NaN, +.5, 1., .5, 1.5e+3, -0.0, 1_0.5, 1:30.5, 1.0e400]\n",
+    "o: [~, yes, No, 'yes', 2001-12-14, 2001-12-14 21:59:43.10 -5, null, '', 1e5]\n",
+    "e: [!!float 2, !!float --1, !!int 010, !!str 1, ! 4, ! [1], !!null x, !!binary aGVsbG8=]\n",
+    "c: [!!seq [1], !!map {b: 1}]\n",
+    "{1: a, 1.0: b, true: c}\n",
+    "a: 1\n---\nb: 2\n",
+    "a: &x 1\nb: &x 2\n",
+    "a: *x\n",
+    "? [1, 2]\n: x\n",
+    "a: <<\n",
+    "a: =\n",
+    "a: {<<: 1}\n",
+    "a: {<<: [[]]}\n",
+    "a: !!bool maybe\n",
+    "a: !!int ''\n",
+    "a: !!seq x\n",
+    "a: !foo x\n",
+    "a: 2001-13-40\n",
+    "a: 1%s\n" % ("1" * 5000),
+]
+# Texts yaml.load reads that the reader refuses: tagged collections, an anchor
+# on a merge key, and a merge of a mapping that encloses it
+REFUSED_TEXTS = [
+    "a: !!set {b: 1}\n",
+    "a: !!omap [{b: 1}]\n",
+    "{&k <<: {a: 1}, *k : {b: 2}}\n",
+    "&a {b: {<<: *a}}\n",
+    "&a {<<: *a}\n",
 ]
 
 
@@ -243,6 +330,62 @@ needs_libyaml = pytest.mark.skipif(
 )
 
 
+def same_tree(a, b, seen=None):
+    """``a`` equals ``b`` with equal types and reprs throughout (1, 1.0 and True differ,
+    as do 0.0 and -0.0; nan equals nan), its mappings' keys in the same order, and its
+    containers shared alike."""
+    seen = {} if seen is None else seen
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, dict)):
+        if id(a) in seen:
+            return seen[id(a)] is b
+        seen[id(a)] = b
+        if isinstance(a, list):
+            return len(a) == len(b) and all(same_tree(x, y, seen) for x, y in zip(a, b))
+        return len(a) == len(b) and all(
+            same_tree(k, j, seen) and same_tree(a[k], b[j], seen) for k, j in zip(a, b))
+    return repr(a) == repr(b)
+
+
+def read_with(text, libyaml):
+    """``_read_yaml(text)`` with or without libyaml, or the YAMLError class it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not libyaml:
+            patch.delattr(yaml, "CSafeLoader", raising=False)
+        try:
+            return _read_yaml(text)
+        except yaml.YAMLError:
+            return yaml.YAMLError
+
+
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+
+
+@st.composite
+def shared_trees(draw):
+    """Trees in which some lists occur more than once: safe_dump writes each
+    repeat as an alias of the first."""
+    shared = draw(st.lists(st.lists(_leaves, max_size=3), min_size=1, max_size=3))
+    tree = draw(st.recursive(
+        st.one_of(_leaves, st.sampled_from(shared)),
+        lambda kids: st.one_of(st.lists(kids, max_size=4),
+                               st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+        max_leaves=16,
+    ))
+    return {"tree": tree, "shared": shared, "again": shared[0]}
+
+
+@settings(max_examples=150, database=None, deadline=None)
+@seed(20261020)
+@given(tree=shared_trees())
+def test_reader_builds_shared_trees_as_yaml_load(tree):
+    text = yaml.safe_dump(tree)
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert same_tree(read_with(text, libyaml=False), expected), text
+    assert same_tree(read_with(text, libyaml=True), expected), text
+
+
 class TestYamlLoaders:
     @needs_libyaml
     @pytest.mark.parametrize("path", SCENARIOS, ids=[path.stem for path in SCENARIOS])
@@ -265,6 +408,28 @@ class TestYamlLoaders:
         refused = [t for t, o in outcomes.items() if o == "(file)"]
         assert any("!!python" in t for t in refused) and any("---" in t for t in refused)
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_reader_builds_what_yaml_load_builds(self, libyaml):
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        loader = yaml.CSafeLoader if libyaml else yaml.SafeLoader
+        checked = 0
+        for text in hostile_texts() + READER_TEXTS:
+            try:
+                expected = yaml.load(text, Loader=loader)
+            except yaml.YAMLError:
+                expected = yaml.YAMLError
+            except (ValueError, LookupError, AttributeError):
+                expected = yaml.YAMLError  # a bad scalar (!!float abc) ends yaml.load unmarked
+            if "!!set" in text:
+                expected = yaml.YAMLError  # a tagged collection, as in REFUSED_TEXTS
+            assert same_tree(read_with(text, libyaml), expected), text
+            checked += expected is not yaml.YAMLError
+        assert checked >= 30
+        for text in REFUSED_TEXTS:
+            yaml.load(text, Loader=loader)
+            assert read_with(text, libyaml) is yaml.YAMLError, text
+
     @needs_libyaml
     def test_libyaml_is_used_when_present(self, monkeypatch, tmp_path):
         used = []
@@ -284,8 +449,12 @@ class TestYamlLoaders:
     @pytest.mark.parametrize(
         "text",
         ["params: {omega1: 1.0\n", "params:\n  omega1: 1.0\n omega2: 1.0\n",
-         "params:\n\tomega1: 1.0\n", "initial: 'fock\n", "a: b: c\n"],
-        ids=["unclosed-flow", "bad-indent", "tab", "open-quote", "nested-colon"],
+         "params:\n\tomega1: 1.0\n", "initial: 'fock\n", "a: b: c\n",
+         # scalars their tag cannot read, which ended yaml.load with a traceback
+         "params: {omega1: !!float abc}\n", "params: {omega1: !!timestamp xx}\n",
+         "schedule: {steps: !!int 1.5}\n"],
+        ids=["unclosed-flow", "bad-indent", "tab", "open-quote", "nested-colon",
+             "bad-float", "bad-timestamp", "bad-int"],
     )
     def test_malformed_yaml_exits_two(self, monkeypatch, tmp_path, capsys, libyaml, text):
         if libyaml and not hasattr(yaml, "CSafeLoader"):
@@ -307,11 +476,19 @@ class TestYamlLoaders:
         assert 'scenario field "(file)": not UTF-8 text' in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_deep_nesting_is_a_file_error_without_libyaml(self, monkeypatch, tmp_path):
-        # the pure-Python composer recurses once per level and would exhaust the stack
+    def test_deep_nesting_parses_alike_with_both_loaders(self, monkeypatch, tmp_path):
+        # the reader recurses at no depth, so 3000 levels reach the schema
         path = tmp_path / "scenario.yaml"
         path.write_text(QUBIT_SCAN + "deep: " + "[" * 3000 + "]" * 3000 + "\n")
+        assert load_with(monkeypatch, path, libyaml=False) == "deep"
+        assert load_with(monkeypatch, path, libyaml=True) == "deep"
+
+    def test_deep_value_in_a_message_is_a_file_error(self, monkeypatch, tmp_path):
+        # "must be an integer, got [[[...]]]" would recurse in repr once per level
+        path = tmp_path / "scenario.yaml"
+        path.write_text(BUDGET_BASE.replace("n: 1", "n: " + "[" * 1500 + "]" * 1500))
         assert load_with(monkeypatch, path, libyaml=False) == "(file)"
+        assert load_with(monkeypatch, path, libyaml=True) == "(file)"
 
     @pytest.mark.parametrize(
         "text",
