@@ -29,6 +29,7 @@ from .core import make_product_state  # noqa: F401
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
+_DEFECT_BLOCK = 1 << 16  # entries of rho - rho^H that check_densities holds at once
 _AMPLITUDE_FLOOR = 1e-12
 # find_exchange_time's refinement: each round evaluates the bracket at
 # _ZOOM_POINTS times in one batched call and narrows it to the two grid steps
@@ -53,26 +54,40 @@ def check_densities(rho: np.ndarray) -> np.ndarray:
     stack shifted by it, which succeeds iff every shifted matrix is
     positive definite; only where it fails does ``eigvalsh`` decide, and
     name the lowest eigenvalue.
+
+    Beside ``rho`` it holds the result, built in place from ``rho^H``, and
+    the factor: the defect is taken a block of rows at a time, and the shift
+    is made on the result's own diagonal, which is restored after.
     """
-    adjoint = rho.conj().swapaxes(-1, -2)
-    herm = float(np.max(np.abs(rho - adjoint)))
+    hermitian = np.conjugate(rho.swapaxes(-1, -2), out=np.empty(rho.shape, rho.dtype))
+    rows = max(1, _DEFECT_BLOCK // max(1, rho[..., :1, :].size))
+    herm = float(np.max([np.max(np.abs(rho[..., i:i + rows, :] - hermitian[..., i:i + rows, :]))
+                         for i in range(0, rho.shape[-2], rows)]))  # NaN anywhere gives NaN
     if not herm <= _HERMITICITY_TOL:
         raise NumericalIntegrityError(f"density matrix not Hermitian (defect {herm:.3e})")
     traces = np.real(np.trace(rho, axis1=-2, axis2=-1)).ravel()
     trace = float(traces[np.argmax(np.abs(traces - 1.0))])
     if not abs(trace - 1.0) <= _TRACE_TOL:
         raise NumericalIntegrityError(f"density matrix trace is {trace!r}, expected 1")
-    hermitian = rho + adjoint
-    del adjoint  # freed before the factorization: 8 MB per chunk at n_max 200
+    hermitian += rho
     hermitian *= 0.5
+    dim = rho.shape[-1]
+    diagonal = hermitian.reshape(*rho.shape[:-2], dim * dim)[..., ::dim + 1]  # a view
+    kept = diagonal.copy()
+    diagonal -= _EIGENVALUE_FLOOR
     try:
-        np.linalg.cholesky(hermitian - _EIGENVALUE_FLOOR * np.eye(rho.shape[-1]))
+        np.linalg.cholesky(hermitian)
+        positive = True
     except np.linalg.LinAlgError:
+        positive = False
+    finally:
+        diagonal[...] = kept
+    if not positive:
         lowest = float(np.min(np.linalg.eigvalsh(hermitian)))
         if not lowest >= _EIGENVALUE_FLOOR:
             raise NumericalIntegrityError(
                 f"density matrix has eigenvalue {lowest:.3e} below the floor {_EIGENVALUE_FLOOR}"
-            ) from None
+            )
     return hermitian
 
 
@@ -231,20 +246,29 @@ def statistics_exchanges(
     the exchange suite compares all three grades with eigen-path tables.
     """
     return np.concatenate([
-        grade_exchanges(phi, phi * hops, evo.transfer_amplitude(1, times))
-        for times, hops in evo.product_hops(phi, ts)
+        grade_exchanges(phi, np.multiply(phi, hops, out=hops), evo.transfer_amplitude(1, times))
+        for times, hops in evo.product_hops(phi, ts)  # each chunk's powers become its amplitudes
     ])
 
 
 def grade_exchanges(phi: np.ndarray, swapped: np.ndarray, hop: np.ndarray) -> np.ndarray:
     """:func:`statistics_exchanges`' rows from the amplitudes ``swapped[k, n]``
     on |0, n> of the normalized product state |phi> (x) |0> evolved to some
-    times, at which ``hop[k]`` is the single-quantum transfer amplitude."""
-    stats = np.max(np.abs(np.abs(swapped) - np.abs(phi)), axis=1)
-    delta = np.angle(swapped) - (np.angle(phi) + np.outer(np.angle(hop), np.arange(len(phi))))
-    wrapped = np.abs(delta - math.tau * np.round(delta / math.tau))
-    graded = (np.abs(swapped) >= _AMPLITUDE_FLOOR) & (np.abs(phi) >= _AMPLITUDE_FLOOR)
-    defects = np.max(np.where(graded, wrapped, 0.0), axis=1)
+    times, at which ``hop[k]`` is the single-quantum transfer amplitude.
+    Beside ``swapped`` it holds two real arrays of its shape, each reused in place."""
+    modulus, phi_modulus = np.abs(swapped), np.abs(phi)
+    graded = (modulus >= _AMPLITUDE_FLOOR) & (phi_modulus >= _AMPLITUDE_FLOOR)
+    work = np.subtract(modulus, phi_modulus)
+    stats = np.max(np.abs(work, out=work), axis=1)
+    # the phase defect arg(swapped) - (arg(phi) + n arg(hop)), wrapped into [-pi, pi]
+    delta = np.arctan2(swapped.imag, swapped.real, out=modulus)  # np.angle
+    kick = np.multiply(np.angle(hop)[:, np.newaxis], np.arange(len(phi)), out=work)
+    delta -= np.add(np.angle(phi), kick, out=kick)
+    turns = np.round(np.divide(delta, math.tau, out=kick), out=kick)
+    wrapped = np.abs(np.subtract(delta, np.multiply(math.tau, turns, out=turns), out=delta),
+                     out=delta)
+    np.copyto(wrapped, 0.0, where=np.logical_not(graded, out=graded))  # vanishing amplitudes
+    defects = np.max(wrapped, axis=1)
     fids = _clip_fidelities(np.abs(swapped @ np.conj(phi)) ** 2)
     return np.column_stack([fids, stats, defects])
 

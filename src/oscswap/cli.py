@@ -15,17 +15,23 @@ writes its own sign.
 Each CSV is written as bytes while the run computes it: its header a piece
 at a time (see :func:`~oscswap.scenario.csv_header`), then each chunk of its rows (see
 :func:`_csv_rows`) as it is formatted, so a run holds one chunk of its
-output, never a whole CSV, header or row. If a run fails after a CSV is
-opened (a numerical self-check, exit 3), every CSV it opened is deleted.
+output, never a whole CSV, header or row. ``reduced_density`` computes its
+rows, with their partial traces and checks, one formatting chunk at a time
+(see :func:`_write_densities`). The formatter's working arrays are those of
+one :class:`_Workspace` per run, held by the run's :class:`_CsvFiles` and
+reused chunk after chunk. If a run fails after a CSV is opened (a numerical
+self-check, exit 3), every CSV it opened is deleted.
 
 :func:`main` may be called any number of times in one process, as a
 closed-loop client or a test suite does: it builds its argument parser on
-the first call only, and each call parses its own arguments into a fresh
-namespace, so nothing carries over from one call to the next.
+the first call only, each call parses its own arguments into a fresh
+namespace, and each run has a workspace of its own, so nothing carries over
+from one call to the next.
 """
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from collections.abc import Iterable
@@ -64,6 +70,7 @@ def _fmt(value: float) -> str:
 # (measured on a 2-vCPU x86-64 box: the two meet between 384 and 448 cells).
 _ARRAY_MIN_CELLS = 384
 _CHUNK_CELLS = 16384
+_TEXT_CELLS = 4096  # cells whose slots are joined into one piece of text: 128 KiB at a time
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # 10**p is tabled as hi + lo for these p; a cell of decimal exponent k is
 # scaled by 10**(16 - k), and every product and split stays finite and normal
@@ -77,10 +84,13 @@ _WORD = np.dtype("<u8")  # explicit, so that a big-endian host writes the same b
 _BYTE, _LAST_BYTE = np.uint64(8), np.uint64(56)
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = _SPLIT * x
-    hi = t - (t - x)
-    return hi, x - hi
+def _split(x: np.ndarray, hi: np.ndarray | None = None,
+           lo: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split x = hi + lo, written into ``hi`` and ``lo`` where given."""
+    t = np.multiply(_SPLIT, x, out=hi)
+    lo = np.subtract(t, x, out=lo)
+    hi = np.subtract(t, lo, out=t)  # t - (t - x)
+    return hi, np.subtract(x, hi, out=lo)
 
 
 @functools.cache
@@ -113,15 +123,61 @@ def _tables() -> tuple[np.ndarray, ...]:
         leads.append(lead)
     g = np.arange(10**4)[:, None]
     text = (g // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8).view("<u4")
-    zeros = (g % 10 ** np.arange(1, 5) == 0).sum(axis=1)
+    zeros = (g % 10 ** np.arange(1, 5) == 0).sum(axis=1, dtype=np.int64)
     b, m, q = np.arange(16), np.arange(18)[:, None], np.arange(17)[:, None] - 1
     rows = [np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 16),
             (b + 2 <= m) * 0xFF, (b < q) * 0xFF, (b > q) * 0xFF, (b == q) * ord(".")]
     words = (row.astype(np.uint8).view(_WORD).T.copy() for row in rows)
-    return np.array(leads, np.intp), text, text.astype(_WORD) << np.uint64(32), zeros, *words
+    return np.array(leads, np.int64), text, text.astype(_WORD) << np.uint64(32), zeros, *words
 
 
-def _cell_slots(values: np.ndarray) -> np.ndarray:
+# The bytes per cell of each working array of _cell_slots, then of _csv_rows'
+# twin path; the masks come last, so that every other array stays 8-byte aligned
+_LAYOUT = {"a": 8, "x": 8, "prod": 8, "head": 8, "tail": 8, "hi_tail": 8, "err": 8, "k": 8,
+           "slot": 8, "pair": 16, "words": _SLOTS, "own": 8, "text": _SLOTS, "mirrored": 8,
+           "magnitude": 8, "zero": 1, "fast": 1, "mask": 1, "sign": 1, "nan": 1, "apart": 1}
+
+
+class _Workspace:
+    """The cell formatter's working arrays, reused chunk after chunk through
+    ``out=``: views of one buffer with room for as many cells of each array
+    of ``_LAYOUT`` as the largest chunk so far. After a run's largest chunk,
+    formatting allocates nothing but the text it yields; and as one block,
+    which glibc's malloc serves again to the next run rather than returning
+    its pages, the buffer costs no page faults after the first run. A
+    :class:`_CsvFiles` holds one per run. It also keeps the plan (see
+    :func:`_twin_plan`) of the last twin map it was given, so that a map is
+    planned once per output."""
+
+    def __init__(self, cells: int = 0):
+        self._cells, self._buffer, self._starts = 0, None, {}
+        self._twins = self._plan = None
+        self.reserve(cells)
+
+    def reserve(self, cells: int) -> None:
+        """Room for ``cells`` cells, in a new buffer if the old one holds
+        fewer: arrays taken from the old one stay valid, but are its last."""
+        if cells > self._cells:
+            sizes = [cells * size for size in _LAYOUT.values()]
+            self._starts = dict(zip(_LAYOUT, itertools.accumulate(sizes, initial=0)))
+            self._buffer = None  # freed first, unless an array taken from it lives on
+            self._buffer, self._cells = np.empty(sum(sizes), np.uint8), cells
+
+    def __call__(self, name: str, cells: int, dtype=np.float64) -> np.ndarray:
+        """The array ``name`` for ``cells`` cells, a 1-D ``dtype`` view of
+        ``_LAYOUT[name]`` bytes per cell, of undefined content."""
+        if cells > self._cells:
+            raise ValueError(f"{cells} cells, above the {self._cells} reserved")
+        start = self._starts[name]
+        return self._buffer[start:start + cells * _LAYOUT[name]].view(dtype)
+
+    def twin_plan(self, twins: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        if twins is not self._twins:
+            self._twins, self._plan = twins, _twin_plan(twins)
+        return self._plan
+
+
+def _cell_slots(values: np.ndarray, work: _Workspace) -> np.ndarray:
     """Each value as ``"%.17g" % value``, one row of ``_SLOTS`` bytes (four
     64-bit words) per value: its sign in byte 0, the text of its magnitude
     after it and zero bytes in the empty slots. The last byte is left for a
@@ -135,85 +191,154 @@ def _cell_slots(values: np.ndarray) -> np.ndarray:
     then leaves [1e16, 1e17)), nonzero values outside the power table, inf
     and nan are written by ``%``. Every byte after the sign depends only on
     |value|, so two values of one magnitude share them.
-    """
-    a = np.abs(values)
-    zero = a == 0
-    fast = np.isfinite(a) & ~zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.intp)
-    slot = 16 - k - _P_MIN
-    fast &= (slot >= 0) & (slot <= _P_MAX - _P_MIN)
-    slot[~fast] = -_P_MIN
-    a[~fast] = 1.0
-    hi, lo, hi_head, hi_tail = (row.take(slot) for row in _powers())
-    prod = a * hi
-    head, tail = _split(a)
-    err = ((head * hi_head - prod) + head * hi_tail + tail * hi_head) + tail * hi_tail
-    whole = np.floor(prod)
-    rest = (prod - whole) + err + a * lo
-    rest_floor = np.floor(rest)
-    frac = rest - rest_floor
-    mantissa = whole.astype(np.int64) + rest_floor.astype(np.int64)
-    fast &= (mantissa >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
-    mantissa += frac > 0.5
-    fast &= mantissa < 10**17
-    mantissa[~fast] = 0
-    k[~fast] = 0  # a zero is written as the digit 0 at k = 0; the rest of ~fast by `%`
 
-    top = mantissa // 10**8
-    halves = np.stack([top, mantissa - top * 10**8]).astype(np.uint32)  # digits 1-9, 10-17
-    first = halves[0] // np.uint32(10**8)
-    halves[0] -= first * np.uint32(10**8)
-    fore = halves // np.uint32(10**4)
-    aft = halves - fore * np.uint32(10**4)  # the groups in order: fore[0], aft[0], fore[1], aft[1]
+    It computes in arrays of ``work``: nine of one 64-bit word per value,
+    one of two, and a few masks; an array takes new contents, under a new
+    name, once its old ones are read for the last time. The result is one
+    more of them, read before the next call with ``work``.
+    """
+    n = len(values)
+    a, x, prod, head, tail, hi_tail, err = (work(name, n) for name in
+                                           ("a", "x", "prod", "head", "tail", "hi_tail", "err"))
+    k, slot = work("k", n, np.int64), work("slot", n, np.int64)
+    zero, fast, mask = (work(name, n, np.bool_) for name in ("zero", "fast", "mask"))
+    np.abs(values, out=a)
+    np.equal(a, 0.0, out=zero)
+    np.isfinite(a, out=fast)
+    fast &= np.logical_not(zero, out=mask)  # mask: each use reads it right after writing it
+    np.copyto(x, a)
+    np.copyto(x, 1.0, where=np.logical_not(fast, out=mask))
+    np.copyto(k, np.floor(np.log10(x, out=x), out=x), casting="unsafe")
+    np.subtract(16 - _P_MIN, k, out=slot)
+    fast &= np.greater_equal(slot, 0, out=mask)
+    fast &= np.less_equal(slot, _P_MAX - _P_MIN, out=mask)
+    np.logical_not(fast, out=mask)
+    np.copyto(slot, -_P_MIN, where=mask)
+    np.copyto(a, 1.0, where=mask)
+    powers = _powers()  # rows hi, lo, and the two halves of hi
+    np.multiply(a, _take(powers[0], slot, x), out=prod)
+    _split(a, head, tail)
+    # err = ((head hi_head - prod) + head hi_tail + tail hi_head) + tail hi_tail
+    hi_head = _take(powers[2], slot, x)
+    _take(powers[3], slot, hi_tail)
+    np.multiply(head, hi_head, out=err)
+    err -= prod
+    err += np.multiply(head, hi_tail, out=head)
+    err += np.multiply(tail, hi_head, out=hi_head)
+    err += np.multiply(tail, hi_tail, out=tail)
+    whole = np.floor(prod, out=head)
+    rest = np.subtract(prod, whole, out=prod)
+    rest += err
+    rest += np.multiply(a, _take(powers[1], slot, x), out=x)
+    rest_floor = np.floor(rest, out=err)
+    frac = np.subtract(rest, rest_floor, out=rest)
+    mantissa, spare = tail.view(np.int64), hi_tail.view(np.int64)
+    np.copyto(mantissa, whole, casting="unsafe")
+    np.copyto(spare, rest_floor, casting="unsafe")
+    mantissa += spare
+    fast &= np.greater_equal(mantissa, 10**16, out=mask)
+    fast &= np.greater(np.abs(np.subtract(frac, 0.5, out=whole), out=whole), 1e-6, out=mask)
+    mantissa += np.greater(frac, 0.5, out=mask)
+    fast &= np.less(mantissa, 10**17, out=mask)
+    np.logical_not(fast, out=mask)
+    np.copyto(mantissa, 0, where=mask)
+    np.copyto(k, 0, where=mask)  # a zero is written as the digit 0 at k = 0; the rest of ~fast by `%`
+
+    # the float arrays, done with, as integers: digits 1-9 and 10-17 as
+    # `high` and `low`, the first digit, then the groups of four digits in
+    # order fore[0], aft[0], fore[1], aft[1]. Each index array is int64, so
+    # that no take converts one
+    scratch, first, fore0, fore1, lead = (array.view(np.int64) for array in (a, x, prod, head, err))
+    high, low = np.floor_divide(mantissa, 10**8, out=spare), mantissa
+    low -= np.multiply(high, 10**8, out=scratch)
+    np.floor_divide(high, 10**8, out=first)
+    high -= np.multiply(first, 10**8, out=scratch)
+    fore = np.floor_divide(high, 10**4, out=fore0), np.floor_divide(low, 10**4, out=fore1)
+    aft = high, low
+    for fore_group, aft_group in zip(fore, aft):
+        aft_group -= np.multiply(fore_group, 10**4, out=scratch)
     leads, text4, high_text4, zeros, affixes, kept, before, after, dot = _tables()
-    pair = text4.take(fore) | high_text4.take(aft)  # words 1 and 2: digits 2-17 as text
-    significant, rest = 17 - zeros.take(aft[1]), np.flatnonzero(aft[1] == 0)
+    pair = work("pair", n, _WORD).reshape(2, n)
+    for digits, fore_group, aft_group in zip(pair, fore, aft):  # words 1 and 2: digits 2-17
+        _take(high_text4, aft_group, digits)
+        digits |= _take(text4, fore_group, scratch.view(np.uint32)[:n])
+    significant = np.subtract(17, _take(zeros, aft[1], slot), out=slot)
+    rest = np.flatnonzero(np.equal(aft[1], 0, out=mask))
     for group in (fore[1], aft[0], fore[0]):  # it counts only where the groups after it are 0
         significant[rest] -= zeros.take(group[rest])
         rest = rest[group[rest] == 0]
     k -= _K_MIN
-    lead = leads.take(k)
-    pair &= kept.take(np.maximum(significant, lead), axis=1)  # zeros after the point go
-    words = np.empty((len(values), 4), _WORD)
-    words[:, 0], words[:, 3] = affixes.take(k, axis=1)
+    _take(leads, k, lead)
+    np.maximum(significant, lead, out=scratch)
+    for digits, keep in zip(pair, kept):  # zeros after the point go
+        digits &= _take(keep, scratch, fore0.view(_WORD))
+    words = work("words", n, _WORD).reshape(n, 4)
+    for column, affix in zip((0, 3), affixes):
+        words[:, column] = _take(affix, k, fore0.view(_WORD))
     out = words.view(np.uint8)
-    out[:, 0] = _signs(values)
+    out[:, 0] = _signs(values, work)
     # the point goes after `lead` digits when digits follow it: in the prefix
     # for lead 0, in byte 7 for lead 1 (the first digit moving to byte 6), and
     # for more, it pushes the digits after it one byte up
-    point = lead * (significant > lead)
-    first += np.uint32(ord("0"))  # bytes 6-7: the digit and a point, or the digit in 7
-    out.view("<u2")[:, 3] = np.where(point == 1, first | np.uint32(ord(".") << 8),
-                                     first << np.uint32(8))
-    inside = np.flatnonzero(point > 1)
+    point = np.multiply(lead, np.greater(significant, lead, out=mask), out=lead)
+    first += ord("0")  # bytes 6-7: the digit and a point, or the digit in 7
+    digit = np.left_shift(first, 8, out=scratch)
+    np.copyto(digit, np.bitwise_or(first, ord(".") << 8, out=first),
+              where=np.equal(point, 1, out=mask))
+    out.view("<u2")[:, 3] = digit
+    inside = np.flatnonzero(np.greater(point, 1, out=mask))
     p, moved = point[inside], pair.take(inside, axis=1)
     shifted = np.stack([moved[0] << _BYTE, moved[1] << _BYTE | moved[0] >> _LAST_BYTE])
     pair[:, inside] = ((moved & before.take(p, axis=1)) | (shifted & after.take(p, axis=1))
                        | dot.take(p, axis=1))
     words[inside, 3] |= moved[1] >> _LAST_BYTE
     words[:, 1], words[:, 2] = pair
-    slow = np.flatnonzero(~fast & ~zero)
+    slow = np.flatnonzero(np.logical_not(np.logical_or(fast, zero, out=mask), out=mask))
     if slow.size:  # each text is at most 23 bytes, zero-padded to the slots after the sign
         texts = ["%.17g" % value for value in np.abs(values.take(slow)).tolist()]
         out[slow, 1:] = np.array(texts, f"S{_SLOTS - 1}").view(np.uint8).reshape(-1, _SLOTS - 1)
     return out
 
 
-def _signs(values: np.ndarray) -> np.ndarray:
+def _take(table: np.ndarray, indices: np.ndarray, out: np.ndarray,
+          axis: int | None = None) -> np.ndarray:
+    """``table.take(indices, axis)`` written into ``out``. Every index is in
+    range: mode "clip" only spares the buffered copy that "raise" makes."""
+    return np.take(table, indices, axis=axis, out=out, mode="clip")
+
+
+def _signs(values: np.ndarray, work: _Workspace) -> np.ndarray:
     """The sign slot of each value: "-" where `%` writes one, else a zero byte.
-    `%` writes a negative nan as "nan"."""
-    return (np.signbit(values) & ~np.isnan(values)).view(np.uint8) * np.uint8(ord("-"))
+    `%` writes a negative nan as "nan". The result is one of ``work``'s arrays."""
+    sign = np.signbit(values, out=work("sign", len(values), np.bool_))
+    nan = np.isnan(values, out=work("nan", len(values), np.bool_))
+    sign &= np.logical_not(nan, out=nan)
+    return np.multiply(sign.view(np.uint8), np.uint8(ord("-")), out=sign.view(np.uint8))
 
 
-def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None):
+def _twin_plan(twins: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns ``own`` that a twin map (see :func:`_csv_rows`) formats,
+    and ``source``: for each cell of as many whole rows as their own cells
+    fit in a chunk, the index of its twin among those rows' own cells. None
+    where the map saves nothing or a row's own cells exceed a chunk."""
+    formats = twins == np.arange(len(twins))
+    own = np.flatnonzero(formats)
+    per_chunk = _CHUNK_CELLS // len(own)  # whole rows whose own cells fit in a chunk
+    if not per_chunk or len(own) == len(twins):
+        return None
+    return own, (np.arange(per_chunk)[:, None] * len(own) + (np.cumsum(formats) - 1)[twins]).ravel()
+
+
+def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None, work: _Workspace | None = None):
     """CSV lines of a 2-D array as ASCII byte chunks, every value written as
     :func:`_fmt` writes it.
 
     Arrays of at least ``_ARRAY_MIN_CELLS`` cells go through
     :func:`_cell_slots` ``_CHUNK_CELLS`` of their flattened cells at a time,
-    a chunk that may begin and end inside a row; smaller ones, for which
-    that costs more than it saves, are formatted by ``%`` as one chunk.
+    a chunk that may begin and end inside a row, in the arrays of ``work``
+    (a workspace of this call's own where none is given), and their text is
+    yielded ``_TEXT_CELLS`` cells at a time; smaller ones, for which that
+    costs more than it saves, are formatted by ``%`` as one chunk.
 
     ``twins``, one column index per column, may name for each column ``c`` a
     column whose values have the magnitudes of column ``c``'s, as the lower
@@ -232,37 +357,43 @@ def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None):
         return
     width = rows.shape[1]
     cells = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
-    step, source = _CHUNK_CELLS, None
-    if twins is not None:
-        formats = twins == np.arange(width)
-        own = np.flatnonzero(formats)
-        per_chunk = _CHUNK_CELLS // len(own)  # whole rows whose own cells fit in a chunk
-        if per_chunk and len(own) < width:
-            step = per_chunk * width
-            # each cell of a chunk: the index of its twin among the chunk's own cells
-            source = (np.arange(per_chunk)[:, None] * len(own)
-                      + (np.cumsum(formats) - 1)[twins]).ravel()
+    work = _Workspace() if work is None else work
+    work.reserve(min(cells.size, _CHUNK_CELLS))  # the most cells one _cell_slots call or piece holds
+    plan = None if twins is None else work.twin_plan(twins)
+    step = _CHUNK_CELLS if plan is None else len(plan[1])
     for start in range(0, cells.size, step):
         chunk = cells[start:start + step]
-        if source is None:
-            out = _cell_slots(chunk)
-        else:
-            formatted = chunk.reshape(-1, width)[:, own].reshape(-1)
-            twin = source[:chunk.size]
-            out = _cell_slots(formatted).view(f"V{_SLOTS}").take(twin)  # frees the slots
-            out = out.view(np.uint8).reshape(-1, _SLOTS)
-            out[:, 0] = _signs(chunk)
-            apart = np.flatnonzero(np.abs(chunk) != np.abs(formatted.take(twin)))
-            if apart.size:
-                out[apart] = _cell_slots(chunk[apart])
-        out[:, -1] = ord(",")
-        out[width - 1 - start % width::width, -1] = ord("\n")
-        yield out.tobytes().translate(None, b"\0")
+        if plan is not None:  # the chunk's own cells, formatted once for all its pieces
+            own, source = plan
+            formatted = work("own", chunk.size // width * len(own)).reshape(-1, len(own))
+            formatted = _take(chunk.reshape(-1, width), own, formatted, axis=1).reshape(-1)
+            slots = _cell_slots(formatted, work).view(_WORD)
+        for offset in range(0, chunk.size, _CHUNK_CELLS):  # the text of at most a chunk of cells
+            piece = chunk[offset:offset + _CHUNK_CELLS]
+            if plan is None:
+                out = _cell_slots(piece, work)
+            else:
+                twin = source[offset:offset + piece.size]
+                out = _take(slots, twin, work("text", piece.size, _WORD).reshape(-1, 4), axis=0)
+                out = out.view(np.uint8)
+                out[:, 0] = _signs(piece, work)
+                mirrored = _take(formatted, twin, work("mirrored", piece.size))
+                apart = np.not_equal(np.abs(piece, out=work("magnitude", piece.size)),
+                                     np.abs(mirrored, out=mirrored),
+                                     out=work("apart", piece.size, np.bool_))
+                apart = np.flatnonzero(apart)
+                if apart.size:  # in a workspace of their own: `slots` serves the later pieces
+                    out[apart] = _cell_slots(piece[apart], _Workspace(apart.size))
+            out[:, -1] = ord(",")
+            out[width - 1 - (start + offset) % width::width, -1] = ord("\n")
+            for part in range(0, len(out), _TEXT_CELLS):  # copied out a few slots at a time
+                yield out[part:part + _TEXT_CELLS].tobytes().translate(None, b"\0")
 
 
 class _CsvFiles:
     """The CSV files of one run in ``out_dir``, each opened once in binary
-    mode and written chunk by chunk, its header included, as it is formatted.
+    mode and written chunk by chunk, its header included, as it is formatted,
+    through the run's one :class:`_Workspace`.
 
     Used as a context manager: on leaving it every file is closed, and if
     the run raised, every CSV opened so far is also deleted, so a failed
@@ -272,6 +403,7 @@ class _CsvFiles:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self._files = {}
+        self._work = _Workspace()
 
     def open(self, name: str, header: Iterable[str]) -> None:
         self._files[name] = out = (self.out_dir / f"{name}.csv").open("wb")
@@ -280,7 +412,7 @@ class _CsvFiles:
         out.write(b"\n")
 
     def write(self, name: str, rows: np.ndarray, twins: np.ndarray | None = None) -> None:
-        self._files[name].writelines(_csv_rows(rows, twins))
+        self._files[name].writelines(_csv_rows(rows, twins, self._work))
 
     def __enter__(self) -> "_CsvFiles":
         return self
@@ -313,10 +445,36 @@ def _hermitian_twins(dim: int) -> np.ndarray | None:
     csv_header's order: ``t``, then mode, row, column, and re and im side by
     side. Each cell below a diagonal names its mirror above it, the smaller
     index; every other cell names itself. None from n_max 90, where it goes unused."""
-    if 1 + 2 * dim * (dim + 1) > _CHUNK_CELLS:
+    if _own_density_cells(dim) > _CHUNK_CELLS:
         return None
     cells = np.arange(4 * dim * dim).reshape(2, dim, dim, 2)
     return np.r_[0, 1 + np.minimum(cells, cells.swapaxes(1, 2)).ravel()]
+
+
+def _own_density_cells(dim: int) -> int:
+    """The cells of a ``reduced_density`` row its twin map formats: t and each upper triangle."""
+    return 1 + 2 * dim * (dim + 1)
+
+
+def _write_densities(csvs: _CsvFiles, evo: EvolutionOperator, phi: np.ndarray,
+                     ts: np.ndarray) -> None:
+    """``reduced_density`` one chunk at a time, a chunk being the whole rows
+    :func:`_csv_rows` formats together: 17 times at n_max 20, one from n_max
+    63 up. Each chunk's tables, partial traces, checks and rows are built
+    just before it is formatted, the rows in one array reused by every chunk."""
+    dim = len(phi)
+    twins, width = _hermitian_twins(dim), 2 * dim * dim
+    per_chunk = max(1, _CHUNK_CELLS // _own_density_cells(dim))
+    rows = np.empty((min(per_chunk, len(ts)), 1 + 2 * width))
+    for times, tables in evo.product_grid(phi, ts, per_chunk):
+        # each row: t, then mode 1's matrix, then mode 2's, filled in place
+        chunk = rows[:len(times)]
+        chunk[:, 0] = times
+        for mode in (1, 2):  # row, column, then re and im side by side
+            rho = analysis.reduced_densities(tables, mode).view(np.float64)
+            chunk[:, 1 + (mode - 1) * width:1 + mode * width] = rho.reshape(len(times), -1)
+            del rho  # freed before mode 2's is built: 16 MB per time at n_max 1000
+        csvs.write("reduced_density", chunk, twins)
 
 
 def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
@@ -340,17 +498,7 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
         for times, p1, p2 in evo.product_populations(phi, ts):
             csvs.write("number_distribution", np.column_stack([times, p1, p2]))
     if "reduced_density" in names:
-        twins, width = _hermitian_twins(len(phi)), 2 * len(phi) ** 2
-        for times, tables in evo.product_grid(phi, ts):
-            # each row: t, then mode 1's matrix, then mode 2's, filled in place
-            rows = np.empty((len(times), 1 + 2 * width))
-            rows[:, 0] = times
-            for mode in (1, 2):  # row, column, then re and im side by side
-                rho = analysis.reduced_densities(tables, mode).view(np.float64)
-                rows[:, 1 + (mode - 1) * width:1 + mode * width] = rho.reshape(len(times), -1)
-                del rho  # freed before mode 2's is built: 8 MB per chunk at n_max 200
-            csvs.write("reduced_density", rows, twins)
-            del rows  # freed before the next chunk's tables: 32 MB per time at n_max 1000
+        _write_densities(csvs, evo, phi, ts)
 
     best = int(np.argmax(fidelities))
     best_f, t_best = fidelities[best], float(ts[best])

@@ -240,19 +240,20 @@ class EvolutionOperator:
             yield times, _powers(hop, len(phi))
 
     def product_grid(
-        self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
+        self, phi: np.ndarray, ts: Sequence[float] | np.ndarray, most: int | None = None
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """:meth:`evolve_grid` for the product state |phi> (x) |0>, in closed
         form: ``tables[k, n1, n2]`` is
         phi_{n1+n2} sqrt(binom(n1 + n2, n2)) S^{n1} T^{n2} at ``times[k]``,
-        for n1 + n2 < len(phi), and zero beyond.
+        for n1 + n2 < len(phi), and zero beyond. A chunk holds at most
+        ``most`` times where it is given.
 
-        The binomials are taken from lgamma, so that none overflows, and the
-        powers by repeated multiplication, with 0^0 = 1. ``phi`` must be
-        normalized; the norm of every table is checked against 1.
+        The binomials are taken from lgamma, once per call, so that none
+        overflows, and the powers by repeated multiplication, with 0^0 = 1.
+        ``phi`` must be normalized; the norm of every table is checked against 1.
         """
         dim, scale = len(phi), _product_scale(phi)
-        for times in _chunks(ts, dim * dim):
+        for times in _chunks(ts, dim * dim, most):
             stay, hop = self._one_quantum(times)
             stays, hops = _powers(stay, dim), _powers(hop, dim)
             tables = scale * stays[:, :, np.newaxis] * hops[:, np.newaxis, :]
@@ -293,9 +294,12 @@ class EvolutionOperator:
         return (mix.c**2 * e2 + mix.s**2 * e1) * a2 + cross * a1
 
 
-def _chunks(ts: Sequence[float] | np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """``ts`` as floats, in consecutive slices of at most _CHUNK_AMPLITUDES // width times."""
+def _chunks(ts: Sequence[float] | np.ndarray, width: int,
+            most: int | None = None) -> Iterator[np.ndarray]:
+    """``ts`` as floats, in consecutive slices of at most _CHUNK_AMPLITUDES // width
+    times, and at most ``most`` where it is given."""
     ts, per_chunk = np.asarray(ts, dtype=float), max(1, _CHUNK_AMPLITUDES // width)
+    per_chunk = per_chunk if most is None else min(per_chunk, most)
     for start in range(0, len(ts), per_chunk):
         yield ts[start:start + per_chunk]
 

@@ -40,7 +40,11 @@ _OUTPUTS_BY_SCHEDULE = {
 }
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 _HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
-_OPENERS_LIMIT = 10_000  # of '[', '{' and '- ': bounds input size and depth; 1001 [re, im] use 1002
+_OPENERS_LIMIT = 10_000  # of '[', '{' and '- ': bounds input size; 1001 [re, im] use 1002
+# Containers open at once. The parsers' time grows faster than linearly with
+# nesting (the pure-Python one took 20 s over 9999 levels), and the reader
+# pulls events lazily, so refusing the first container past it caps the cost.
+_DEPTH_LIMIT = 100
 _STR, _INT, _FLOAT, _SEQ, _MAP, _MERGE_TAG, _VALUE_TAG = (
     f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "seq", "map", "merge", "value"))
 _MERGE = object()  # a merge key (<<) waiting for its value
@@ -120,7 +124,7 @@ def load_scenario(path: str | Path) -> Scenario:
         return parse_scenario(_read_yaml(text))
     except yaml.YAMLError as exc:
         raise ScenarioError("(file)", f"not valid YAML: {exc}") from exc
-    except RecursionError:  # the repr, in an error message, of a value nested ~1000 deep
+    except RecursionError:  # the repr, in an error message, of a value ~1000 aliases deep
         raise ScenarioError("(file)", "nested too deeply to parse") from None
 
 
@@ -151,6 +155,8 @@ def _read_yaml(text: str) -> object:
                     raise _refused(f"cannot read as {tag}: {exc}", event) from None
                 items.append(value)
             elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+                if len(stack) > _DEPTH_LIMIT:  # the document's entry and the open containers
+                    raise _refused(f"nested more than {_DEPTH_LIMIT} containers deep", event)
                 value = [] if kind is yaml.SequenceStartEvent else {}
                 if event.tag not in (None, "!", _SEQ if kind is yaml.SequenceStartEvent else _MAP):
                     raise _refused(f"cannot read a collection tagged {event.tag}", event)  # !!set

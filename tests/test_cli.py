@@ -308,9 +308,9 @@ outputs: [number_distribution]
 
         product_grid = cli_module.EvolutionOperator.product_grid
 
-        def inflated(self, phi, ts):
+        def inflated(self, phi, ts, most=None):
             # scales the amplitudes at the second time only, after the norm check
-            for times, tables in product_grid(self, phi, ts):
+            for times, tables in product_grid(self, phi, ts, most):
                 tables[1] *= 1.001
                 yield times, tables
 
@@ -964,9 +964,9 @@ def test_time_grid_csvs_match_percent_reference(tmp_path, monkeypatch):
     calls = []
     csv_rows = cli._csv_rows
 
-    def recording(rows, twins=None):
+    def recording(rows, twins=None, work=None):
         calls.append((rows.copy(), twins))
-        return csv_rows(rows, twins)
+        return csv_rows(rows, twins, work)
 
     monkeypatch.setattr(cli, "_csv_rows", recording)
     values = np.random.default_rng(20).normal(size=(21, 2)).tolist()
@@ -991,11 +991,15 @@ outputs: [fidelity, number_distribution, reduced_density, transfer_profile]
         width = header.count(b",") + 1
         body = "".join(percent_rows(rows) for rows, _ in calls if rows.shape[1] == width)
         assert written == header + b"\n" + body.encode()
-    # the densities written are Hermitian parts, and their writer was told so
-    (rows, twins), = [call for call in calls if call[0].shape[1] == 1 + 4 * 21**2]
+    # the densities written are Hermitian parts, and their writer was told so,
+    # a formatting chunk of 17 times at a time (16384 // 925 rows)
+    densities = [call for call in calls if call[0].shape[1] == 1 + 4 * 21**2]
+    assert [len(rows) for rows, _ in densities] == [17, 17, 6]
+    rows = np.concatenate([rows for rows, _ in densities])
     rho = rows[:, 1:].view(np.complex128).reshape(-1, 2, 21, 21)
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
-    assert np.array_equal(twins, cli._hermitian_twins(21))
+    for _, twins in densities:
+        assert np.array_equal(twins, cli._hermitian_twins(21))
 
 
 def hermitian_rows(rng, count, dim, pool):
@@ -1055,8 +1059,8 @@ def test_hermitian_rows_format_each_pair_once(monkeypatch):
     # cells' re and im are formatted, 925 of 1765 cells per row
     formatted = []
     cell_slots = cli._cell_slots
-    monkeypatch.setattr(cli, "_cell_slots", lambda values: formatted.append(values.size)
-                        or cell_slots(values))
+    monkeypatch.setattr(cli, "_cell_slots", lambda values, work: formatted.append(values.size)
+                        or cell_slots(values, work))
     rng = np.random.default_rng(925)
     rows = hermitian_rows(rng, 40, 21, rng.normal(size=50))
     assert b"".join(_csv_rows(rows, cli._hermitian_twins(21))).decode("ascii") == percent_rows(rows)
@@ -1104,6 +1108,96 @@ outputs: [reduced_density]
     size = (out / "reduced_density.csv").stat().st_size
     assert size >= 10 * 2**20
     assert peak < size / 3, f"traced peak {peak} bytes for a CSV of {size} bytes"
+
+
+@pytest.mark.parametrize("n_max, steps, chunks", [
+    (0, 3301, [3276, 25]), (20, 40, [17, 17, 6]), (89, 3, [1, 1, 1]), (90, 3, [1, 1, 1]),
+])
+def test_chunked_densities_match_the_unchunked_writer(tmp_path, monkeypatch, n_max, steps,
+                                                      chunks):
+    # reduced_density is built and written one formatting chunk of times at a
+    # time, the whole rows whose own cells fit in 16384 (a time per chunk from
+    # n_max 63 up); its bytes are what % writes of rows built from all times at once
+    from oscswap import analysis
+    from oscswap.evolution import EvolutionOperator
+    from oscswap.scenario import build_initial_state
+
+    calls = []
+    csv_rows = cli._csv_rows
+    monkeypatch.setattr(cli, "_csv_rows", lambda rows, *rest: calls.append(len(rows))
+                        or csv_rows(rows, *rest))
+    values = np.random.default_rng(n_max).normal(size=(n_max + 1, 2)).tolist()
+    path = write_scenario(
+        tmp_path,
+        f"""\
+params: {{omega1: 1.3, omega2: 0.9, lambda: 0.4}}
+initial: {{kind: amplitudes, values: {values}}}
+n_max: {n_max}
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 9.0, steps: {steps}}}
+outputs: [reduced_density]
+""",
+    )
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--out", str(out)]) == 0
+    assert calls == chunks
+    scenario = load_scenario(path)
+    phi, _ = build_initial_state(scenario)
+    (times, tables), = EvolutionOperator(scenario.params).product_grid(
+        phi, np.linspace(0.0, 9.0, steps))
+    rows = np.column_stack([times] + [analysis.reduced_densities(tables, mode).reshape(steps, -1)
+                                      .view(np.float64) for mode in (1, 2)])
+    header = ",".join(csv_header("reduced_density", n_max, range(1, n_max + 1)))
+    assert (out / "reduced_density.csv").read_bytes() == (header + "\n" + percent_rows(rows)).encode()
+
+
+def test_dense_grid_run_holds_a_few_chunks(tmp_path):
+    # an n_max 20, 201-step run of every output but transfer_profile: one
+    # chunk of 17 times, their densities, and the formatter's workspace,
+    # where building all 201 times' densities at once took a 9.7 MiB peak
+    values = np.random.default_rng(201).normal(size=(21, 2)).tolist()
+    path = write_scenario(
+        tmp_path,
+        f"""\
+params: {{omega1: 1.3, omega2: 0.9, lambda: 0.4}}
+initial: {{kind: amplitudes, values: {values}}}
+n_max: 20
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 20.0, steps: 201}}
+outputs: [fidelity, number_distribution, reduced_density, report]
+""",
+    )
+    cli._powers(), cli._tables()  # cached once per process: built before the trace
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_a_chunk_is_formatted_in_its_workspace():
+    # every array the formatter computes is the workspace's: beside the
+    # workspace (182 bytes a cell) one chunk allocates less than one array
+    # of a word per cell, where its own temporaries took 3.66 MiB
+    rng = np.random.default_rng(16384)
+    values = rng.normal(size=cli._CHUNK_CELLS) * 10.0 ** rng.integers(-12, 0, cli._CHUNK_CELLS)
+    values[::97] = np.linspace(0.0, 40.0, values[::97].size)  # times, written with a point
+    values[5::101] = 0.0
+    cli._powers(), cli._tables()
+    tracemalloc.start()
+    try:
+        work = cli._Workspace(cli._CHUNK_CELLS)
+        reserved = tracemalloc.get_traced_memory()[0]
+        slots = cli._cell_slots(values, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert peak - reserved < cli._CHUNK_CELLS * 8, f"{peak - reserved} bytes beside the workspace"
+    text = [bytes(cell).replace(b"\0", b"").decode("ascii") for cell in slots]
+    assert text == ["%.17g" % value for value in values.tolist()]
 
 
 @pytest.mark.parametrize("chunk", [16384, 5])

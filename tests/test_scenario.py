@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -477,18 +478,45 @@ class TestYamlLoaders:
         assert not (tmp_path / "out").exists()
 
     def test_deep_nesting_parses_alike_with_both_loaders(self, monkeypatch, tmp_path):
-        # the reader recurses at no depth, so 3000 levels reach the schema
+        # the reader refuses the first container past the depth limit, before
+        # the parsers' cost grows: 3000 levels are a file error at once
         path = tmp_path / "scenario.yaml"
         path.write_text(QUBIT_SCAN + "deep: " + "[" * 3000 + "]" * 3000 + "\n")
-        assert load_with(monkeypatch, path, libyaml=False) == "deep"
-        assert load_with(monkeypatch, path, libyaml=True) == "deep"
+        start = time.perf_counter()
+        assert load_with(monkeypatch, path, libyaml=False) == "(file)"
+        assert load_with(monkeypatch, path, libyaml=True) == "(file)"
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_depth_limit_counts_open_containers(self, monkeypatch, tmp_path, libyaml):
+        # the top-level mapping and 99 sequences reach the schema; one more is refused
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        for levels, expected in ((99, "deep"), (100, "(file)")):
+            path = tmp_path / f"{levels}.yaml"
+            path.write_text(QUBIT_SCAN + "deep: " + "[" * levels + "]" * levels + "\n")
+            assert load_with(monkeypatch, path, libyaml) == expected
+        with pytest.raises(ScenarioError, match="nested more than 100 containers deep"):
+            load_scenario(path)
 
     def test_deep_value_in_a_message_is_a_file_error(self, monkeypatch, tmp_path):
-        # "must be an integer, got [[[...]]]" would recurse in repr once per level
+        # refused by the depth limit; past it, the schema's "must be an integer,
+        # got [[[...]]]" would recurse in repr once per level
         path = tmp_path / "scenario.yaml"
         path.write_text(BUDGET_BASE.replace("n: 1", "n: " + "[" * 1500 + "]" * 1500))
         assert load_with(monkeypatch, path, libyaml=False) == "(file)"
         assert load_with(monkeypatch, path, libyaml=True) == "(file)"
+
+    def test_deep_alias_chain_is_a_file_error(self, monkeypatch, tmp_path):
+        # 3000 anchors, each a list holding the one before, nest 3000 deep at
+        # depth 2: the message naming initial.n would recurse in repr
+        chain = "".join(f"x{i}: &x{i} [*x{i - 1}]\n" for i in range(1, 3000))
+        path = tmp_path / "scenario.yaml"
+        path.write_text("x0: &x0 [1]\n" + chain + BUDGET_BASE.replace("n: 1", "n: *x2999"))
+        assert load_with(monkeypatch, path, libyaml=False) == "(file)"
+        assert load_with(monkeypatch, path, libyaml=True) == "(file)"
+        with pytest.raises(ScenarioError, match="nested too deeply to parse"):
+            load_scenario(path)
 
     @pytest.mark.parametrize(
         "text",
