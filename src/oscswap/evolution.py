@@ -32,14 +32,16 @@ the eigenvectors by sort order. The eigenproblem is conditioned by about n
 at any detuning, so every block stays orthogonal to rounding, where the
 paper's alternating finite sum loses about n log10(2) digits.
 
-Each block is built once; evaluating it at a time t then costs a single
-diagonal phase sandwich W diag(e^{-iEt}) W^T, in which the sign of each
-eigenvector cancels. There is no time stepping and no integration error.
-Every propagator goes through one array expression of that sandwich on
-eigenbasis coefficients. A state is propagated over a whole grid of times
-at once: each occupied block is evaluated for every time of a chunk and
-scattered into amplitude tables C[k, n1, n2]. Evolving to one time is the
-one-point case, and a block U(t) takes the rows of W as coefficients.
+Each block is built once per operator, by one builder that solves the
+block for a whole stack of operators in one eigensolver call; evaluating
+it at a time t then costs a diagonal phase sandwich W diag(e^{-iEt}) W^T,
+in which the sign of each eigenvector cancels. There is no time stepping
+and no integration error. Every propagator goes through one array
+expression of that sandwich on eigenbasis coefficients. A state is
+propagated over a whole grid of times at once: each occupied block is
+evaluated for every time of a chunk and scattered into amplitude tables
+C[k, n1, n2]. Evolving to one time is the one-point case, and a block
+U(t) takes the rows of W as coefficients, for one operator or a stack.
 
 Both routes check the norm at every time they evaluate.
 """
@@ -72,6 +74,7 @@ _NORM_TOL = 1e-10
 # Amplitudes (table entries, or powers T^n) a grid holds at once (8 MiB of
 # complex128), so that its memory does not grow with the number of times.
 _CHUNK_AMPLITUDES = 1 << 19
+_BUILD_LOCK = threading.Lock()  # held while any operators' eigen blocks are built
 
 
 class EvolutionOperator:
@@ -79,8 +82,9 @@ class EvolutionOperator:
 
     Product states evolve in closed form (:meth:`product_hops`,
     :meth:`product_grid`, :meth:`product_populations`), any state through the eigen blocks
-    (:meth:`evolve_grid`). Blocks are materialized lazily under a lock and
-    are immutable afterwards; evaluations at distinct times are independent.
+    (:meth:`evolve_grid`). Blocks are materialized lazily, for one operator or a stack
+    (:func:`ut_blocks`), by one builder under one module-wide lock, and are
+    immutable afterwards; evaluations at distinct times are independent.
 
     ``mix`` is :func:`oscswap.core.derive_mixing` of the parameters, or the
     free limit :func:`oscswap.core.decoupled_mixing` where lambda = 0.
@@ -90,60 +94,27 @@ class EvolutionOperator:
         self.params = params
         self.mix = decoupled_mixing(params) if params.is_decoupled else derive_mixing(params)
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()
 
     def _block_data(self, n_total: int) -> tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            data = self._blocks.get(n_total)
-            if data is None:
-                p = self.params
-                l = np.arange(n_total + 1, dtype=float)
-                hop = p.lam * np.sqrt((n_total - l[:-1]) * (l[:-1] + 1.0))
-                block = np.diag((n_total - 2.0 * l) * (0.5 * (p.omega1 - p.omega2)))
-                block += np.diag(hop, 1) + np.diag(hop, -1)
-                if not np.isfinite(block).all():
-                    raise NumericalIntegrityError(f"Hamiltonian block {n_total} is not finite")
-                try:
-                    _, w = np.linalg.eigh(block)
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalIntegrityError(
-                        f"eigendecomposition of block {n_total} failed: {exc}"
-                    ) from exc
-                defect = unitarity_defect(w)
-                if not defect <= _UNITARITY_TOL:
-                    raise NumericalIntegrityError(
-                        f"rotation block {n_total} lost orthogonality (defect {defect:.3e})"
-                    )
-                # eigh returns ascending eigenvalues; the spectrum is the same up to a shift
-                freqs = np.sort((n_total - l) * self.mix.omega1p + l * self.mix.omega2p)
-                data = (_freeze(w), _freeze(freqs))
-                self._blocks[n_total] = data
-        return data
-
-    def _propagate(self, n_total: int, times, coeffs: np.ndarray) -> np.ndarray:
-        """W diag(e^{-iEt}) on eigenbasis coefficients c, the module's one
-        expression of the propagator. ``times`` is one time or a column of
-        times, broadcast against the rows of ``coeffs``: row k of the result
-        is sum_j W[:, j] e^{-i E_j t_k} c_kj."""
-        w, freqs = self._block_data(n_total)
-        return (np.exp(-1j * (times * freqs)) * coeffs) @ w.T
+        return _eigen_blocks([self], n_total)[0]
 
     def ut_element(self, n1: int, n2: int, m1: int, m2: int, t: float) -> complex:
         """Element <n1, n2| U(t) |m1, m2>, read from column m2 of U (coefficients
         W[m2, :]); zero unless n1 + n2 == m1 + m2."""
         if min(n1, n2, m1, m2) < 0:
             raise ValueError("Fock indices must be >= 0")
+        t = _finite(t)
         if n1 + n2 != m1 + m2:
             return 0j
-        return complex(self._propagate(n1 + n2, t, self._block_data(n1 + n2)[0][m2])[n2])
+        w, freqs = self._block_data(n1 + n2)
+        return complex(_propagate(w, freqs, t, w[m2])[n2])
 
     def ut_block(self, n_total: int, t: float | np.ndarray) -> np.ndarray:
         """Evolution operator restricted to one total-quanta block: a
         read-only complex (n_total + 1) x (n_total + 1) array, or at every
-        time of a 1-D array a stack of them, one per time. Row l propagates
-        the coefficients W[l, :], which gives U^T; that is U, as W is real."""
-        t = np.asarray(t, dtype=float)
-        return _freeze(self._propagate(n_total, t[..., None, None], self._block_data(n_total)[0]))
+        time of a 1-D array a stack of them, one per time. The one-operator
+        case of :func:`ut_blocks`, bit for bit."""
+        return ut_blocks([self], n_total, np.asarray(t, dtype=float)[np.newaxis])[0]
 
     def evolve_grid(
         self, state: TwoModeState, ts: Sequence[float] | np.ndarray
@@ -161,12 +132,13 @@ class EvolutionOperator:
             l = np.arange(n + 1)
             vec = state.table[n - l, l]
             if vec.any():
-                occupied.append((n, l, self._block_data(n)[0].T @ vec))
+                w, freqs = self._block_data(n)
+                occupied.append((n, l, w, freqs, w.T @ vec))
         before = norm(state)
         for times in _chunks(ts, dim * dim):
             tables = np.zeros((len(times), dim, dim), dtype=np.complex128)
-            for n, l, coeffs in occupied:
-                tables[:, n - l, l] = self._propagate(n, times[:, np.newaxis], coeffs)
+            for n, l, w, freqs, coeffs in occupied:
+                tables[:, n - l, l] = _propagate(w, freqs, times[:, np.newaxis], coeffs)
             _check_norms(np.linalg.norm(tables.reshape(len(times), -1), axis=1), before)
             yield times, tables
 
@@ -292,6 +264,74 @@ class EvolutionOperator:
         if mode == 1:
             return (mix.c**2 * e1 + mix.s**2 * e2) * a1 + cross * a2
         return (mix.c**2 * e2 + mix.s**2 * e1) * a2 + cross * a1
+
+
+def ut_blocks(operators: Sequence[EvolutionOperator], n_total: int, t) -> np.ndarray:
+    """Block ``n_total`` of U for m operators over an ``(m, k)`` array of times, row i
+    for operator i: a read-only ``(m, k, n_total + 1, n_total + 1)`` stack (``(m,)`` times
+    give one block each) whose slice i is ``operators[i].ut_block(n_total, t[i])`` bit for
+    bit. Row l propagates the coefficients W[l, :]: U^T, which is U, as W is real."""
+    t = _finite(t)
+    if t.ndim == 0 or len(t) != len(operators):
+        raise ValueError(f"times of shape {t.shape} do not fit {len(operators)} operators")
+    data, lead = _eigen_blocks(operators, n_total), (len(operators),) + (1,) * (t.ndim - 1)
+    w = np.array([w for w, _ in data]).reshape(lead + (n_total + 1, n_total + 1))
+    freqs = np.array([freqs for _, freqs in data]).reshape(lead + (1, n_total + 1))
+    return _freeze(_propagate(w, freqs, t[..., np.newaxis, np.newaxis], w))
+
+
+def _propagate(w: np.ndarray, freqs: np.ndarray, times, coeffs: np.ndarray) -> np.ndarray:
+    """W diag(e^{-iEt}) on eigenbasis coefficients c, the module's one
+    expression of the propagator, for a block or a stack of them. The times
+    broadcast against the rows of ``coeffs``: row k of the result is
+    sum_j W[:, j] e^{-i E_j t_k} c_kj."""
+    return (np.exp(-1j * (times * freqs)) * coeffs) @ np.swapaxes(w, -1, -2)
+
+
+def _eigen_blocks(operators: Sequence[EvolutionOperator], n_total: int) -> list[tuple]:
+    """``(W, freqs)`` of block ``n_total`` for each operator, from the module's one builder:
+    the operators that lack it have their Hamiltonian blocks stacked into one eigensolver
+    call, checked once over the stack, and each slice cached in its own operator."""
+    if n_total < 0:
+        raise ValueError(f"n_total must be >= 0, got {n_total}")
+    with _BUILD_LOCK:
+        missing = list({id(op): op for op in operators if n_total not in op._blocks}.values())
+        if missing:
+            lam, half, omega1p, omega2p = np.array([
+                (op.params.lam, 0.5 * (op.params.omega1 - op.params.omega2), op.mix.omega1p,
+                 op.mix.omega2p) for op in missing
+            ]).T[..., np.newaxis, np.newaxis]
+            l = np.arange(n_total + 1)
+            hop = np.sqrt((n_total - l[:-1]) * (l[:-1] + 1.0))
+            blocks = half * np.diag(n_total - 2.0 * l) + lam * (np.diag(hop, 1) + np.diag(hop, -1))
+            # eigh returns ascending eigenvalues; the spectrum is the same up to a shift
+            freqs = np.sort(((n_total - l) * omega1p + l * omega2p)[:, 0], axis=-1)
+            if not (np.isfinite(blocks).all() and np.isfinite(freqs).all()):
+                raise NumericalIntegrityError(
+                    f"Hamiltonian block {n_total} or its spectrum is not finite"
+                )
+            try:
+                _, w = np.linalg.eigh(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalIntegrityError(
+                    f"eigendecomposition of block {n_total} failed: {exc}"
+                ) from exc
+            defect = unitarity_defect(w)
+            if not defect <= _UNITARITY_TOL:
+                raise NumericalIntegrityError(
+                    f"rotation block {n_total} lost orthogonality (defect {defect:.3e})"
+                )
+            # each operator keeps copies, so that no operator keeps the whole stack alive
+            for op, w_op, freqs_op in zip(missing, w, freqs):
+                op._blocks[n_total] = (_freeze(w_op.copy()), _freeze(freqs_op.copy()))
+        return [op._blocks[n_total] for op in operators]
+
+
+def _finite(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"times must be finite, got {t!r}")
+    return t
 
 
 def _chunks(ts: Sequence[float] | np.ndarray, width: int,

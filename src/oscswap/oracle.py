@@ -3,7 +3,7 @@ Taylor exponential.
 
 This module shares no algebra with the rotation/evolution modules. It uses
 the core types and the normal-mode frequencies of ``derive_mixing``, and
-imports :class:`EvolutionOperator` only to compare against it. The
+imports the evolution operator only to compare against it. The
 Hamiltonian is written down directly from the ladder operators and
 exponentiated, its mean diagonal factored out as a scalar phase, by a
 degree-28 Taylor polynomial with scaling and squaring (Moler and Van Loan,
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CouplingParams, _freeze, derive_mixing, unitarity_defect
-from .evolution import EvolutionOperator
+from .evolution import EvolutionOperator, _finite, ut_blocks
 
 _DEGREE = 28
 _TAYLOR = np.array([1.0 / math.factorial(k) for k in range(_DEGREE + 1)])  # 1 / k!
@@ -89,9 +89,7 @@ def expm_evolution(hamiltonian: np.ndarray, t) -> np.ndarray:
     one; the slices are ordered by s, so each round squares a leading run
     of them. No eigensolver enters this route.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"times must be finite, got {t!r}")
+    t = _finite(t)
     hamiltonian = np.asarray(hamiltonian)
     if t.shape[: hamiltonian.ndim - 2] != hamiltonian.shape[:-2] or t.ndim > hamiltonian.ndim - 1:
         raise ValueError(
@@ -179,13 +177,14 @@ def compare_to_analytic(
 
     ``params`` is one parameter set with a 1-D grid, or a sequence of m sets
     with an ``(m, k)`` array of grids, row i for set i; the blocks of all
-    sets are exponentiated in one stacked call, and both residuals are the
-    largest over the sets. One set is the m = 1 case."""
+    sets are exponentiated in one stacked call, and evaluated in one
+    :func:`ut_blocks` call, and both residuals are the largest over the
+    sets. One set is the m = 1 case."""
     draws = [params] if isinstance(params, CouplingParams) else list(params)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     grids = t_grid.reshape(len(draws), -1)
-    analytic = np.stack([EvolutionOperator(p).ut_block(n_total, t) for p, t in zip(draws, grids)])
+    analytic = ut_blocks([EvolutionOperator(p) for p in draws], n_total, grids)
     brute = expm_evolution(np.stack([build_block(p, n_total) for p in draws]), grids)
     return float(np.max(np.abs(analytic - brute))), unitarity_defect(brute)

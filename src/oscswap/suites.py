@@ -20,7 +20,7 @@ from .core import (
     product_amplitudes,
     unitarity_defect,
 )
-from .evolution import EvolutionOperator
+from .evolution import EvolutionOperator, _eigen_blocks, ut_blocks
 from .rotation import us_blocks, verify_recursions
 
 # Not used here. perfbench/spans.py wraps the names suites.us_block,
@@ -141,8 +141,17 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         x: EvolutionOperator(_params_for_detuning(x, lam=0.7, omega2=1.3))
         for x in (0.0, 1.0, -1.0, 5.0, -5.0)
     }
-    for x in (0.0, 1.0, -5.0):
-        evo = operators[x]
+    # the closed forms first: one stacked build per n <= 20 gives all later checks their blocks
+    evos = list(operators.values())
+    grids = np.array([[0.0, 0.3, 1.0, 2.2, 5.0, 9.1]]) / [[evo.params.lam] for evo in evos]
+    worst_closed = 0.0
+    for n in range(21):
+        generic = ut_blocks(evos, n, grids)[..., [n, 0], 0]  # <0, n|U|n, 0> and <n, 0|U|n, 0>
+        closed = np.array([[evo.transfer_amplitude(n, ts), evo.survival_amplitude(n, ts)]
+                           for evo, ts in zip(evos, grids)])
+        worst_closed = max(worst_closed, float(np.max(np.abs(closed - generic.swapaxes(1, 2)))))
+    trio = [operators[x] for x in (0.0, 1.0, -5.0)]
+    for evo in trio:
         state = make_product_state(_random_phi(product_rng, 20))
         (_, eigen), = evo.evolve_grid(state, t_grid)
         (_, closed), = evo.product_grid(state.table[:, 0], t_grid)
@@ -151,33 +160,25 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
         for mode, p in enumerate(populations, start=1):
             diagonals = np.diagonal(analysis.reduced_densities(eigen, mode), axis1=1, axis2=2)
             worst_populations = max(worst_populations, float(np.max(np.abs(p - diagonals))))
-        for n in range(13):
-            blocks = evo.ut_block(n, t_grid)
-            worst_identity = max(
-                worst_identity, float(np.max(np.abs(blocks[0] - np.eye(n + 1))))
-            )
-            worst_unitary = max(worst_unitary, unitarity_defect(blocks))
-            combined = evo.ut_block(n, t_grid[first] + t_grid[second])
-            product = blocks[first] @ blocks[second]
-            worst_group = max(worst_group, float(np.max(np.abs(combined - product))))
-    worst_closed = 0.0
-    for evo in operators.values():
-        ts = np.array([0.0, 0.3, 1.0, 2.2, 5.0, 9.1]) / evo.params.lam
-        for n in range(21):
-            generic = evo.ut_block(n, ts)[:, [n, 0], 0]  # <0, n|U|n, 0> and <n, 0|U|n, 0>
-            closed = np.column_stack(
-                [evo.transfer_amplitude(n, ts), evo.survival_amplitude(n, ts)]
-            )
-            worst_closed = max(worst_closed, float(np.max(np.abs(closed - generic))))
+    for n in range(13):
+        blocks = ut_blocks(trio, n, [t_grid] * len(trio))
+        worst_identity = max(worst_identity, float(np.max(np.abs(blocks[:, 0] - np.eye(n + 1)))))
+        worst_unitary = max(worst_unitary, unitarity_defect(blocks))
+        combined = ut_blocks(trio, n, [t_grid[first] + t_grid[second]] * len(trio))
+        product = blocks[:, first] @ blocks[:, second]
+        worst_group = max(worst_group, float(np.max(np.abs(combined - product))))
     rng = np.random.default_rng(20240817)
-    worst_picture = 0.0
+    pictures = []
     for _ in range(10):
         params = CouplingParams(
             omega1=rng.uniform(0.2, 4.0), omega2=rng.uniform(0.2, 4.0), lam=rng.uniform(0.05, 1.5)
         )
-        evo = EvolutionOperator(params)
-        state = _random_state(rng, n_max=4)
-        ts = (0.0, 0.37, 2.2)
+        pictures.append((EvolutionOperator(params), _random_state(rng, n_max=4)))
+    for n in range(5):  # one stacked build per block size, which evolve_grid reads
+        _eigen_blocks([evo for evo, _ in pictures], n)
+    worst_picture = 0.0
+    ts = (0.0, 0.37, 2.2)
+    for evo, state in pictures:
         (_, tables), = evo.evolve_grid(state, ts)
         for t, table in zip(ts, tables):
             evolved = TwoModeState(table)
@@ -230,24 +231,25 @@ def _oracle_suite() -> tuple[list[CheckResult], list[str]]:
         phis.append(_random_phi(phi_rng, 12))
         (_, tables), = evo.product_grid(phis[-1], t_grid)
         products.append(tables)
+    phis, products = np.array(phis), np.array(products)
     worst_dev = worst_product = worst_spec = worst_sym = worst_unit = 0.0
     for n in range(13):
-        # one stacked exponential per n, slice i for draw i over its own grid
+        # one stacked exponential and eigen build per n, slice i for draw i over its own grid
         hamiltonians = np.stack([oracle.build_block(params, n) for params in draws])
         worst_sym = max(
             worst_sym, float(np.max(np.abs(hamiltonians - hamiltonians.swapaxes(-1, -2))))
         )
         worst_spec = max(worst_spec, oracle.spectrum_deviation(draws, hamiltonians))
+        taylor = oracle.expm_evolution(hamiltonians, t_grids)
+        worst_dev = max(
+            worst_dev, float(np.max(np.abs(ut_blocks(operators, n, t_grids) - taylor)))
+        )
+        worst_unit = max(worst_unit, unitarity_defect(taylor))
+        # C[n - l, l] of the product state is phi_n <n - l, l| U |n, 0>: column 0 of U
         l = np.arange(n + 1)
-        for evo, t_grid, phi, product, taylor in zip(
-            operators, t_grids, phis, products, oracle.expm_evolution(hamiltonians, t_grids)
-        ):
-            worst_dev = max(worst_dev, float(np.max(np.abs(evo.ut_block(n, t_grid) - taylor))))
-            worst_unit = max(worst_unit, unitarity_defect(taylor))
-            # C[n - l, l] of the product state is phi_n <n - l, l| U |n, 0>: column 0 of U
-            worst_product = max(worst_product, float(
-                np.max(np.abs(product[:, n - l, l] - phi[n] * taylor[:, l, 0]))
-            ))
+        worst_product = max(worst_product, float(np.max(np.abs(
+            products[:, :, n - l, l] - phis[:, n, np.newaxis, np.newaxis] * taylor[..., l, 0]
+        ))))
     checks = [
         CheckResult("analytic vs Taylor exponential evolution, n <= 12", worst_dev, 1e-9),
         CheckResult("closed-form product amplitudes vs Taylor exponential, n <= 12",
@@ -299,12 +301,11 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         # ten states sqrt(w) e^{ia} |0> + sqrt(1 - w) e^{ib} |N> (N = level), drawn as (w, a, b)
         # rows; the overlap w <0, 0|U|0, 0> + (1 - w) <0, N|U|N, 0> is blind to a and b
         weights = rng.uniform((0.2, 0.0, 0.0), (0.8, math.tau, math.tau), size=(10, 3))[:, 0]
-        fids = []
-        for factor in (1.0, 0.95, 1.05):  # the matched ratio, then detuned by -5% and +5%
-            evo_q = _resonant_evolution(ratio * factor, 1.0)
-            tau = analysis.exchange_times(evo_q.mix, 1.0, 0)[0]
-            swap = [evo_q.ut_block(0, tau)[0, 0], evo_q.ut_block(level, tau)[level, 0]]
-            fids.append(np.abs(np.column_stack([weights, 1.0 - weights]) @ swap) ** 2)
+        # the matched ratio, then detuned by -5% and +5%, each block built once for all three
+        evos = [_resonant_evolution(ratio * factor, 1.0) for factor in (1.0, 0.95, 1.05)]
+        taus = [analysis.exchange_times(evo.mix, 1.0, 0)[0] for evo in evos]
+        swaps = zip(ut_blocks(evos, 0, taus)[:, 0, 0], ut_blocks(evos, level, taus)[:, level, 0])
+        fids = [np.abs(np.column_stack([weights, 1.0 - weights]) @ swap) ** 2 for swap in swaps]
         worst_exact = max(worst_exact, float(np.max(np.abs(1.0 - fids[0]))))
         worst_margin = max(worst_margin, float(np.max(fids[1:])) - (1.0 - 1e-4))
     try:
@@ -322,9 +323,11 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         worst_detuning = max(worst_detuning, abs(best - 1.0 / (1.0 + x * x)))
 
     worst_fock = worst_printed = 0.0
-    for ratio in (3.0, 1.7, 0.513):
-        lam0 = 1.0
-        evo_f = _resonant_evolution(ratio, lam0)
+    lam0 = 1.0
+    fock = {ratio: _resonant_evolution(ratio, lam0) for ratio in (3.0, 1.7, 0.513)}
+    for level in range(1, 6):  # one stacked build per level, which evolve_grid reads
+        _eigen_blocks(list(fock.values()), level)
+    for ratio, evo_f in fock.items():
         taus = analysis.exchange_times(evo_f.mix, lam0, 4)
         printed = [taus[0] + 2.0 * math.pi * k / lam0 for k in range(3)]
         for level in range(1, 6):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -21,7 +23,7 @@ from oscswap.core import (
 )
 from oscswap import evolution, suites
 from oscswap.analysis import exchange_fidelities, exchange_fidelity, reduce, reduced_densities
-from oscswap.evolution import EvolutionOperator
+from oscswap.evolution import EvolutionOperator, ut_blocks
 from oscswap.oracle import build_block, compare_to_analytic, expm_evolution
 from oscswap.rotation import u_minus_s_block, us_block
 from conftest import (
@@ -257,17 +259,24 @@ class TestEvolveGrid:
                 assert np.max(np.abs(rhos[k] - reduce(out, mode))) < 1e-14
 
     def test_faulty_propagator_shows_in_the_oracle_and_the_grid(self, monkeypatch, detuned):
-        # ut_block, which the Taylor-exponential oracle checks, and evolve_grid share one expression
+        # ut_block, ut_blocks (which the Taylor-exponential oracle and its suite check) and
+        # evolve_grid share one expression
         state = make_product_state([0.6, 0.0, 0.8])
         ts = np.linspace(0.0, 5.0, 4)
+        pair = [detuned, params_for_detuning(-1.0, lam=0.7, omega2=1.3)]
         (_, good), = EvolutionOperator(detuned).evolve_grid(state, ts)
+        good_stack = ut_blocks([EvolutionOperator(p) for p in pair], 2, [ts, ts])
 
-        def reversed_phases(self, n_total, times, coeffs):
-            w, freqs = self._block_data(n_total)
-            return (np.exp(1j * (times * freqs)) * coeffs) @ w.T
+        def reversed_phases(w, freqs, times, coeffs):
+            return (np.exp(1j * (times * freqs)) * coeffs) @ np.swapaxes(w, -1, -2)
 
-        monkeypatch.setattr(EvolutionOperator, "_propagate", reversed_phases)
+        monkeypatch.setattr(evolution, "_propagate", reversed_phases)
         assert compare_to_analytic(detuned, 2, [1.0])[0] > 1e-9
+        bad_stack = ut_blocks([EvolutionOperator(p) for p in pair], 2, [ts, ts])
+        assert np.min(np.max(np.abs(bad_stack - good_stack)[:, 1:], axis=(1, 2, 3))) > 1e-9
+        checks = {check.name: check for check in suites.verify_suite("oracle").checks}
+        deviation = checks["analytic vs Taylor exponential evolution, n <= 12"]
+        assert deviation.residual > deviation.tolerance
         (_, bad), = EvolutionOperator(detuned).evolve_grid(state, ts)
         assert np.max(np.abs(bad[1:] - good[1:])) > 1e-9
 
@@ -568,3 +577,158 @@ class TestEigenPath:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalIntegrityError, match="not finite"):
                 evo.ut_block(2, 1.0)
+
+
+class TestStackedBlocks:
+    """ut_blocks and the one eigen-block builder behind it, stacked over operators."""
+
+    @staticmethod
+    def operators():
+        # coupled, decoupled (lambda = 0) and resonant, then the first one again
+        ops = [EvolutionOperator(params_for_detuning(x, lam=0.7, omega2=1.3)) for x in (1.0, -5.0)]
+        ops += [EvolutionOperator(CouplingParams(omega1=1.4, omega2=0.6, lam=0.0)),
+                EvolutionOperator(CouplingParams(omega1=0.9, omega2=0.9, lam=0.3))]
+        return ops + ops[:1]
+
+    @pytest.mark.parametrize("n", (0, 1, 12, 20))
+    def test_slices_equal_single_blocks_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        ops = self.operators()
+        ops[3]._block_data(n)  # one block built singly before the stacked build
+        times = rng.uniform(0.0, 20.0, size=(len(ops), 6))
+        stack = ut_blocks(ops, n, times)
+        assert stack.shape == (len(ops), 6, n + 1, n + 1) and stack.dtype == np.complex128
+        assert not stack.flags.writeable
+        rows = ut_blocks(ops, n, times[:, :1])  # a one-time row per operator
+        points = ut_blocks(ops, n, times[:, 0])  # one time per operator, no time axis
+        assert rows.shape == (len(ops), 1, n + 1, n + 1) and points.shape == (len(ops), n + 1, n + 1)
+        for op, t, block, row, point in zip(ops, times, stack, rows, points):
+            alone = EvolutionOperator(op.params)  # built by itself, not in the stack
+            assert np.array_equal(block, alone.ut_block(n, t))
+            assert np.array_equal(row, alone.ut_block(n, t[:1]))
+            assert np.array_equal(point, alone.ut_block(n, t[0]))
+            assert np.array_equal(block, op.ut_block(n, t))
+
+    def test_stacked_build_gives_the_single_builds(self):
+        rng = np.random.default_rng(31)
+        params = [CouplingParams(*rng.uniform(0.1, 5.0, 2), lam=rng.uniform(0.05, 1.5))
+                  for _ in range(8)] + [CouplingParams(omega1=2.0, omega2=0.5, lam=0.0)]
+        for n in range(25):
+            ops = [EvolutionOperator(p) for p in params]
+            evolution._eigen_blocks(ops, n)
+            for op in ops:
+                w, freqs = op._block_data(n)
+                w_alone, freqs_alone = EvolutionOperator(op.params)._block_data(n)
+                assert np.array_equal(w, w_alone) and np.array_equal(freqs, freqs_alone)
+                assert not w.flags.writeable and not freqs.flags.writeable
+
+    def test_an_operator_keeps_only_its_own_slice(self):
+        # after a stacked build of ten, one surviving operator holds one block, not ten
+        ops = [EvolutionOperator(params_for_detuning(x, lam=0.5)) for x in np.linspace(-2, 2, 10)]
+        tracemalloc.start()
+        try:
+            ut_blocks(ops, 150, np.zeros((10, 1)))
+            del ops[1:]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 151**2 * 8 <= retained < 2 * 151**2 * 8
+
+    def test_negative_block_index_is_refused_before_building(self, detuned):
+        evo = EvolutionOperator(detuned)
+        with pytest.raises(ValueError, match=r"^n_total must be >= 0, got -1$"):
+            evo.ut_block(-1, 0.3)
+        with pytest.raises(ValueError, match=r"^n_total must be >= 0, got -1$"):
+            ut_blocks([evo, evo], -1, [[0.3], [0.4]])
+        assert evo._blocks == {}
+
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+    def test_non_finite_times_are_refused(self, detuned, bad):
+        evo = EvolutionOperator(detuned)
+        with pytest.raises(ValueError, match="times must be finite"):
+            evo.ut_block(2, bad)
+        with pytest.raises(ValueError, match="times must be finite"):
+            evo.ut_block(2, [0.0, bad])
+        with pytest.raises(ValueError, match="times must be finite"):
+            ut_blocks([evo, evo], 2, [[0.1, 0.2], [0.3, bad]])
+        for indices in ((0, 0, 0, 0), (1, 1, 2, 0), (1, 0, 2, 0)):  # the last is off-block
+            with pytest.raises(ValueError, match="times must be finite"):
+                evo.ut_element(*indices, bad)
+
+    def test_times_must_have_one_row_per_operator(self, detuned):
+        evo = EvolutionOperator(detuned)
+        for times in (0.3, [0.1, 0.2, 0.3], [[0.1], [0.2], [0.3]]):
+            with pytest.raises(ValueError, match="do not fit 2 operators"):
+                ut_blocks([evo, evo], 1, times)
+
+    @pytest.mark.parametrize("params", [
+        CouplingParams(omega1=1e308, omega2=-1e308, lam=0.0),  # omega1 - omega2 overflows
+        CouplingParams(omega1=1.0, omega2=0.5, lam=1e308),  # 2 omega1' overflows
+    ], ids=["hamiltonian", "spectrum"])
+    def test_non_finite_block_in_a_stack_is_an_integrity_error(self, detuned, params):
+        ops = [EvolutionOperator(detuned), EvolutionOperator(params), EvolutionOperator(detuned)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalIntegrityError, match="block 2 or its spectrum is not"):
+                ut_blocks(ops, 2, [[1.0], [1.0], [1.0]])
+        assert np.isfinite(ut_blocks(ops[:1], 2, [[1.0]])).all()
+
+    @pytest.mark.parametrize(
+        "name, calls", [("oracle", 13), ("evolution", 26), ("exchange", 25)]
+    )
+    def test_suites_build_each_block_once(self, monkeypatch, name, calls):
+        # one stacked eigh per block size and group of operators, and no
+        # (operator, n) pair built twice: every matrix solved ends in a cache
+        shapes, operators = [], []
+        eigh, init = np.linalg.eigh, EvolutionOperator.__init__
+
+        def counting(matrices, *args, **kwargs):
+            shapes.append(np.shape(matrices))
+            return eigh(matrices, *args, **kwargs)
+
+        def recording(self, params):
+            operators.append(self)
+            init(self, params)
+
+        monkeypatch.setattr(evolution.np.linalg, "eigh", counting)
+        monkeypatch.setattr(EvolutionOperator, "__init__", recording)
+        assert suites.verify_suite(name).passed
+        assert len(shapes) == calls
+        assert sum(shape[0] for shape in shapes) == sum(len(op._blocks) for op in operators)
+        if name == "oracle":
+            assert shapes == [(10, n + 1, n + 1) for n in range(13)]
+
+    def test_concurrent_stacks_build_each_block_once(self, monkeypatch):
+        # more threads than cores, overlapping stacks of shared operators: a block built
+        # twice (a lost check-then-act) would solve more matrices than end in the caches
+        rng = np.random.default_rng(7)
+        ops = [EvolutionOperator(params_for_detuning(x, lam=0.6, omega2=1.1))
+               for x in (0.0, 0.5, -1.0, 2.0, -3.0, 5.0)]
+        work = [[(n, list(rng.choice(len(ops), size=4))) for n in rng.permutation(10)]
+                for _ in range(6)]
+        solved, results, eigh = [], [], np.linalg.eigh
+
+        def counting(matrices, *args, **kwargs):
+            solved.append(len(matrices))
+            return eigh(matrices, *args, **kwargs)
+
+        def run(tasks):
+            for n, picks in tasks:
+                stack = ut_blocks([ops[i] for i in picks], n, np.full((4, 2), 0.7))
+                results.append((n, picks, stack))
+
+        monkeypatch.setattr(evolution.np.linalg, "eigh", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(tasks,)) for tasks in work]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == 60
+        assert sum(solved) == sum(len(op._blocks) for op in ops)
+        for n, picks, stack in results:
+            for i, block in zip(picks, stack):
+                assert np.array_equal(block[0], ops[i].ut_block(n, 0.7))
