@@ -12,15 +12,21 @@ each cell below a diagonal has the magnitude of its mirror above it: up to
 n_max 89 only the mirror is formatted, and the cell copies its digits and
 writes its own sign.
 
+Every ``time_grid`` output comes from the closed form for |phi> (x) |0>:
+``fidelity`` and ``transfer_profile`` (|T^n|^2 per occupied level) from the
+powers T^n that ``product_hops`` yields, ``number_distribution`` from
+``product_populations`` and ``reduced_density`` from ``product_grid``.
+
 Each CSV is written as bytes while the run computes it: its header a piece
 at a time (see :func:`~oscswap.scenario.csv_header`), then each chunk of its rows (see
 :func:`_csv_rows`) as it is formatted, so a run holds one chunk of its
 output, never a whole CSV, header or row. ``reduced_density`` computes its
-rows, with their partial traces and checks, one formatting chunk at a time
-(see :func:`_write_densities`). The formatter's working arrays are those of
-one :class:`_Workspace` per run, held by the run's :class:`_CsvFiles` and
-reused chunk after chunk. If a run fails after a CSV is opened (a numerical
-self-check, exit 3), every CSV it opened is deleted.
+rows, with their partial traces and checks, one formatting chunk at a time,
+and plans its twin map once (see :func:`_write_densities`). The formatter's
+working arrays are those of one :class:`_Workspace` per run, held by the
+run's :class:`_CsvFiles` and reused chunk after chunk. If a run fails after
+a CSV is opened (a numerical self-check, exit 3), every CSV it opened is
+deleted.
 
 :func:`main` may be called any number of times in one process, as a
 closed-loop client or a test suite does: it builds its argument parser on
@@ -46,7 +52,7 @@ from .core import (
     TruncationTooSmallError,
     ZeroVectorError,
 )
-from .evolution import EvolutionOperator, _chunks
+from .evolution import EvolutionOperator
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -65,9 +71,12 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# Below this many cells `%` is the faster writer: the array formatter costs
-# about 300 us per call plus 0.08 us per cell, `%` about 0.84 us per cell
-# (measured on a 2-vCPU x86-64 box: the two meet between 384 and 448 cells).
+# Arrays below this many cells are written by `%`, the rest by the array
+# formatter. With a fresh workspace the array formatter costs about 150 us per
+# call plus 0.06 us per cell, `%` about 0.58 us per cell (_csv_rows on
+# normal-distributed values, one BLAS thread, a 2-vCPU x86-64 box: 6 cells
+# 4.7 vs 151 us, 300 cells 174 vs 167 us, 488 cells 285 vs 180 us). The two
+# meet near 290 cells, so from there up to this threshold `%` is the slower one.
 _ARRAY_MIN_CELLS = 384
 _CHUNK_CELLS = 16384
 _TEXT_CELLS = 4096  # cells whose slots are joined into one piece of text: 128 KiB at a time
@@ -145,13 +154,10 @@ class _Workspace:
     formatting allocates nothing but the text it yields; and as one block,
     which glibc's malloc serves again to the next run rather than returning
     its pages, the buffer costs no page faults after the first run. A
-    :class:`_CsvFiles` holds one per run. It also keeps the plan (see
-    :func:`_twin_plan`) of the last twin map it was given, so that a map is
-    planned once per output."""
+    :class:`_CsvFiles` holds one per run."""
 
     def __init__(self, cells: int = 0):
         self._cells, self._buffer, self._starts = 0, None, {}
-        self._twins = self._plan = None
         self.reserve(cells)
 
     def reserve(self, cells: int) -> None:
@@ -170,11 +176,6 @@ class _Workspace:
             raise ValueError(f"{cells} cells, above the {self._cells} reserved")
         start = self._starts[name]
         return self._buffer[start:start + cells * _LAYOUT[name]].view(dtype)
-
-    def twin_plan(self, twins: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        if twins is not self._twins:
-            self._twins, self._plan = twins, _twin_plan(twins)
-        return self._plan
 
 
 def _cell_slots(values: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -317,10 +318,15 @@ def _signs(values: np.ndarray, work: _Workspace) -> np.ndarray:
 
 
 def _twin_plan(twins: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns ``own`` that a twin map (see :func:`_csv_rows`) formats,
-    and ``source``: for each cell of as many whole rows as their own cells
-    fit in a chunk, the index of its twin among those rows' own cells. None
-    where the map saves nothing or a row's own cells exceed a chunk."""
+    """The plan of a twin map for :func:`_csv_rows`: the columns ``own`` it
+    formats, and ``source``: for each cell of as many whole rows as their own
+    cells fit in a chunk, the index of its twin among those rows' own cells.
+    None where the map saves nothing or a row's own cells exceed a chunk.
+
+    A twin map, one column index per column, may name for each column ``c`` a
+    column whose values have the magnitudes of column ``c``'s, as the lower
+    triangle of a Hermitian matrix mirrors the upper one; a column that names
+    itself is formatted, and every column named must name itself."""
     formats = twins == np.arange(len(twins))
     own = np.flatnonzero(formats)
     per_chunk = _CHUNK_CELLS // len(own)  # whole rows whose own cells fit in a chunk
@@ -329,7 +335,7 @@ def _twin_plan(twins: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return own, (np.arange(per_chunk)[:, None] * len(own) + (np.cumsum(formats) - 1)[twins]).ravel()
 
 
-def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None, work: _Workspace | None = None):
+def _csv_rows(rows: np.ndarray, plan: tuple | None = None, work: _Workspace | None = None):
     """CSV lines of a 2-D array as ASCII byte chunks, every value written as
     :func:`_fmt` writes it.
 
@@ -340,16 +346,11 @@ def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None, work: _Workspac
     yielded ``_TEXT_CELLS`` cells at a time; smaller ones, for which that
     costs more than it saves, are formatted by ``%`` as one chunk.
 
-    ``twins``, one column index per column, may name for each column ``c`` a
-    column whose values have the magnitudes of column ``c``'s, as the lower
-    triangle of a Hermitian matrix mirrors the upper one; a column that
-    names itself is formatted, and every column named must name itself.
-    Where a row's own columns fit in a chunk, a chunk is as many whole rows
-    as they fit, and every other cell copies its twin's slots after the
-    sign and takes its sign from its own value; a cell whose magnitude is
-    not its twin's (a nan never is) is formatted itself, so the map never
-    changes what is written. Elsewhere the map goes unused: most twins lie
-    in other chunks.
+    With the ``plan`` of a twin map (see :func:`_twin_plan`), a chunk is as
+    many whole rows as their own columns fit, and every other cell copies
+    its twin's slots after the sign and takes its sign from its own value;
+    a cell whose magnitude is not its twin's (a nan never is) is formatted
+    itself, so the map never changes what is written.
     """
     if rows.size < _ARRAY_MIN_CELLS:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -359,7 +360,6 @@ def _csv_rows(rows: np.ndarray, twins: np.ndarray | None = None, work: _Workspac
     cells = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
     work = _Workspace() if work is None else work
     work.reserve(min(cells.size, _CHUNK_CELLS))  # the most cells one _cell_slots call or piece holds
-    plan = None if twins is None else work.twin_plan(twins)
     step = _CHUNK_CELLS if plan is None else len(plan[1])
     for start in range(0, cells.size, step):
         chunk = cells[start:start + step]
@@ -411,8 +411,8 @@ class _CsvFiles:
             out.write(f"{',' if i else ''}{piece}".encode("ascii"))
         out.write(b"\n")
 
-    def write(self, name: str, rows: np.ndarray, twins: np.ndarray | None = None) -> None:
-        self._files[name].writelines(_csv_rows(rows, twins, self._work))
+    def write(self, name: str, rows: np.ndarray, plan: tuple | None = None) -> None:
+        self._files[name].writelines(_csv_rows(rows, plan, self._work))
 
     def __enter__(self) -> "_CsvFiles":
         return self
@@ -461,11 +461,13 @@ def _write_densities(csvs: _CsvFiles, evo: EvolutionOperator, phi: np.ndarray,
     """``reduced_density`` one chunk at a time, a chunk being the whole rows
     :func:`_csv_rows` formats together: 17 times at n_max 20, one from n_max
     63 up. Each chunk's tables, partial traces, checks and rows are built
-    just before it is formatted, the rows in one array reused by every chunk."""
+    just before it is formatted, the rows in one array reused by every chunk,
+    with the plan of their twin map, built once."""
     dim = len(phi)
     twins, width = _hermitian_twins(dim), 2 * dim * dim
     per_chunk = max(1, _CHUNK_CELLS // _own_density_cells(dim))
     rows = np.empty((min(per_chunk, len(ts)), 1 + 2 * width))
+    plan = None if twins is None else _twin_plan(twins)
     for times, tables in evo.product_grid(phi, ts, per_chunk):
         # each row: t, then mode 1's matrix, then mode 2's, filled in place
         chunk = rows[:len(times)]
@@ -474,7 +476,7 @@ def _write_densities(csvs: _CsvFiles, evo: EvolutionOperator, phi: np.ndarray,
             rho = analysis.reduced_densities(tables, mode).view(np.float64)
             chunk[:, 1 + (mode - 1) * width:1 + mode * width] = rho.reshape(len(times), -1)
             del rho  # freed before mode 2's is built: 16 MB per time at n_max 1000
-        csvs.write("reduced_density", chunk, twins)
+        csvs.write("reduced_density", chunk, plan)
 
 
 def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
@@ -489,11 +491,8 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
     if "fidelity" in names:
         csvs.write("fidelity", np.column_stack([ts, fidelities]))
     if "transfer_profile" in names:
-        levels = np.array(occupied)
-        for times in _chunks(ts, max(1, len(occupied))):
-            profile = analysis.transfer_probability(evo.mix, scenario.params.lam, levels,
-                                                    times[:, np.newaxis])
-            csvs.write("transfer_profile", np.column_stack([times, profile]))
+        for times, hops in evo.product_hops(phi, ts):  # |T^n|^2, T the single-quantum hop
+            csvs.write("transfer_profile", np.column_stack([times, np.abs(hops[:, occupied]) ** 2]))
     if "number_distribution" in names:
         for times, p1, p2 in evo.product_populations(phi, ts):
             csvs.write("number_distribution", np.column_stack([times, p1, p2]))

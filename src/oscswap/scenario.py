@@ -26,6 +26,7 @@ from .core import (
     derive_mixing,
     product_amplitudes,
 )
+from .suites import SUITE_NAMES
 
 # Not used here. perfbench/spans.py wraps the name scenario.make_product_state,
 # so it stays importable until the benchmark's trace list changes.
@@ -465,8 +466,8 @@ def _parse_schedule(raw: object) -> ScheduleSpec:
         spec = ScheduleSpec(kind=kind, k_max=k_max)
     else:
         suite = _take(mapping, "suite", "schedule")
-        if not isinstance(suite, str):
-            raise ScenarioError("schedule.suite", f"must be a string, got {suite!r}")
+        if suite not in SUITE_NAMES:
+            raise ScenarioError("schedule.suite", f"must be one of {SUITE_NAMES}, got {suite!r}")
         spec = ScheduleSpec(kind=kind, suite=suite)
     _reject_unknown(mapping, "schedule")
     return spec

@@ -123,6 +123,40 @@ class TestRunCommand:
         assert header == ["t", "p1_0", "p1_1", "p2_0", "p2_1"]
         np.testing.assert_allclose(nd_rows[:, 2], 1.0 - expected, atol=1e-10)
 
+    @pytest.mark.parametrize("omega1, omega2, lam", [(1.3, 0.9, 0.4), (1.0, 1.0, 0.5)])
+    def test_transfer_profile_matches_mpmath_at_n_max_1000(self, tmp_path, omega1, omega2, lam):
+        # |T|^{2n} = ((lambda / d) sin(d t))^{2n}, d the half splitting, at 40
+        # digits, for n = 1..1000 on a detuned and a resonant grid. The
+        # relative error comes from rounding in T, amplified n-fold by the
+        # power and by the sine's condition number max(1, |d t cot(d t)|).
+        # Divided by both, it measured at most 2.0 eps (detuned) and 3.6 eps
+        # (resonant), against 4.4 and 4.8 eps for the earlier
+        # |2 s c sin(lambda t / (2 c s))|^{2n}; the bound is 8 eps
+        values = ", ".join(["1.0"] * 1001)
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: {omega1}, omega2: {omega2}, lambda: {lam}}}
+initial: {{kind: amplitudes, values: [{values}]}}
+n_max: 1000
+schedule: {{kind: time_grid, t_start: 0.0, t_end: 40.0, steps: 41}}
+outputs: [transfer_profile]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "transfer_profile.csv")
+        assert header == ["t"] + [f"transfer_prob_{n}" for n in range(1, 1001)]
+        with mpmath.workdps(40):
+            w1, w2, lam_mp = (mpmath.mpf(value) for value in (omega1, omega2, lam))
+            d = mpmath.sqrt(((w1 - w2) / 2) ** 2 + lam_mp**2)
+            single = [(lam_mp / d * mpmath.sin(d * mpmath.mpf(t))) ** 2 for t in rows[:, 0].tolist()]
+            reference = np.array([[float(p**n) for n in range(1, 1001)] for p in single])
+        x = float(d) * rows[:, :1]
+        cond = np.maximum(1.0, np.abs(x / np.tan(np.where(x == 0.0, 1.0, x))))
+        bound = 8.0 * np.finfo(float).eps * np.arange(1, 1001) * cond * reference + 1e-300
+        assert np.all(np.abs(rows[:, 1:] - reference) <= bound)
+
     def test_byte_identical_reruns(self, tmp_path):
         scenario = write_scenario(tmp_path, FOCK_GRID)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -964,9 +998,9 @@ def test_time_grid_csvs_match_percent_reference(tmp_path, monkeypatch):
     calls = []
     csv_rows = cli._csv_rows
 
-    def recording(rows, twins=None, work=None):
-        calls.append((rows.copy(), twins))
-        return csv_rows(rows, twins, work)
+    def recording(rows, plan=None, work=None):
+        calls.append((rows.copy(), plan))
+        return csv_rows(rows, plan, work)
 
     monkeypatch.setattr(cli, "_csv_rows", recording)
     values = np.random.default_rng(20).normal(size=(21, 2)).tolist()
@@ -991,15 +1025,17 @@ outputs: [fidelity, number_distribution, reduced_density, transfer_profile]
         width = header.count(b",") + 1
         body = "".join(percent_rows(rows) for rows, _ in calls if rows.shape[1] == width)
         assert written == header + b"\n" + body.encode()
-    # the densities written are Hermitian parts, and their writer was told so,
-    # a formatting chunk of 17 times at a time (16384 // 925 rows)
+    # the densities written are Hermitian parts, and their writer was given
+    # the plan of their twin map, a formatting chunk of 17 times at a time
+    # (16384 // 925 rows)
     densities = [call for call in calls if call[0].shape[1] == 1 + 4 * 21**2]
     assert [len(rows) for rows, _ in densities] == [17, 17, 6]
     rows = np.concatenate([rows for rows, _ in densities])
     rho = rows[:, 1:].view(np.complex128).reshape(-1, 2, 21, 21)
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
-    for _, twins in densities:
-        assert np.array_equal(twins, cli._hermitian_twins(21))
+    own, source = cli._twin_plan(cli._hermitian_twins(21))
+    for _, plan in densities:
+        assert np.array_equal(plan[0], own) and np.array_equal(plan[1], source)
 
 
 def hermitian_rows(rng, count, dim, pool):
@@ -1025,27 +1061,32 @@ HERMITIAN_POOL = np.array([
 @pytest.mark.parametrize("chunk", [16384, 97, 256])
 @pytest.mark.parametrize("dim", [1, 3, 21])
 def test_hermitian_rows_match_percent(monkeypatch, dim, chunk):
-    # every cell written as % writes it, with the twin map of the run, whether
-    # a chunk holds many rows or a row spans many chunks
-    twins = cli._hermitian_twins(dim)  # the map of the run, even where a chunk cannot use it
+    # every cell written as % writes it, with the plan of the run's twin map
+    # for this chunk size, whether a chunk holds many rows or a row spans
+    # many chunks; there is no plan where nothing mirrors or a row's own
+    # cells exceed a chunk
+    twins = cli._hermitian_twins(dim)  # the map of the run
     monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
+    plan = cli._twin_plan(twins)
+    assert (plan is None) == (dim == 1 or 1 + 2 * dim * (dim + 1) > chunk)
     rng = np.random.default_rng(19 * dim + chunk)
     pool = np.concatenate([HERMITIAN_POOL, rng.normal(size=40) * 10.0 ** rng.integers(-30, 30, 40)])
     rows = hermitian_rows(rng, -(-cli._ARRAY_MIN_CELLS // (1 + 4 * dim * dim)) + 7, dim, pool)
-    assert b"".join(_csv_rows(rows, twins)).decode("ascii") == percent_rows(rows)
+    assert b"".join(_csv_rows(rows, plan)).decode("ascii") == percent_rows(rows)
 
 
 def test_a_wide_hermitian_row_is_written_a_chunk_at_a_time():
     # a row of 1 + 4 x 301**2 cells, 181805 of them its own: it is formatted
     # _CHUNK_CELLS cells at a time, with a traced peak of a few chunks' slots
     # (the formatter's temporaries are some ten times a chunk's slots), not
-    # one of the row's
+    # one of the row's. A run has no twin map here, hence no plan
+    assert cli._hermitian_twins(301) is None
     rng = np.random.default_rng(301)
     rows = hermitian_rows(rng, 1, 301, rng.normal(size=50) * 10.0 ** rng.integers(-30, 30, 50))
     expected = percent_rows(rows)
     tracemalloc.start()
     try:
-        chunks = list(_csv_rows(rows, cli._hermitian_twins(301)))
+        chunks = list(_csv_rows(rows))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1063,7 +1104,8 @@ def test_hermitian_rows_format_each_pair_once(monkeypatch):
                         or cell_slots(values, work))
     rng = np.random.default_rng(925)
     rows = hermitian_rows(rng, 40, 21, rng.normal(size=50))
-    assert b"".join(_csv_rows(rows, cli._hermitian_twins(21))).decode("ascii") == percent_rows(rows)
+    plan = cli._twin_plan(cli._hermitian_twins(21))
+    assert b"".join(_csv_rows(rows, plan)).decode("ascii") == percent_rows(rows)
     assert sum(formatted) == 40 * 925
     assert max(formatted) <= cli._CHUNK_CELLS
 
@@ -1078,7 +1120,8 @@ def test_a_wrong_twin_map_changes_nothing(seed):
     rows[:, 5] = -rows[:, 2]  # some twins that do mirror
     twins = np.arange(12)
     twins[[4, 5, 7, 9, 11]] = [0, 2, 2, 3, 3]
-    assert b"".join(_csv_rows(rows, twins)).decode("ascii") == percent_rows(rows)
+    plan = cli._twin_plan(twins)
+    assert b"".join(_csv_rows(rows, plan)).decode("ascii") == percent_rows(rows)
 
 
 def test_time_grid_streams_its_csvs(tmp_path, monkeypatch):
@@ -1360,6 +1403,25 @@ outputs: [report]
         out = tmp_path / "out"
         assert main(["run", str(scenario), "--out", str(out)]) == 0
         assert "result: PASS" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("suite", ["bogus", "[oracle]", "Oracle"])
+    def test_unknown_suite_in_scenario_names_its_field(self, tmp_path, capsys, suite):
+        # refused while the scenario is parsed, so no output directory is made
+        scenario = write_scenario(
+            tmp_path,
+            f"""\
+params: {{omega1: 1.0, omega2: 1.0, lambda: 0.5}}
+initial: {{kind: fock, n: 1}}
+schedule: {{kind: verify, suite: {suite}}}
+outputs: [report]
+""",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert 'scenario field "schedule.suite": must be one of' in err
+        assert "'rotation', 'evolution', 'oracle', 'exchange'" in err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):
