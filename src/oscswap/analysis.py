@@ -246,7 +246,7 @@ def statistics_exchanges(
     the exchange suite compares all three grades with eigen-path tables.
     """
     return np.concatenate([
-        grade_exchanges(phi, np.multiply(phi, hops, out=hops), evo.transfer_amplitude(1, times))
+        grade_exchanges(phi, np.multiply(phi, hops, out=hops), evo.one_quantum(times)[1])
         for times, hops in evo.product_hops(phi, ts)  # each chunk's powers become its amplitudes
     ])
 
@@ -299,16 +299,17 @@ def find_exchange_time(
     O(n_max) per time. The zoom follows the least leak 1 - F, computed as
     sum_n p_n (1 - |T|^{2n}) + sum_n p_n |T^n - O|^2 with O = sum_n p_n T^n,
     two sums of nonnegative terms that keep their relative precision where
-    F rounds to 1. Its last point is returned only if its fidelity is at
-    least the coarse grid's best; otherwise that grid point is. Useful off
+    F rounds to 1; the first takes |T|^2 as 1 - |S|^2, with |S|^2 read from
+    the S of :meth:`~oscswap.evolution.EvolutionOperator.one_quantum`. Its
+    last point is returned only if its fidelity is at least the coarse
+    grid's best; otherwise that grid point is. Useful off
     resonance and away from the exact-exchange frequency condition, where
     no closed-form optimum exists. Returns ``(t_best, fidelity_best)``.
     """
     if not t_end > t_start:
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    mix = evo.mix
     if evo.params.lam > 0:
-        step = coarse_scan_step(mix, evo.params.lam)
+        step = coarse_scan_step(evo.mix, evo.params.lam)
     else:
         step = (t_end - t_start) / 200.0
     if not step > 0.0:
@@ -323,9 +324,8 @@ def find_exchange_time(
         fids, leaks = [], []
         for times, hops in evo.product_hops(target, ts):
             overlap = hops @ weights
-            dt = mix.half_splitting * times
-            # |S|^2 as a sum of squares, and 1 - |T|^{2n} = 1 - (1 - |S|^2)^n
-            stay = np.minimum(np.cos(dt) ** 2 + (mix.c**2 - mix.s**2) ** 2 * np.sin(dt) ** 2, 1.0)
+            # 1 - |T|^{2n} = 1 - (1 - |S|^2)^n, with |S|^2 from S
+            stay = np.minimum(np.abs(evo.one_quantum(times)[0]) ** 2, 1.0)
             hops -= overlap[:, np.newaxis]  # in place, and each array freed once read
             spread = np.abs(hops)
             del hops

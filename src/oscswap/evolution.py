@@ -5,8 +5,9 @@ Two routes give the amplitudes, and each checks the other.
 **Product states in closed form: the run path.** Every initial state a
 scenario builds is a product |phi> (x) |0>. The coupling conserves quanta,
 so a1^dagger evolves to S a1^dagger + T a2^dagger, where S and T are the
-single-quantum survival and transfer amplitudes: the SU(2) beam splitter
-of Campos, Saleh and Teich, Phys. Rev. A 40, 1371 (1989). Hence
+single-quantum survival and transfer amplitudes
+(:meth:`EvolutionOperator.one_quantum`): the SU(2) beam splitter of Campos,
+Saleh and Teich, Phys. Rev. A 40, 1371 (1989). Hence
 
     C[n1, n2](t) = phi_{n1+n2} sqrt(binom(n1 + n2, n2)) S^{n1} T^{n2}.
 
@@ -43,7 +44,8 @@ evaluated for every time of a chunk and scattered into amplitude tables
 C[k, n1, n2]. Evolving to one time is the one-point case, and a block
 U(t) takes the rows of W as coefficients, for one operator or a stack.
 
-Both routes check the norm at every time they evaluate.
+Both routes check the norm at every time they evaluate a state; the blocks
+:func:`ut_blocks` returns are operators, and no norm is checked on them.
 """
 
 import cmath
@@ -147,50 +149,24 @@ class EvolutionOperator:
         _, tables = next(self.evolve_grid(state, [t]))
         return TwoModeState(tables[0])
 
-    def transfer_amplitude(self, n: int, t: float | np.ndarray) -> complex | np.ndarray:
-        """Closed-form amplitude ratio C[0, n](t) / C[n, 0](0) for product
-        initial states, at one time or at every time of an array: a
-        mean-frequency phase times the n-th power of the single-quantum hop
-        -2i s c sin(half_splitting t)."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+    def one_quantum(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The single-quantum survival and transfer amplitudes S and T, at one
+        time or at every time of an array: the mean-frequency phase
+        e^{-i (omega1 + omega2) t / 2}, evaluated once for both, times
+        c^2 e^{-i d t} + s^2 e^{+i d t} and -2i s c sin(d t), with d the half
+        normal-mode splitting. The closed form reads the coupling here only."""
         t = np.asarray(t, dtype=float)
-        return self._mean_phase(n, t) * self._hop(t) ** n
-
-    def survival_amplitude(self, n: int, t: float | np.ndarray) -> complex | np.ndarray:
-        """Closed-form ratio C[n, 0](t) / C[n, 0](0) for product initial
-        states, at one time or at every time of an array: the n-th power of
-        c^2 e^{-i d t} + s^2 e^{+i d t} with d the half normal-mode
-        splitting, times the mean-frequency phase."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        t = np.asarray(t, dtype=float)
-        return self._mean_phase(n, t) * self._stay(t) ** n
-
-    def _one_quantum(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S and T at every time of ``t``, with the mean-frequency phase
-        evaluated once for both: bit for bit :meth:`survival_amplitude` and
-        :meth:`transfer_amplitude` at n = 1, as ``z**1`` copies z."""
-        phase = self._mean_phase(1, t)
-        return phase * self._stay(t), phase * self._hop(t)
-
-    def _mean_phase(self, n: int, t: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * (0.5 * (self.params.omega1 + self.params.omega2)) * n * t)
-
-    def _stay(self, t: np.ndarray) -> np.ndarray:
-        mix = self.mix
-        d = mix.half_splitting
-        return mix.c**2 * np.exp(-1j * d * t) + mix.s**2 * np.exp(1j * d * t)
-
-    def _hop(self, t: np.ndarray) -> np.ndarray:
-        return -2j * self.mix.s * self.mix.c * np.sin(self.mix.half_splitting * t)
+        mix, d = self.mix, self.mix.half_splitting
+        phase = np.exp(-1j * (0.5 * (self.params.omega1 + self.params.omega2)) * t)
+        stay = mix.c**2 * np.exp(-1j * d * t) + mix.s**2 * np.exp(1j * d * t)
+        return phase * stay, phase * (-2j * mix.s * mix.c * np.sin(d * t))
 
     def product_norms(self, phi: np.ndarray, ts: Sequence[float] | np.ndarray) -> np.ndarray:
         """Norm of the product state |phi> (x) |0> evolved to every time in
         ``ts``, in closed form and without tables: sqrt(sum_n |phi_n|^2
         (|S|^2 + |T|^2)^n), O(n_max) per time. It is 1 to rounding when phi
         is normalized; :meth:`product_hops` checks it."""
-        return _product_norms(np.abs(phi) ** 2, *self._one_quantum(np.asarray(ts, dtype=float)))
+        return _product_norms(np.abs(phi) ** 2, *self.one_quantum(ts))
 
     def product_hops(
         self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
@@ -199,7 +175,7 @@ class EvolutionOperator:
         tables: yields ``(times, hops)`` chunk by chunk, in the order of
         ``ts``, with ``hops[k, n] = T(times[k])**n`` for n < len(phi). The
         amplitude on |0, n> is phi_n T^n, and ``hops[:, 1]`` is
-        :meth:`transfer_amplitude` at n = 1, bit for bit.
+        :meth:`one_quantum`'s T, bit for bit.
 
         S and T are evaluated once per chunk, for the powers and for the
         norm check. ``phi`` must be normalized: :meth:`product_norms` is
@@ -207,7 +183,7 @@ class EvolutionOperator:
         """
         weights = np.abs(phi) ** 2
         for times in _chunks(ts, len(phi)):
-            stay, hop = self._one_quantum(times)
+            stay, hop = self.one_quantum(times)
             _check_norms(_product_norms(weights, stay, hop), 1.0)
             yield times, _powers(hop, len(phi))
 
@@ -226,7 +202,7 @@ class EvolutionOperator:
         """
         dim, scale = len(phi), _product_scale(phi)
         for times in _chunks(ts, dim * dim, most):
-            stay, hop = self._one_quantum(times)
+            stay, hop = self.one_quantum(times)
             stays, hops = _powers(stay, dim), _powers(hop, dim)
             tables = scale * stays[:, :, np.newaxis] * hops[:, np.newaxis, :]
             _check_norms(np.linalg.norm(tables.reshape(len(times), -1), axis=1), 1.0)
@@ -242,7 +218,7 @@ class EvolutionOperator:
         p1 the same with S and T swapped. No term is negative; row sums are checked to be 1."""
         weights = np.abs(_product_scale(phi)) ** 2
         for times in _chunks(ts, len(phi)):
-            stays, hops = (_powers(np.abs(z) ** 2, len(phi)) for z in self._one_quantum(times))
+            stays, hops = (_powers(np.abs(z) ** 2, len(phi)) for z in self.one_quantum(times))
             p1, p2 = stays * (hops @ weights.T), hops * (stays @ weights)
             _check_norms(np.array([p1.sum(axis=1), p2.sum(axis=1)]), 1.0)
             yield times, p1, p2
@@ -251,7 +227,8 @@ class EvolutionOperator:
         """<a_mode(t)> from the closed-form ladder-operator solution.
 
         Uses only the initial-state expectations <a1(0)>, <a2(0)>, never
-        the propagated state, so it cross-checks :meth:`evolve`.
+        the propagated state, so the evolution suite compares it with the
+        states :meth:`evolve_grid` propagates.
         """
         if mode not in (1, 2):
             raise ValueError(f"mode must be 1 or 2, got {mode}")

@@ -238,7 +238,7 @@ def parse_scenario(raw: object) -> Scenario:
         raise ScenarioError(
             n_max_field, f"n_max = {n_max} is above the limit {_N_MAX_LIMIT}{default_note}"
         )
-    if schedule.kind == "exchange_scan" and params.lam > 0:
+    if schedule.kind == "exchange_scan":
         _check_exchange_window(params, schedule.k_max)
     if schedule.kind == "time_grid":
         # transfer_profile counted at its widest, before the initial state is built
@@ -262,12 +262,16 @@ def parse_scenario(raw: object) -> Scenario:
 
 
 def _check_exchange_window(params: CouplingParams, k_max: int) -> None:
-    """Reject couplings whose exchange times, the scan window half an
-    exchange period past the last of them, or the scan's coarse step are not
-    finite and positive: s c pi (2k + 1) / lambda underflows to 0 where the
-    detuning is huge and overflows where lambda is tiny, and the step
-    :func:`coarse_scan_step` underflows to 0 where lambda or the splitting is
-    above about 3.6e306."""
+    """Reject a decoupled pair, which exchanges nothing, and couplings whose
+    exchange times, the scan window half an exchange period past the last of
+    them, or the scan's coarse step are not finite and positive:
+    s c pi (2k + 1) / lambda underflows to 0 where the detuning is huge and
+    overflows where lambda is tiny, and the step :func:`coarse_scan_step`
+    underflows to 0 where lambda or the splitting is above about 3.6e306."""
+    if params.lam == 0:
+        raise ScenarioError(
+            "params.lambda", "must be > 0 for an exchange_scan: exchange times require a coupling"
+        )
     mix = derive_mixing(params)
     taus = exchange_times(mix, params.lam, k_max)
     window_end = taus[-1] + taus[0]

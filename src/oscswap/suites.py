@@ -23,7 +23,7 @@ from .core import (
     product_amplitudes,
     unitarity_defect,
 )
-from .evolution import EvolutionOperator, _eigen_blocks, ut_blocks
+from .evolution import EvolutionOperator, _eigen_blocks, _powers, ut_blocks
 from .rotation import us_blocks, verify_recursions
 
 # Not used here. perfbench/spans.py wraps the names suites.us_block,
@@ -148,11 +148,12 @@ def _evolution_suite() -> tuple[list[CheckResult], list[str]]:
     evos = list(operators.values())
     grids = np.array([[0.0, 0.3, 1.0, 2.2, 5.0, 9.1]]) / [[evo.params.lam] for evo in evos]
     worst_closed = 0.0
+    # closed[i, k, n] = (T^n, S^n) at grids[i, k], the powers the run path forms
+    closed = np.array([np.stack([_powers(z, 21) for z in evo.one_quantum(ts)[::-1]], axis=-1)
+                       for evo, ts in zip(evos, grids)])
     for n in range(21):
         generic = ut_blocks(evos, n, grids)[..., [n, 0], 0]  # <0, n|U|n, 0> and <n, 0|U|n, 0>
-        closed = np.array([[evo.transfer_amplitude(n, ts), evo.survival_amplitude(n, ts)]
-                           for evo, ts in zip(evos, grids)])
-        worst_closed = max(worst_closed, float(np.max(np.abs(closed - generic.swapaxes(1, 2)))))
+        worst_closed = max(worst_closed, float(np.max(np.abs(closed[:, :, n] - generic))))
     trio = [operators[x] for x in (0.0, 1.0, -5.0)]
     for evo in trio:
         state = make_product_state(_random_phi(product_rng, 20))
@@ -287,7 +288,7 @@ def _exchange_suite() -> tuple[list[CheckResult], list[str]]:
         state0 = make_product_state(_random_phi(grades_rng, grades_rng.integers(1, 7)))
         phi = state0.table[:, 0]
         (_, tables), = evo_g.evolve_grid(state0, ts)
-        eigen = analysis.grade_exchanges(phi, tables[:, 0, :], evo_g.transfer_amplitude(1, ts))
+        eigen = analysis.grade_exchanges(phi, tables[:, 0, :], evo_g.one_quantum(ts)[1])
         closed = analysis.statistics_exchanges(phi, evo_g, ts)
         worst_grades = max(worst_grades, float(np.max(np.abs(closed - eigen))))
 

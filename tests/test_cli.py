@@ -455,6 +455,24 @@ outputs: [report]
         assert "params.omega1" in err and "params.lambda" in err
         assert not (tmp_path / "out").exists()
 
+    def test_decoupled_exchange_scan_names_lambda(self, tmp_path, capsys):
+        # refused while parsing, before the output directory is made
+        scenario = write_scenario(
+            tmp_path,
+            """\
+params: {omega1: 1.0, omega2: 0.5, lambda: 0.0}
+initial: {kind: fock, n: 1}
+schedule: {kind: exchange_scan, k_max: 1}
+outputs: [report]
+""",
+        )
+        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error: scenario field "params.lambda": must be > 0')
+        assert "coupling" in err
+        assert not (tmp_path / "out").exists()
+
     def test_coherent_alpha_20_at_truncation_534_matches_mpmath(self, tmp_path):
         # the tail beyond n = 534 is below the 1e-10 threshold; with omega / lambda = 3
         # the exchange is complete at t = pi / 2

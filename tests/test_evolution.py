@@ -37,6 +37,7 @@ from conftest import (
 )
 
 T_GRID = (0.0, 0.1, 0.37, 1.0, 2.9, 7.3, 20.0)
+EPS = np.finfo(float).eps
 
 BLOCK_MAKERS = {
     "us_block": lambda p, n: us_block(derive_mixing(p), n),
@@ -89,6 +90,11 @@ class TestOperatorBasics:
         )
 
 
+def closed_powers(evo, ts, count):
+    """S^n and T^n at every time of ``ts`` for n < count, as the run path forms them."""
+    return [evolution._powers(z, count) for z in evo.one_quantum(ts)]
+
+
 class TestClosedForms:
     def test_single_quantum_resonance(self, resonant):
         # transfer -i e^{-i w t} sin(lam t), survival e^{-i w t} cos(lam t)
@@ -97,27 +103,63 @@ class TestClosedForms:
         for t in (0.0, 0.4, 1.9, 6.0):
             expected_hop = -1j * cmath.exp(-1j * w * t) * math.sin(lam * t)
             expected_stay = cmath.exp(-1j * w * t) * math.cos(lam * t)
-            assert evo.transfer_amplitude(1, t) == pytest.approx(expected_hop, abs=1e-14)
-            assert evo.survival_amplitude(1, t) == pytest.approx(expected_stay, abs=1e-14)
+            stay, hop = evo.one_quantum(t)
+            assert hop == pytest.approx(expected_hop, abs=1e-14)
+            assert stay == pytest.approx(expected_stay, abs=1e-14)
 
     def test_transfer_vanishes_at_zero(self, detuned):
-        evo = EvolutionOperator(detuned)
+        stays, hops = closed_powers(EvolutionOperator(detuned), [0.0], 8)
         for n in range(1, 8):
-            assert evo.transfer_amplitude(n, 0.0) == 0
-        assert evo.survival_amplitude(3, 0.0) == pytest.approx(1.0, abs=1e-14)
+            assert hops[0, n] == 0
+        assert stays[0, 3] == pytest.approx(1.0, abs=1e-14)
 
     def test_two_quanta_transfer_matches_generic_sum(self):
         evo = EvolutionOperator(params_for_detuning(1.0, lam=0.2, omega2=0.8))
         t = 1.0
-        assert evo.transfer_amplitude(2, t) == pytest.approx(
-            evo.ut_element(0, 2, 2, 0, t), abs=1e-12
-        )
+        _, hops = closed_powers(evo, [t], 3)
+        assert hops[0, 2] == pytest.approx(evo.ut_element(0, 2, 2, 0, t), abs=1e-12)
 
     def test_single_quantum_probability_conservation(self, detuned):
         evo = EvolutionOperator(detuned)
         for t in T_GRID:
-            total = abs(evo.transfer_amplitude(1, t)) ** 2 + abs(evo.survival_amplitude(1, t)) ** 2
+            stay, hop = evo.one_quantum(t)
+            total = abs(hop) ** 2 + abs(stay) ** 2
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        CouplingParams(omega1=1.0, omega2=1.0, lam=0.5),  # resonant
+        CouplingParams(omega1=1.2, omega2=0.8, lam=0.2),  # detuned, x = 1
+        CouplingParams(omega1=1000.0, omega2=1.0, lam=0.3),  # |omega1 - omega2| = 999
+        CouplingParams(omega1=1.0, omega2=1000.0, lam=0.3),
+        CouplingParams(omega1=1.3, omega2=0.9, lam=1e-8),  # weak coupling
+        CouplingParams(omega1=1.0, omega2=1.0, lam=1e-8),
+        CouplingParams(omega1=1.3, omega2=0.9, lam=0.0),  # decoupled
+        CouplingParams(omega1=0.7, omega2=0.7, lam=0.0),
+    ])
+    def test_one_quantum_matches_mpmath(self, params):
+        # S = e^{-iwt} (cos dt - i (delta / d) sin dt), T = e^{-iwt} (-i (lam / d) sin dt),
+        # w the mean frequency, delta half the detuning, d = sqrt(lam^2 + delta^2), at 40
+        # digits. The phase and the splitting carry rounding of order eps max(omega, lam)
+        # per unit time, and s^2 + c^2 an eps that does not grow with t; the worst
+        # measured error is 1.4 eps max(1, max(|omega1|, |omega2|, lam) |t|).
+        ts = np.array([0.0, 0.5, -2.2, 3.7, 40.0, 1234.5])
+        stays, hops = EvolutionOperator(params).one_quantum(ts)
+        scale = max(abs(params.omega1), abs(params.omega2), params.lam)
+        with mpmath.workdps(40):
+            w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
+            delta = (w1 - w2) / 2
+            d = mpmath.sqrt(lam**2 + delta**2)
+            for t, stay, hop in zip(ts.tolist(), stays.tolist(), hops.tolist()):
+                mt = mpmath.mpf(t)
+                phase = mpmath.expj(-(w1 + w2) * mt / 2)
+                if d == 0:
+                    expected = (phase, mpmath.mpc(0))
+                else:
+                    sin = mpmath.sin(d * mt)
+                    expected = (phase * (mpmath.cos(d * mt) - 1j * delta / d * sin),
+                                phase * (-1j * lam / d * sin))
+                error = max(abs(stay - expected[0]), abs(hop - expected[1]))
+                assert float(error) <= 4 * EPS * max(1.0, scale * abs(t)), (t, float(error))
 
 
 class TestEvolve:
@@ -328,7 +370,7 @@ class TestProductClosedForm:
         chunks = list(evo.product_hops(phi, ts))
         assert [len(times) for times, _ in chunks] == [4, 4, 3]
         hops = np.concatenate([hops for _, hops in chunks])
-        assert hops[:, 1].tobytes() == evo.transfer_amplitude(1, ts).tobytes()
+        assert hops[:, 1].tobytes() == evo.one_quantum(ts)[1].tobytes()
         # the closed-form norm is the norm of the tables, and the check reads it
         tables = np.concatenate([tables for _, tables in evo.product_grid(phi, ts)])
         assert np.max(np.abs(evo.product_norms(phi, ts)
@@ -424,7 +466,7 @@ class TestProductClosedForm:
         fock[1000] = 1.0
         phis = [product_amplitudes(random_phi(np.random.default_rng(1000), 1000)), fock]
         ts = np.array([0.4, 1.1])
-        stays, hops = evo.survival_amplitude(1, ts), evo.transfer_amplitude(1, ts)
+        stays, hops = evo.one_quantum(ts)
         levels = list(range(0, 1001, 100)) + [480, 490, 500, 510, 520, 999]
         worst = 0.0
         with mpmath.workdps(40):
