@@ -184,12 +184,12 @@ def exchange_fidelities(
     """:func:`exchange_fidelity` of the product state |phi> (x) |0>, ``phi``
     normalized, evolved to every time in ``ts`` with phi as its own target,
     in closed form: |sum_n p_n T^n|^2 with p_n = |phi_n|^2 and T the
-    single-quantum transfer amplitude. Costs O(n_max) per time, no table.
+    single-quantum transfer amplitude. O(n_max) per time, no table; no times give shape (0,).
     """
     return np.concatenate([
         _clip_fidelities(np.abs(hops @ np.abs(phi) ** 2) ** 2)
-        for _, hops in evo.product_hops(phi, ts)
-    ])
+        for *_, hops in evo.product_hops(phi, ts)
+    ] or [np.empty(0)])
 
 
 def _clip_fidelities(fid: np.ndarray) -> np.ndarray:
@@ -233,8 +233,8 @@ def statistics_exchanges(
 ) -> np.ndarray:
     """Grade the exchange of the product state |phi> (x) |0>, ``phi``
     normalized, at every time in ``ts``, in closed form: the amplitude on
-    |0, n> is phi_n T^n. Row k is (fidelity_exchange, statistics_match,
-    phase_defect) at ``ts[k]``.
+    |0, n> is phi_n T^n, T as ``product_hops`` yields it. Row k of the
+    (len(ts), 3) result is (fidelity_exchange, statistics_match, phase_defect) at ``ts[k]``.
 
     statistics_match is the worst mismatch of the moduli |phi_n T^n| and
     |phi_n|; it vanishes at every exchange time on resonance. phase_defect
@@ -246,9 +246,9 @@ def statistics_exchanges(
     the exchange suite compares all three grades with eigen-path tables.
     """
     return np.concatenate([
-        grade_exchanges(phi, np.multiply(phi, hops, out=hops), evo.one_quantum(times)[1])
-        for times, hops in evo.product_hops(phi, ts)  # each chunk's powers become its amplitudes
-    ])
+        grade_exchanges(phi, np.multiply(phi, hops, out=hops), hop)
+        for _, _, hop, hops in evo.product_hops(phi, ts)  # the powers become the amplitudes
+    ] or [np.empty((0, 3))])
 
 
 def grade_exchanges(phi: np.ndarray, swapped: np.ndarray, hop: np.ndarray) -> np.ndarray:
@@ -290,21 +290,20 @@ def find_exchange_time(
 ) -> tuple[float, float]:
     """Numerically locate the time of maximal exchange fidelity in a window.
 
-    ``phi`` is normalized by :func:`~oscswap.core.product_amplitudes`. Coarse
-    grid scan, then a zoom. The coarse step is :func:`coarse_scan_step`, or
-    1/200 of the window in the decoupled limit; a step that underflows to 0 raises ``ValueError``. The zoom
-    evaluates the two grid steps around the best point again on a grid of
-    65 times, six times over, which narrows the bracket below 1e-9 of its
-    starting width. Every grid is evaluated in closed form, in
-    O(n_max) per time. The zoom follows the least leak 1 - F, computed as
-    sum_n p_n (1 - |T|^{2n}) + sum_n p_n |T^n - O|^2 with O = sum_n p_n T^n,
-    two sums of nonnegative terms that keep their relative precision where
-    F rounds to 1; the first takes |T|^2 as 1 - |S|^2, with |S|^2 read from
-    the S of :meth:`~oscswap.evolution.EvolutionOperator.one_quantum`. Its
-    last point is returned only if its fidelity is at least the coarse
-    grid's best; otherwise that grid point is. Useful off
-    resonance and away from the exact-exchange frequency condition, where
-    no closed-form optimum exists. Returns ``(t_best, fidelity_best)``.
+    ``phi`` is normalized by :func:`~oscswap.core.product_amplitudes`. A
+    coarse grid scan at the step :func:`coarse_scan_step` (1/200 of the
+    window in the decoupled limit; a step that underflows to 0 raises
+    ``ValueError``), then six zoom rounds, each evaluating the two grid steps
+    around the best point again at 65 times, which narrows the bracket below
+    1e-9 of its start. A grid costs O(n_max) per time, from the one S and T
+    per time that ``product_hops`` yields. The zoom follows the least leak
+    1 - F = sum_n p_n (1 - |T|^{2n}) + sum_n p_n |T^n - O|^2, O = sum_n p_n T^n:
+    nonnegative terms, which keep their relative precision where F rounds
+    to 1; the first sum takes |T|^2 as 1 - |S|^2. F = |O|^2 is graded on the
+    coarse and the last grid only, the two that read it: the last grid's point
+    is returned if its F is at least the coarse grid's best, else that grid
+    point is. Useful off resonance and away from the exact-exchange frequency
+    condition, where no closed-form optimum exists. Returns ``(t_best, fidelity_best)``.
     """
     if not t_end > t_start:
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
@@ -320,30 +319,31 @@ def find_exchange_time(
     levels = np.arange(1, len(target))
 
     def scan(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fidelity and leak at every time of ``ts``."""
-        fids, leaks = [], []
-        for times, hops in evo.product_hops(target, ts):
+        """Overlap O and leak at every time of ``ts``."""
+        overlaps, leaks = [], []
+        for _, stay, _, hops in evo.product_hops(target, ts):
             overlap = hops @ weights
             # 1 - |T|^{2n} = 1 - (1 - |S|^2)^n, with |S|^2 from S
-            stay = np.minimum(np.abs(evo.one_quantum(times)[0]) ** 2, 1.0)
+            survival = np.minimum(np.abs(stay) ** 2, 1.0)
             hops -= overlap[:, np.newaxis]  # in place, and each array freed once read
             spread = np.abs(hops)
             del hops
             with np.errstate(divide="ignore"):
-                lost = -np.expm1(np.outer(np.log1p(-stay), levels))
+                lost = -np.expm1(np.outer(np.log1p(-survival), levels))
             leaks.append(lost @ weights[1:] + (spread * spread) @ weights)
             del spread, lost
-            fids.append(_clip_fidelities(np.abs(overlap) ** 2))
-        return np.concatenate(fids), np.concatenate(leaks)
+            overlaps.append(overlap)
+        return np.concatenate(overlaps), np.concatenate(leaks)
 
     ts = np.linspace(t_start, t_end, steps)
-    fids, leaks = scan(ts)
+    overlaps, leaks = scan(ts)
+    fids = _clip_fidelities(np.abs(overlaps) ** 2)
     t_best, f_best = float(ts[np.argmax(fids)]), float(np.max(fids))
     for _ in range(_ZOOM_ROUNDS):
         best = int(np.argmin(leaks))
         ts = np.linspace(ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)], _ZOOM_POINTS)
-        fids, leaks = scan(ts)
-    best = int(np.argmin(leaks))
+        overlaps, leaks = scan(ts)
+    best, fids = int(np.argmin(leaks)), _clip_fidelities(np.abs(overlaps) ** 2)
     if fids[best] >= f_best:
         t_best, f_best = float(ts[best]), float(fids[best])
     return t_best, f_best

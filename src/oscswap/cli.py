@@ -491,7 +491,7 @@ def _run_time_grid(scenario: Scenario, evo: EvolutionOperator, phi: np.ndarray,
     if "fidelity" in names:
         csvs.write("fidelity", np.column_stack([ts, fidelities]))
     if "transfer_profile" in names:
-        for times, hops in evo.product_hops(phi, ts):  # |T^n|^2, T the single-quantum hop
+        for times, *_, hops in evo.product_hops(phi, ts):  # |T^n|^2, T the single-quantum hop
             csvs.write("transfer_profile", np.column_stack([times, np.abs(hops[:, occupied]) ** 2]))
     if "number_distribution" in names:
         for times, p1, p2 in evo.product_populations(phi, ts):

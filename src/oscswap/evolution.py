@@ -13,7 +13,7 @@ Saleh and Teich, Phys. Rev. A 40, 1371 (1989). Hence
 
 No eigensolver is needed, and every term is a product of factors of
 modulus at most 1, so nothing cancels and the accuracy does not degrade
-with n. :meth:`EvolutionOperator.product_hops` yields the powers T^n, from
+with n. :meth:`EvolutionOperator.product_hops` yields S, T and T^n, from
 which the exchange diagnostics cost O(n_max) per time without any table, as
 does the norm (:meth:`EvolutionOperator.product_norms`);
 :meth:`EvolutionOperator.product_grid` builds the amplitude tables, in
@@ -170,22 +170,22 @@ class EvolutionOperator:
 
     def product_hops(
         self, phi: np.ndarray, ts: Sequence[float] | np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Closed-form evolution of the product state |phi> (x) |0>, without
-        tables: yields ``(times, hops)`` chunk by chunk, in the order of
-        ``ts``, with ``hops[k, n] = T(times[k])**n`` for n < len(phi). The
-        amplitude on |0, n> is phi_n T^n, and ``hops[:, 1]`` is
-        :meth:`one_quantum`'s T, bit for bit.
+        tables: yields ``(times, stay, hop, hops)`` chunk by chunk, in the
+        order of ``ts``. ``stay, hop`` is :meth:`one_quantum` of ``times``, as
+        it returns them, and ``hops[k, n] = T(times[k])**n`` for n < len(phi):
+        the amplitude on |0, n> is phi_n T^n, and ``hops[:, 1]`` is ``hop`` bit for bit.
 
-        S and T are evaluated once per chunk, for the powers and for the
-        norm check. ``phi`` must be normalized: :meth:`product_norms` is
+        S and T are evaluated once per chunk, for the powers, the norm check
+        and the caller. ``phi`` must be normalized: :meth:`product_norms` is
         checked against 1 at every time.
         """
         weights = np.abs(phi) ** 2
         for times in _chunks(ts, len(phi)):
             stay, hop = self.one_quantum(times)
             _check_norms(_product_norms(weights, stay, hop), 1.0)
-            yield times, _powers(hop, len(phi))
+            yield times, stay, hop, _powers(hop, len(phi))
 
     def product_grid(
         self, phi: np.ndarray, ts: Sequence[float] | np.ndarray, most: int | None = None

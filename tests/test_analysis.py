@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,19 @@ from conftest import (
 def resonant_evolution(ratio, lam=1.0):
     """Resonant pair with omega / lambda equal to the given ratio."""
     return EvolutionOperator(CouplingParams(omega1=ratio * lam, omega2=ratio * lam, lam=lam))
+
+
+def count_one_quantum(monkeypatch):
+    """The number of times of every EvolutionOperator.one_quantum call from now
+    on, one entry per call, in the order of the calls."""
+    sizes, original = [], EvolutionOperator.one_quantum
+
+    def counting(self, t):
+        sizes.append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(EvolutionOperator, "one_quantum", counting)
+    return sizes
 
 
 class TestExchangeTimes:
@@ -286,6 +300,10 @@ class TestExchangeFidelity:
         # [1, 0, 1] / sqrt(2) cut to n_max = 1: |0.6 / sqrt(2)|^2
         assert exchange_fidelity(state, [1.0, 0.0, 1.0]) == pytest.approx(0.18, abs=1e-15)
 
+    def test_no_times_give_no_fidelities(self, detuned):
+        fids = exchange_fidelities(np.array([0.6, 0.8]), EvolutionOperator(detuned), [])
+        assert fids.shape == (0,) and fids.dtype == np.float64
+
 
 class TestCompleteExchangeRatio:
     def test_qubit_level(self):
@@ -405,6 +423,18 @@ class TestStatisticsExchange:
             assert report.statistics_match == pytest.approx(stats, abs=1e-14)
             assert abs(math.remainder(report.phase_defect - defect, math.tau)) < 1e-12
 
+    def test_no_times_give_no_rows(self, detuned):
+        rows = statistics_exchanges(np.array([0.6, 0.8]), EvolutionOperator(detuned), [])
+        assert rows.shape == (0, 3) and rows.dtype == np.float64
+
+    def test_s_and_t_are_evaluated_once_per_chunk(self, monkeypatch, detuned):
+        # three times per chunk of the seven powers T^n, so ten times span four chunks
+        monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 3 * 7)
+        phi = random_phi(np.random.default_rng(43), 6)
+        sizes = count_one_quantum(monkeypatch)
+        statistics_exchanges(phi, EvolutionOperator(detuned), np.linspace(0.0, 20.0, 10))
+        assert sizes == [3, 3, 3, 1]
+
 
 def graded_by_loop(state0, evo, t, floor=1e-12):
     """Reference for the batched grading: the exchange grades of one time by
@@ -502,6 +532,37 @@ class TestFindExchangeTime:
         ts = np.linspace(*window, math.ceil((window[1] - window[0]) / (math.pi / 50.0)) + 1)
         assert f_best >= np.max(exchange_fidelities(np.array([0.0, 1.0]), evo, ts))
 
+    def test_s_and_t_are_evaluated_once_per_grid(self, monkeypatch):
+        evo = EvolutionOperator(params_for_detuning(0.7, lam=0.6, omega2=1.9))
+        sizes = count_one_quantum(monkeypatch)
+        find_exchange_time(evo, [0.6, 0.8j, -0.3], 0.0, 10.0)
+        # the coarse grid, then one grid per zoom round, each in one chunk
+        assert len(sizes) == 1 + analysis._ZOOM_ROUNDS == 7
+        assert sizes[1:] == [analysis._ZOOM_POINTS] * analysis._ZOOM_ROUNDS
+
+    @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("support", range(1, 7))
+    def test_fidelity_at_the_scanned_time_is_the_window_maximum(self, support, detuned):
+        # a state drawn from the ranges of the benchmark's scan_sweep, with its pairs
+        # support = 1 + (k_max - 2) % 6, and an exchange_scan's window [0, tau_kmax + tau_0]
+        rng = np.random.default_rng([support, int(detuned)])
+        lam, omega2 = rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0)
+        params = params_for_detuning(rng.uniform(0.0, 5.0) if detuned else 0.0, lam, omega2)
+        evo = EvolutionOperator(params)
+        radii = rng.uniform(0.2, 1.0, support + 1)
+        amps = radii * np.exp(2j * np.pi * rng.uniform(size=support + 1))
+        taus = exchange_times(evo.mix, lam, support + 1 + 6 * detuned)
+        t_best, _ = find_exchange_time(evo, amps, 0.0, taus[-1] + taus[0])
+        with mpmath.workdps(40):
+            weights = [abs(mpmath.mpc(complex(a))) ** 2 for a in amps]
+            weights = [w / mpmath.fsum(weights) for w in weights]
+            best = mp_window_maximum(params, weights, taus[-1] + taus[0])
+            gap = float(best - mp_fidelity_and_slope(params, weights, t_best)[0])
+        # the zoom resolves the leak 1 - F, so F at its time is below the maximum
+        # by rounding of 1, not of F: at most 0.50 eps measured here, with five
+        # zoom rounds as with six, and up to 5.3 eps with four
+        assert gap <= 4 * np.finfo(float).eps, f"{gap / np.finfo(float).eps:.2f} eps"
+
     def test_scan_holds_at_most_one_chunk_beside_its_powers(self):
         # at n_max 1000 a chunk of powers T^n is 8 MiB, and a window of 2388
         # coarse times takes five chunks. The scan works on the powers in
@@ -515,6 +576,42 @@ class TestFindExchangeTime:
         finally:
             tracemalloc.stop()
         assert peak < 2 * chunk, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def mp_fidelity_and_slope(params, weights, t):
+    """F = |O|^2 and dF/dt at the current mpmath precision, O = sum_n p_n T(t)^n
+    with T = e^{-i mu t} (-i lam sin(d t) / d), mu the mean frequency and d
+    the half normal-mode splitting."""
+    w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
+    mu, d, t = (w1 + w2) / 2, mpmath.sqrt(lam**2 + ((w1 - w2) / 2) ** 2), mpmath.mpf(t)
+    phase = mpmath.expj(-mu * t)
+    hop = phase * (-1j * lam * mpmath.sin(d * t) / d)
+    d_hop = -1j * mu * hop + phase * (-1j * lam * mpmath.cos(d * t))
+    overlap = mpmath.fsum(p * hop**n for n, p in enumerate(weights))
+    slope = mpmath.fsum(n * p * hop ** (n - 1) * d_hop for n, p in enumerate(weights) if n)
+    return abs(overlap) ** 2, 2 * mpmath.re(mpmath.conj(overlap) * slope)
+
+
+def mp_window_maximum(params, weights, t_end):
+    """The maximum of F = |sum_n p_n T^n|^2 over [0, t_end] at the current mpmath
+    precision. A float grid of 20 points per period of F's fastest term, at
+    support (mu + 2 d), finds the peaks within 0.05 of its best; each is then
+    solved as a root of dF/dt in mpmath, and the window's edges are candidates."""
+    w1, w2, lam = params.omega1, params.omega2, params.lam
+    mu, d = 0.5 * (w1 + w2), math.hypot(lam, 0.5 * (w1 - w2))
+    fastest = (len(weights) - 1) * (mu + 2.0 * d)
+    ts = np.linspace(0.0, t_end, int(t_end * fastest * 20.0 / math.tau) + 2)
+    hops = np.exp(-1j * mu * ts) * (-1j * lam * np.sin(d * ts) / d)
+    fids = np.abs(np.polynomial.polynomial.polyval(hops, [float(p) for p in weights])) ** 2
+    peaks = [i for i in range(1, len(ts) - 1)
+             if fids[i - 1] <= fids[i] >= fids[i + 1] and fids[i] >= np.max(fids) - 0.05]
+    best = [mp_fidelity_and_slope(params, weights, t)[0] for t in (0.0, t_end)]
+    for i in peaks:
+        root = mpmath.findroot(lambda t: mp_fidelity_and_slope(params, weights, t)[1],
+                               (ts[i - 1], ts[i + 1]), solver="anderson")
+        assert ts[i - 1] <= root <= ts[i + 1]
+        best.append(mp_fidelity_and_slope(params, weights, root)[0])
+    return max(best)
 
 
 class TestExchangeSuiteReads:

@@ -355,7 +355,7 @@ class TestProductClosedForm:
         chunks = list(evo.product_grid(phi, ts))
         assert [len(times) for times, _ in chunks] == [5, 5, 1]
         tables = np.concatenate([tables for _, tables in chunks])
-        hops = np.concatenate([hops for _, hops in evo.product_hops(phi, ts)])
+        hops = np.concatenate([hops for *_, hops in evo.product_hops(phi, ts)])
         # the amplitudes on |0, n> are phi_n T^n
         assert np.max(np.abs(tables[:, 0, :] - phi * hops)) < 1e-15
         n1, n2 = np.indices((9, 9))
@@ -368,8 +368,13 @@ class TestProductClosedForm:
         phi = make_product_state([0.3, 0.0, 0.5j, -0.2, 0.7], n_max=5).table[:, 0]
         ts = np.linspace(0.0, 40.0, 11)
         chunks = list(evo.product_hops(phi, ts))
-        assert [len(times) for times, _ in chunks] == [4, 4, 3]
-        hops = np.concatenate([hops for _, hops in chunks])
+        assert [len(times) for times, *_ in chunks] == [4, 4, 3]
+        # each chunk's S and T are one_quantum's, and T is the powers' base
+        for times, stay, hop, hops in chunks:
+            assert (stay.tobytes(), hop.tobytes()) == tuple(
+                z.tobytes() for z in evo.one_quantum(times))
+            assert hops[:, 1].tobytes() == hop.tobytes()
+        hops = np.concatenate([hops for *_, hops in chunks])
         assert hops[:, 1].tobytes() == evo.one_quantum(ts)[1].tobytes()
         # the closed-form norm is the norm of the tables, and the check reads it
         tables = np.concatenate([tables for _, tables in evo.product_grid(phi, ts)])
