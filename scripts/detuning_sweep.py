@@ -2,9 +2,10 @@
 """Sweep the detuning and compare the measured single-quantum transfer peak
 against the 1 / (1 + x^2) law.
 
-The peak is located numerically (a grid, then a zoom on its best point,
-each grid one batched evolution), so this doubles as an end-to-end check of
-the evolution pipeline away from resonance.
+The peak is located numerically (a grid, two zoom rounds on its best point,
+then the vertex of the parabola through the last round's least leak and its
+neighbours, each one batched evolution), so this doubles as an end-to-end
+check of the evolution pipeline away from resonance.
 """
 
 import argparse

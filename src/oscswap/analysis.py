@@ -34,9 +34,11 @@ _AMPLITUDE_FLOOR = 1e-12
 # find_exchange_time's refinement: each round evaluates the bracket at
 # _ZOOM_POINTS times in one batched call and narrows it to the two grid steps
 # around the best, a factor (_ZOOM_POINTS - 1) / 2 = 32. After _ZOOM_ROUNDS
-# rounds it is narrower than 1e-9 of its start (32**-6 < 1e-9).
+# rounds the last grid's step is 32**-2 / 64 of the coarse bracket, and the
+# vertex of the leak's parabola through its least point finishes the search;
+# with one round the vertex lands more than 4 eps below the peak of F.
 _ZOOM_POINTS = 65
-_ZOOM_ROUNDS = 6
+_ZOOM_ROUNDS = 2
 
 
 class NonPositiveRatioError(ValueError):
@@ -293,17 +295,22 @@ def find_exchange_time(
     ``phi`` is normalized by :func:`~oscswap.core.product_amplitudes`. A
     coarse grid scan at the step :func:`coarse_scan_step` (1/200 of the
     window in the decoupled limit; a step that underflows to 0 raises
-    ``ValueError``), then six zoom rounds, each evaluating the two grid steps
-    around the best point again at 65 times, which narrows the bracket below
-    1e-9 of its start. A grid costs O(n_max) per time, from the one S and T
-    per time that ``product_hops`` yields. The zoom follows the least leak
+    ``ValueError``), then two zoom rounds, each evaluating the two grid steps
+    around the best point again at 65 times. Each grid costs O(n_max) per
+    time, from the one S and T per time that ``product_hops`` yields. The
+    zoom follows the least leak
     1 - F = sum_n p_n (1 - |T|^{2n}) + sum_n p_n |T^n - O|^2, O = sum_n p_n T^n:
     nonnegative terms, which keep their relative precision where F rounds
-    to 1; the first sum takes |T|^2 as 1 - |S|^2. F = |O|^2 is graded on the
-    coarse and the last grid only, the two that read it: the last grid's point
-    is returned if its F is at least the coarse grid's best, else that grid
-    point is. Useful off resonance and away from the exact-exchange frequency
-    condition, where no closed-form optimum exists. Returns ``(t_best, fidelity_best)``.
+    to 1; the first sum takes |T|^2 as 1 - |S|^2. The search ends at the
+    vertex t_b + (w / 2) (L_{b-1} - L_{b+1}) / (L_{b-1} - 2 L_b + L_{b+1}) of
+    the parabola through the last grid's least leak L_b and its two
+    neighbours, w that grid's step, evaluated like a grid of one time and
+    kept only if its leak is not above L_b; it is skipped where b ends the
+    grid or the curvature is not positive. F = |O|^2 is graded on the coarse
+    grid and at the refined point only, the two that read it: the refined
+    point is returned if its F is at least the coarse grid's best, else that
+    grid point is. Useful off resonance and away from the exact-exchange
+    frequency condition, where no closed-form optimum exists. Returns ``(t_best, fidelity_best)``.
     """
     if not t_end > t_start:
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
@@ -343,9 +350,19 @@ def find_exchange_time(
         best = int(np.argmin(leaks))
         ts = np.linspace(ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)], _ZOOM_POINTS)
         overlaps, leaks = scan(ts)
-    best, fids = int(np.argmin(leaks)), _clip_fidelities(np.abs(overlaps) ** 2)
-    if fids[best] >= f_best:
-        t_best, f_best = float(ts[best]), float(fids[best])
+    best = int(np.argmin(leaks))
+    t_zoom, overlap = ts[best:best + 1], overlaps[best:best + 1]
+    if 0 < best < len(ts) - 1:
+        below, least, above = leaks[best - 1:best + 2]
+        curvature = below - 2.0 * least + above  # > 0 unless NaN: below > least <= above
+        if curvature > 0.0:  # and |below - above| <= curvature: within half a step of t_zoom
+            t_vertex = t_zoom + 0.5 * (ts[1] - ts[0]) * (below - above) / curvature
+            vertex, leak = scan(t_vertex)
+            if leak[0] <= least:
+                t_zoom, overlap = t_vertex, vertex
+    f_zoom = float(_clip_fidelities(np.abs(overlap) ** 2)[0])
+    if f_zoom >= f_best:
+        t_best, f_best = float(t_zoom[0]), f_zoom
     return t_best, f_best
 
 

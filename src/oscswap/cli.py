@@ -72,12 +72,14 @@ def _fmt(value: float) -> str:
 
 
 # Arrays below this many cells are written by `%`, the rest by the array
-# formatter. With a fresh workspace the array formatter costs about 150 us per
-# call plus 0.06 us per cell, `%` about 0.58 us per cell (_csv_rows on
-# normal-distributed values, one BLAS thread, a 2-vCPU x86-64 box: 6 cells
-# 4.7 vs 151 us, 300 cells 174 vs 167 us, 488 cells 285 vs 180 us). The two
-# meet near 290 cells, so from there up to this threshold `%` is the slower one.
-_ARRAY_MIN_CELLS = 384
+# formatter. With a fresh workspace the array formatter costs about 135 us per
+# call plus 0.07 us per cell, `%` about 0.5 us per cell, less on wider rows
+# (_csv_rows on normal-distributed values, one BLAS thread, a 2-vCPU x86-64
+# box: 6 cells 4.0 vs 132 us; 320 cells in rows of 2, 167 vs 153 us; 330 in
+# rows of 5, 151 vs 153 us; 488 in rows of 2, 258 vs 162 us). The two meet
+# near 290 cells in rows of 2 (the fidelity CSV), 336 in rows of 5
+# (exchange_scan) and 361 in rows of 21; the threshold lies between the first two.
+_ARRAY_MIN_CELLS = 320
 _CHUNK_CELLS = 16384
 _TEXT_CELLS = 4096  # cells whose slots are joined into one piece of text: 128 KiB at a time
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant

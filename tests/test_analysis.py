@@ -49,17 +49,35 @@ def resonant_evolution(ratio, lam=1.0):
     return EvolutionOperator(CouplingParams(omega1=ratio * lam, omega2=ratio * lam, lam=lam))
 
 
-def count_one_quantum(monkeypatch):
-    """The number of times of every EvolutionOperator.one_quantum call from now
-    on, one entry per call, in the order of the calls."""
-    sizes, original = [], EvolutionOperator.one_quantum
+def record_one_quantum(monkeypatch):
+    """The times of every EvolutionOperator.one_quantum call from now on, as
+    one 1-D array per call, in the order of the calls."""
+    calls, original = [], EvolutionOperator.one_quantum
 
-    def counting(self, t):
-        sizes.append(np.size(t))
+    def recording(self, t):
+        calls.append(np.array(t, dtype=float, ndmin=1))
         return original(self, t)
 
-    monkeypatch.setattr(EvolutionOperator, "one_quantum", counting)
-    return sizes
+    monkeypatch.setattr(EvolutionOperator, "one_quantum", recording)
+    return calls
+
+
+def scan_sweep_state(rng, support, detuned):
+    """A pair and a state drawn from the ranges of the benchmark's scan_sweep,
+    with its pairs support = 1 + (k_max - 2) % 6, and the end of an
+    exchange_scan's window [0, tau_kmax + tau_0]: (params, amplitudes, t_end)."""
+    lam, omega2 = rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0)
+    params = params_for_detuning(rng.uniform(0.0, 5.0) if detuned else 0.0, lam, omega2)
+    radii = rng.uniform(0.2, 1.0, support + 1)
+    amps = radii * np.exp(2j * np.pi * rng.uniform(size=support + 1))
+    taus = exchange_times(derive_mixing(params), lam, support + 1 + 6 * detuned)
+    return params, amps, taus[-1] + taus[0]
+
+
+def mp_weights(amps):
+    """The normalized weights |phi_n|^2 at the current mpmath precision."""
+    weights = [abs(mpmath.mpc(complex(a))) ** 2 for a in amps]
+    return [w / mpmath.fsum(weights) for w in weights]
 
 
 class TestExchangeTimes:
@@ -431,9 +449,9 @@ class TestStatisticsExchange:
         # three times per chunk of the seven powers T^n, so ten times span four chunks
         monkeypatch.setattr(evolution, "_CHUNK_AMPLITUDES", 3 * 7)
         phi = random_phi(np.random.default_rng(43), 6)
-        sizes = count_one_quantum(monkeypatch)
+        calls = record_one_quantum(monkeypatch)
         statistics_exchanges(phi, EvolutionOperator(detuned), np.linspace(0.0, 20.0, 10))
-        assert sizes == [3, 3, 3, 1]
+        assert [ts.size for ts in calls] == [3, 3, 3, 1]
 
 
 def graded_by_loop(state0, evo, t, floor=1e-12):
@@ -521,46 +539,93 @@ class TestFindExchangeTime:
         assert t_start <= t_best <= t_end
 
     @pytest.mark.parametrize("side", ["first", "last"])
-    def test_peak_at_a_window_edge(self, side):
+    def test_peak_at_a_window_edge(self, monkeypatch, side):
         evo = resonant_evolution(2.0)  # a Fock state: F = sin(t)**2, peak at pi / 2
         window = (0.2, 1.4) if side == "last" else (1.75, 2.9)
+        calls = record_one_quantum(monkeypatch)
         t_best, f_best = find_exchange_time(evo, [0.0, 1.0], *window)
-        edge = window[1] if side == "last" else window[0]
-        assert t_best == edge
-        assert f_best == pytest.approx(math.sin(edge) ** 2, abs=1e-14)
+        end = -1 if side == "last" else 0
+        assert t_best == window[end]
+        assert f_best == pytest.approx(math.sin(window[end]) ** 2, abs=1e-14)
+        # the edge ends every grid, the last one too, so no vertex is evaluated
+        assert [ts.size for ts in calls[1:]] == [analysis._ZOOM_POINTS] * analysis._ZOOM_ROUNDS
+        assert all(ts[end] == t_best for ts in calls)
         # the coarse grid find_exchange_time scans: step at most pi / 50
         ts = np.linspace(*window, math.ceil((window[1] - window[0]) / (math.pi / 50.0)) + 1)
         assert f_best >= np.max(exchange_fidelities(np.array([0.0, 1.0]), evo, ts))
 
+    def test_a_constant_leak_returns_the_coarse_result(self, monkeypatch):
+        # decoupled, T = 0 at every time: with no weight on n = 1 the leak rounds
+        # to the same value everywhere, which every grid finds at its first time
+        evo = EvolutionOperator(CouplingParams(omega1=1.7, omega2=0.9, lam=0.0))
+        calls = record_one_quantum(monkeypatch)
+        t_best, f_best = find_exchange_time(evo, [0.6, 0.0, 0.8], 0.3, 5.0)
+        assert (t_best, f_best) == (0.3, pytest.approx(0.36**2, abs=1e-15))
+        assert [ts.size for ts in calls] == [201] + [analysis._ZOOM_POINTS] * analysis._ZOOM_ROUNDS
+        assert all(ts[0] == 0.3 for ts in calls)
+
+    def test_a_vertex_leaking_more_than_the_grid_is_not_kept(self, monkeypatch):
+        # the vertex's S and T are read pi / 4 late, far from the peak at pi / 2
+        evo = resonant_evolution(3.0)
+        original = EvolutionOperator.one_quantum
+
+        def late_vertex(self, t):
+            return original(self, t + 0.25 * math.pi if np.size(t) == 1 else t)
+
+        monkeypatch.setattr(EvolutionOperator, "one_quantum", late_vertex)
+        calls = record_one_quantum(monkeypatch)
+        t_best, f_best = find_exchange_time(evo, [0.6, 0.8], 0.0, 4.0)
+        *_, last, vertex = calls
+        assert vertex.size == 1 and t_best != vertex[0] and t_best in last
+        assert t_best == pytest.approx(math.pi / 2.0, abs=1e-4)
+        evolved = evo.evolve(make_product_state([0.6, 0.8]), t_best)
+        assert f_best == pytest.approx(exchange_fidelity(evolved, [0.6, 0.8]), abs=1e-14)
+        assert 1e-12 < 1.0 - f_best < 1e-8  # a grid point's, which the vertex would beat
+
     def test_s_and_t_are_evaluated_once_per_grid(self, monkeypatch):
         evo = EvolutionOperator(params_for_detuning(0.7, lam=0.6, omega2=1.9))
-        sizes = count_one_quantum(monkeypatch)
+        calls = record_one_quantum(monkeypatch)
         find_exchange_time(evo, [0.6, 0.8j, -0.3], 0.0, 10.0)
-        # the coarse grid, then one grid per zoom round, each in one chunk
-        assert len(sizes) == 1 + analysis._ZOOM_ROUNDS == 7
-        assert sizes[1:] == [analysis._ZOOM_POINTS] * analysis._ZOOM_ROUNDS
+        # the coarse grid, one grid per zoom round and the vertex, each in one chunk
+        sizes = [ts.size for ts in calls]
+        assert len(sizes) == 1 + analysis._ZOOM_ROUNDS + 1 == 4
+        assert sizes[1:] == [analysis._ZOOM_POINTS] * analysis._ZOOM_ROUNDS + [1] == [65, 65, 1]
 
     @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
     @pytest.mark.parametrize("support", range(1, 7))
     def test_fidelity_at_the_scanned_time_is_the_window_maximum(self, support, detuned):
-        # a state drawn from the ranges of the benchmark's scan_sweep, with its pairs
-        # support = 1 + (k_max - 2) % 6, and an exchange_scan's window [0, tau_kmax + tau_0]
-        rng = np.random.default_rng([support, int(detuned)])
-        lam, omega2 = rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0)
-        params = params_for_detuning(rng.uniform(0.0, 5.0) if detuned else 0.0, lam, omega2)
-        evo = EvolutionOperator(params)
-        radii = rng.uniform(0.2, 1.0, support + 1)
-        amps = radii * np.exp(2j * np.pi * rng.uniform(size=support + 1))
-        taus = exchange_times(evo.mix, lam, support + 1 + 6 * detuned)
-        t_best, _ = find_exchange_time(evo, amps, 0.0, taus[-1] + taus[0])
+        params, amps, t_end = scan_sweep_state(np.random.default_rng([support, int(detuned)]),
+                                               support, detuned)
+        t_best, _ = find_exchange_time(EvolutionOperator(params), amps, 0.0, t_end)
         with mpmath.workdps(40):
-            weights = [abs(mpmath.mpc(complex(a))) ** 2 for a in amps]
-            weights = [w / mpmath.fsum(weights) for w in weights]
-            best = mp_window_maximum(params, weights, taus[-1] + taus[0])
+            weights = mp_weights(amps)
+            best = mp_window_maximum(params, weights, t_end)
             gap = float(best - mp_fidelity_and_slope(params, weights, t_best)[0])
         # the zoom resolves the leak 1 - F, so F at its time is below the maximum
-        # by rounding of 1, not of F: at most 0.50 eps measured here, with five
-        # zoom rounds as with six, and up to 5.3 eps with four
+        # by rounding of 1, not of F: at most 0.005 eps measured here with two
+        # zoom rounds and the vertex (0.50 eps with six rounds and none), and
+        # up to 4287 eps with one round and the vertex
+        assert gap <= 4 * np.finfo(float).eps, f"{gap / np.finfo(float).eps:.2f} eps"
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("support", range(1, 7))
+    def test_fidelity_at_the_scanned_time_is_the_bracket_maximum(
+        self, monkeypatch, support, detuned, seed
+    ):
+        # the refinement alone: F at the returned time against the 40-digit
+        # maximum over the coarse bracket it refines, the first zoom grid's span,
+        # whether or not the coarse grid picked the window's best peak
+        params, amps, t_end = scan_sweep_state(
+            np.random.default_rng([seed, support, int(detuned), 35]), support, detuned)
+        calls = record_one_quantum(monkeypatch)
+        t_best, _ = find_exchange_time(EvolutionOperator(params), amps, 0.0, t_end)
+        start, end = calls[1][0], calls[1][-1]
+        assert start <= t_best <= end
+        with mpmath.workdps(40):
+            weights = mp_weights(amps)
+            best = mp_bracket_maximum(params, weights, start, end, (0.0, t_end))
+            gap = float(best - mp_fidelity_and_slope(params, weights, t_best)[0])
         assert gap <= 4 * np.finfo(float).eps, f"{gap / np.finfo(float).eps:.2f} eps"
 
     def test_scan_holds_at_most_one_chunk_beside_its_powers(self):
@@ -611,6 +676,23 @@ def mp_window_maximum(params, weights, t_end):
                                (ts[i - 1], ts[i + 1]), solver="anderson")
         assert ts[i - 1] <= root <= ts[i + 1]
         best.append(mp_fidelity_and_slope(params, weights, root)[0])
+    return max(best)
+
+
+def mp_bracket_maximum(params, weights, start, end, edges):
+    """The maximum of F = |sum_n p_n T^n|^2 over [start, end] at the current
+    mpmath precision: every point where dF/dt falls through 0 between 64
+    equal steps of the bracket, each solved as a root of dF/dt, and every one
+    of the window's ``edges`` inside the bracket are candidates."""
+    slope = lambda t: mp_fidelity_and_slope(params, weights, t)[1]  # noqa: E731
+    ts = mpmath.linspace(mpmath.mpf(start), mpmath.mpf(end), 65)
+    slopes = [slope(t) for t in ts]
+    best = [mp_fidelity_and_slope(params, weights, t)[0] for t in edges if start <= t <= end]
+    for i in range(64):
+        if slopes[i] > 0 >= slopes[i + 1]:
+            root = mpmath.findroot(slope, (ts[i], ts[i + 1]), solver="anderson")
+            assert ts[i] <= root <= ts[i + 1]
+            best.append(mp_fidelity_and_slope(params, weights, root)[0])
     return max(best)
 
 

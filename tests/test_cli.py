@@ -1359,8 +1359,9 @@ def test_row_formatter_survives_a_wrong_exponent(monkeypatch, off):
     # the decimal exponent is floor(log10|v|); when that is one off either way,
     # the scaled value leaves [1e16, 1e17) and the cell must be written by %
     log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda x: log10(x) + off)
+    monkeypatch.setattr(np, "log10", lambda x, **kw: np.add(log10(x, **kw), off, **kw))
     rows = np.random.default_rng(3).normal(size=(64, 5)) * 10.0 ** np.arange(-6, 9, 3)
+    assert rows.size >= cli._ARRAY_MIN_CELLS  # written by the row formatter, not by % throughout
     assert_rows_match_percent(rows)
 
 
