@@ -292,9 +292,10 @@ def find_exchange_time(
 ) -> tuple[float, float]:
     """Numerically locate the time of maximal exchange fidelity in a window.
 
-    ``phi`` is normalized by :func:`~oscswap.core.product_amplitudes`. A
-    coarse grid scan at the step :func:`coarse_scan_step` (1/200 of the
-    window in the decoupled limit; a step that underflows to 0 raises
+    ``phi`` is normalized by :func:`~oscswap.core.product_amplitudes`. In
+    the decoupled limit F is constant, and t_start is returned from one
+    evaluation. Otherwise a coarse grid scan at the step
+    :func:`coarse_scan_step` (a step that underflows to 0 raises
     ``ValueError``), then two zoom rounds, each evaluating the two grid steps
     around the best point again at 65 times. Each grid costs O(n_max) per
     time, from the one S and T per time that ``product_hops`` yields. The
@@ -314,13 +315,6 @@ def find_exchange_time(
     """
     if not t_end > t_start:
         raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    if evo.params.lam > 0:
-        step = coarse_scan_step(evo.mix, evo.params.lam)
-    else:
-        step = (t_end - t_start) / 200.0
-    if not step > 0.0:
-        raise ValueError(f"need a coarse step > 0, got {step!r}")
-    steps = max(3, int(math.ceil((t_end - t_start) / step)) + 1)
     target = product_amplitudes(phi)
     weights = np.abs(target) ** 2
     levels = np.arange(1, len(target))
@@ -342,7 +336,12 @@ def find_exchange_time(
             overlaps.append(overlap)
         return np.concatenate(overlaps), np.concatenate(leaks)
 
-    ts = np.linspace(t_start, t_end, steps)
+    if evo.params.is_decoupled:  # T = 0, so F = p_0^2 at every time
+        return float(t_start), float(_clip_fidelities(np.abs(scan(np.array([t_start]))[0]) ** 2)[0])
+    step = coarse_scan_step(evo.mix, evo.params.lam)
+    if not step > 0.0:
+        raise ValueError(f"need a coarse step > 0, got {step!r}")
+    ts = np.linspace(t_start, t_end, max(3, int(math.ceil((t_end - t_start) / step)) + 1))
     overlaps, leaks = scan(ts)
     fids = _clip_fidelities(np.abs(overlaps) ** 2)
     t_best, f_best = float(ts[np.argmax(fids)]), float(np.max(fids))

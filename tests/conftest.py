@@ -9,12 +9,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import functools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from oscswap.core import CouplingParams, TwoModeState, derive_mixing
+from oscswap.evolution import EvolutionOperator
 from oscswap.suites import verify_suite
 
 settings.register_profile("default", deadline=None)
@@ -80,47 +80,17 @@ def random_phi(rng, n_top):
     return phi / np.linalg.norm(phi)
 
 
-def mp_rotation_element(x, n1, n2, m1, m2):
-    """The rotation's finite sum at the current mpmath precision, with s and
-    c derived from x."""
-    x = mpmath.mpf(x)
-    h = mpmath.sqrt(1 + x * x)
-    c, s = mpmath.sqrt((h + x) / (2 * h)), mpmath.sqrt((h - x) / (2 * h))
-    total = mpmath.mpf(0)
-    for k in range(max(0, m2 - n1), min(n2, m2) + 1):
-        term = (
-            mpmath.binomial(m1, n2 - k)
-            * mpmath.binomial(m2, k)
-            * c ** (m1 - n2 + 2 * k)
-            * s ** (m2 + n2 - 2 * k)
-        )
-        total += -term if (n2 - k) % 2 else term
-    pref = mpmath.sqrt(
-        mpmath.factorial(n1) * mpmath.factorial(n2) / (mpmath.factorial(m1) * mpmath.factorial(m2))
-    )
-    return pref * total
+def record_one_quantum(monkeypatch):
+    """The times of every EvolutionOperator.one_quantum call from now on, as
+    one 1-D array per call, in the order of the calls."""
+    calls, original = [], EvolutionOperator.one_quantum
 
+    def recording(self, t):
+        calls.append(np.array(t, dtype=float, ndmin=1))
+        return original(self, t)
 
-def mp_exchange_fidelity(params, weights, t, dps=50):
-    """|sum_n p_n T(t)**n|**2 in ``dps``-digit arithmetic, with p_n the
-    ``weights`` normalized and T(t) = exp(-i (w1 + w2) t / 2) (-i sin(d t) lam / d),
-    d = sqrt(lam**2 + (w1 - w2)**2 / 4), the single-quantum transfer amplitude."""
-    with mpmath.workdps(dps):
-        w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
-        d = mpmath.sqrt(lam**2 + ((w1 - w2) / 2) ** 2)
-        t = mpmath.mpf(t)
-        hop = mpmath.expj(-(w1 + w2) * t / 2) * (-1j * mpmath.sin(d * t) * lam / d)
-        total, power = mpmath.mpc(0), mpmath.mpc(1)
-        for p in weights:
-            total += mpmath.mpf(p) * power
-            power *= hop
-        return float(abs(total / mpmath.fsum(mpmath.mpf(p) for p in weights)) ** 2)
-
-
-def mp_element(x, n1, n2, m1, m2):
-    """The finite sum in 50-digit arithmetic, rounded to a double."""
-    with mpmath.workdps(50):
-        return float(mp_rotation_element(x, n1, n2, m1, m2))
+    monkeypatch.setattr(EvolutionOperator, "one_quantum", recording)
+    return calls
 
 
 def beam_splitter_generator(n_total):

@@ -6,7 +6,6 @@ import re
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 import yaml
@@ -16,7 +15,6 @@ from oscswap import cli
 from oscswap.cli import _csv_rows, _fmt, main
 from oscswap.core import CouplingParams, TwoModeState, derive_mixing
 from oscswap.scenario import ScenarioError, _read_yaml, csv_header, load_scenario, parse_scenario
-from conftest import mp_exchange_fidelity
 
 SHORT_GRID = "schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 3}\noutputs: [fidelity]"
 
@@ -122,40 +120,6 @@ class TestRunCommand:
         header, nd_rows = read_csv(out / "number_distribution.csv")
         assert header == ["t", "p1_0", "p1_1", "p2_0", "p2_1"]
         np.testing.assert_allclose(nd_rows[:, 2], 1.0 - expected, atol=1e-10)
-
-    @pytest.mark.parametrize("omega1, omega2, lam", [(1.3, 0.9, 0.4), (1.0, 1.0, 0.5)])
-    def test_transfer_profile_matches_mpmath_at_n_max_1000(self, tmp_path, omega1, omega2, lam):
-        # |T|^{2n} = ((lambda / d) sin(d t))^{2n}, d the half splitting, at 40
-        # digits, for n = 1..1000 on a detuned and a resonant grid. The
-        # relative error comes from rounding in T, amplified n-fold by the
-        # power and by the sine's condition number max(1, |d t cot(d t)|).
-        # Divided by both, it measured at most 2.0 eps (detuned) and 3.6 eps
-        # (resonant), against 4.4 and 4.8 eps for the earlier
-        # |2 s c sin(lambda t / (2 c s))|^{2n}; the bound is 8 eps
-        values = ", ".join(["1.0"] * 1001)
-        scenario = write_scenario(
-            tmp_path,
-            f"""\
-params: {{omega1: {omega1}, omega2: {omega2}, lambda: {lam}}}
-initial: {{kind: amplitudes, values: [{values}]}}
-n_max: 1000
-schedule: {{kind: time_grid, t_start: 0.0, t_end: 40.0, steps: 41}}
-outputs: [transfer_profile]
-""",
-        )
-        out = tmp_path / "out"
-        assert main(["run", str(scenario), "--out", str(out)]) == 0
-        header, rows = read_csv(out / "transfer_profile.csv")
-        assert header == ["t"] + [f"transfer_prob_{n}" for n in range(1, 1001)]
-        with mpmath.workdps(40):
-            w1, w2, lam_mp = (mpmath.mpf(value) for value in (omega1, omega2, lam))
-            d = mpmath.sqrt(((w1 - w2) / 2) ** 2 + lam_mp**2)
-            single = [(lam_mp / d * mpmath.sin(d * mpmath.mpf(t))) ** 2 for t in rows[:, 0].tolist()]
-            reference = np.array([[float(p**n) for n in range(1, 1001)] for p in single])
-        x = float(d) * rows[:, :1]
-        cond = np.maximum(1.0, np.abs(x / np.tan(np.where(x == 0.0, 1.0, x))))
-        bound = 8.0 * np.finfo(float).eps * np.arange(1, 1001) * cond * reference + 1e-300
-        assert np.all(np.abs(rows[:, 1:] - reference) <= bound)
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = write_scenario(tmp_path, FOCK_GRID)
@@ -473,33 +437,6 @@ outputs: [report]
         assert "coupling" in err
         assert not (tmp_path / "out").exists()
 
-    def test_coherent_alpha_20_at_truncation_534_matches_mpmath(self, tmp_path):
-        # the tail beyond n = 534 is below the 1e-10 threshold; with omega / lambda = 3
-        # the exchange is complete at t = pi / 2
-        scenario = write_scenario(
-            tmp_path,
-            """\
-params: {omega1: 3.0, omega2: 3.0, lambda: 1.0}
-initial: {kind: coherent, alpha: 20, truncation: 534}
-schedule: {kind: time_grid, t_start: 0.0, t_end: 3.141592653589793, steps: 11}
-outputs: [fidelity, report]
-""",
-        )
-        out = tmp_path / "out"
-        assert main(["run", str(scenario), "--out", str(out)]) == 0
-        _, rows = read_csv(out / "fidelity.csv")
-        with mpmath.workdps(50):
-            poisson = [mpmath.exp(-400) * mpmath.mpf(400) ** n / mpmath.factorial(n)
-                       for n in range(535)]
-        params = CouplingParams(omega1=3.0, omega2=3.0, lam=1.0)
-        for t, fidelity in rows:
-            assert fidelity == pytest.approx(mp_exchange_fidelity(params, poisson, t), abs=1e-12)
-        assert rows[5, 1] == pytest.approx(1.0, abs=1e-12)
-        report = (out / "report.txt").read_text()
-        assert "n_max: 534\n" in report
-        final_norm = float(report.split("final_norm: ")[1].split()[0])
-        assert final_norm == pytest.approx(1.0, abs=1e-12)
-
     def test_coherent_alpha_27_29_at_truncation_762_names_its_quarter_tail(
         self, tmp_path, capsys
     ):
@@ -519,25 +456,6 @@ outputs: [fidelity]
         err = capsys.readouterr().err
         assert 'scenario field "initial.truncation"' in err
         assert "discarded coherent tail probability 2.565" in err
-
-    def test_coherent_alpha_28_at_truncation_1000_runs(self, tmp_path, capsys):
-        # mpmath: gammainc(1001, 0, 784, regularized=True) = 5.96e-14, below the
-        # threshold. The recursion, started at exp(-784) = 0, reported a tail of 1.
-        scenario = write_scenario(
-            tmp_path,
-            """\
-params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}
-initial: {kind: coherent, alpha: 28, truncation: 1000}
-schedule: {kind: time_grid, t_start: 0.0, t_end: 1.0, steps: 2}
-outputs: [fidelity]
-""",
-        )
-        assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
-        printed = capsys.readouterr().out.splitlines()[0]
-        tail = float(printed.split("coherent_tail_discarded=")[1])
-        with mpmath.workdps(40):
-            expected = float(mpmath.gammainc(1001, 0, 784, regularized=True))
-        assert tail == pytest.approx(expected, rel=1e-12)
 
     def test_resonant_run_reaches_block_44(self, tmp_path):
         values = ", ".join(["1.0"] * 45)
@@ -565,28 +483,6 @@ outputs: [fidelity, report]
 """,
         )
         assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
-
-    def test_resonant_n_max_60_matches_closed_form(self, tmp_path):
-        # F(t) = |sum_n p_n T**n|**2 with T = exp(-i omega t) (-i sin(lambda t)) at resonance
-        omega, lam = 1.0, 0.5
-        values = [math.sqrt(n + 1.0) for n in range(61)]
-        scenario = write_scenario(
-            tmp_path,
-            f"""\
-params: {{omega1: {omega}, omega2: {omega}, lambda: {lam}}}
-initial: {{kind: amplitudes, values: {values}}}
-n_max: 60
-schedule: {{kind: time_grid, t_start: 0.0, t_end: 7.0, steps: 15}}
-outputs: [fidelity]
-""",
-        )
-        out = tmp_path / "out"
-        assert main(["run", str(scenario), "--out", str(out)]) == 0
-        _, rows = read_csv(out / "fidelity.csv")
-        p = np.array(values) ** 2 / np.sum(np.array(values) ** 2)
-        for t, fidelity in rows:
-            hop = np.exp(-1j * omega * t) * (-1j * math.sin(lam * t))
-            assert fidelity == pytest.approx(abs(np.sum(p * hop ** np.arange(61))) ** 2, abs=1e-9)
 
     @pytest.mark.parametrize(
         "params, run",

@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +28,6 @@ from oscswap.rotation import u_minus_s_block, us_block
 from conftest import (
     assert_suite_checks,
     block_slots,
-    mp_exchange_fidelity,
-    mp_rotation_element,
     params_for_detuning,
     random_phi,
     random_state,
@@ -96,17 +93,6 @@ def closed_powers(evo, ts, count):
 
 
 class TestClosedForms:
-    def test_single_quantum_resonance(self, resonant):
-        # transfer -i e^{-i w t} sin(lam t), survival e^{-i w t} cos(lam t)
-        evo = EvolutionOperator(resonant)
-        w, lam = resonant.omega1, resonant.lam
-        for t in (0.0, 0.4, 1.9, 6.0):
-            expected_hop = -1j * cmath.exp(-1j * w * t) * math.sin(lam * t)
-            expected_stay = cmath.exp(-1j * w * t) * math.cos(lam * t)
-            stay, hop = evo.one_quantum(t)
-            assert hop == pytest.approx(expected_hop, abs=1e-14)
-            assert stay == pytest.approx(expected_stay, abs=1e-14)
-
     def test_transfer_vanishes_at_zero(self, detuned):
         stays, hops = closed_powers(EvolutionOperator(detuned), [0.0], 8)
         for n in range(1, 8):
@@ -125,41 +111,6 @@ class TestClosedForms:
             stay, hop = evo.one_quantum(t)
             total = abs(hop) ** 2 + abs(stay) ** 2
             assert total == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("params", [
-        CouplingParams(omega1=1.0, omega2=1.0, lam=0.5),  # resonant
-        CouplingParams(omega1=1.2, omega2=0.8, lam=0.2),  # detuned, x = 1
-        CouplingParams(omega1=1000.0, omega2=1.0, lam=0.3),  # |omega1 - omega2| = 999
-        CouplingParams(omega1=1.0, omega2=1000.0, lam=0.3),
-        CouplingParams(omega1=1.3, omega2=0.9, lam=1e-8),  # weak coupling
-        CouplingParams(omega1=1.0, omega2=1.0, lam=1e-8),
-        CouplingParams(omega1=1.3, omega2=0.9, lam=0.0),  # decoupled
-        CouplingParams(omega1=0.7, omega2=0.7, lam=0.0),
-    ])
-    def test_one_quantum_matches_mpmath(self, params):
-        # S = e^{-iwt} (cos dt - i (delta / d) sin dt), T = e^{-iwt} (-i (lam / d) sin dt),
-        # w the mean frequency, delta half the detuning, d = sqrt(lam^2 + delta^2), at 40
-        # digits. The phase and the splitting carry rounding of order eps max(omega, lam)
-        # per unit time, and s^2 + c^2 an eps that does not grow with t; the worst
-        # measured error is 1.4 eps max(1, max(|omega1|, |omega2|, lam) |t|).
-        ts = np.array([0.0, 0.5, -2.2, 3.7, 40.0, 1234.5])
-        stays, hops = EvolutionOperator(params).one_quantum(ts)
-        scale = max(abs(params.omega1), abs(params.omega2), params.lam)
-        with mpmath.workdps(40):
-            w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
-            delta = (w1 - w2) / 2
-            d = mpmath.sqrt(lam**2 + delta**2)
-            for t, stay, hop in zip(ts.tolist(), stays.tolist(), hops.tolist()):
-                mt = mpmath.mpf(t)
-                phase = mpmath.expj(-(w1 + w2) * mt / 2)
-                if d == 0:
-                    expected = (phase, mpmath.mpc(0))
-                else:
-                    sin = mpmath.sin(d * mt)
-                    expected = (phase * (mpmath.cos(d * mt) - 1j * delta / d * sin),
-                                phase * (-1j * lam / d * sin))
-                error = max(abs(stay - expected[0]), abs(hop - expected[1]))
-                assert float(error) <= 4 * EPS * max(1.0, scale * abs(t)), (t, float(error))
 
 
 class TestEvolve:
@@ -331,7 +282,7 @@ class TestEvolveGrid:
 
 
 class TestProductClosedForm:
-    """The closed form of product states, the run path, against the eigen path and mpmath."""
+    """The closed form of product states, the run path, against the eigen path."""
 
     @pytest.mark.parametrize(
         "n_max, x", [(7, 5.0), (24, 0.0), (200, -4.3)],
@@ -400,22 +351,6 @@ class TestProductClosedForm:
         assert np.all(np.isfinite(tables))
         assert norm(TwoModeState(tables[0])) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("x", [0.0, 1.3])
-    def test_fidelity_matches_mpmath_at_n_1000(self, x):
-        rng = np.random.default_rng(1000)
-        params = params_for_detuning(x, lam=1.0, omega2=3.0)  # omega / lambda = 3 at x = 0
-        evo = EvolutionOperator(params)
-        phi = product_amplitudes(random_phi(rng, 1000))
-        # around the first exchange time, where the resonant fidelity reaches 1
-        tau0 = math.pi / (2.0 * math.hypot(1.0, x))
-        ts = np.array([0.0, 0.3, 0.99 * tau0, tau0, 1.01 * tau0])
-        fidelities = exchange_fidelities(phi, evo, ts)
-        weights = [float(v) for v in np.abs(phi) ** 2]
-        for t, fidelity in zip(ts.tolist(), fidelities.tolist()):
-            assert fidelity == pytest.approx(mp_exchange_fidelity(params, weights, t), abs=1e-12)
-        if x == 0.0:
-            assert fidelities[3] == pytest.approx(1.0, abs=1e-12)
-
     @pytest.mark.parametrize("method", ["product_hops", "product_grid", "product_populations"])
     def test_norm_breach_is_an_integrity_error(self, detuned, method):
         evo = EvolutionOperator(detuned)
@@ -460,36 +395,6 @@ class TestProductClosedForm:
         assert np.max(np.abs(p2 - np.abs(phi) ** 2)) < 1e-12
         assert np.max(np.abs(p1[:, 0] - 1.0)) < 1e-12
         assert np.max(p1[:, 1:]) < 1e-12
-
-    def test_populations_match_mpmath_at_n_max_1000(self):
-        # mode 2's distribution is the binomial thinning
-        # p2(m) = sum_n p_n binom(n, m) |T|^{2m} |S|^{2(n - m)}, mode 1's the same
-        # with S and T swapped, summed here at 40 digits over every n for a
-        # sample of levels, from S and T as the program evaluates them
-        evo = EvolutionOperator(params_for_detuning(0.8, lam=1.0, omega2=3.0))
-        fock = np.zeros(1001)
-        fock[1000] = 1.0
-        phis = [product_amplitudes(random_phi(np.random.default_rng(1000), 1000)), fock]
-        ts = np.array([0.4, 1.1])
-        stays, hops = evo.one_quantum(ts)
-        levels = list(range(0, 1001, 100)) + [480, 490, 500, 510, 520, 999]
-        worst = 0.0
-        with mpmath.workdps(40):
-            for phi in phis:
-                p = [mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2 for v in phi.tolist()]
-                (_, *populations), = evo.product_populations(phi, ts)
-                for k, (stay, hop) in enumerate(zip(stays.tolist(), hops.tolist())):
-                    kept = [mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2 for v in (stay, hop)]
-                    for mode, (own, other) in enumerate([kept, kept[::-1]]):
-                        powers = [other**j for j in range(1001)]
-                        for m in levels:
-                            terms = (p[n] * math.comb(n, m) * powers[n - m]
-                                     for n in range(m, 1001) if p[n])
-                            want = own**m * mpmath.fsum(terms)
-                            worst = max(worst, abs(populations[mode][k, m] - float(want)))
-        # measured 9.5e-16 for the random phi and 1.2e-14 for |1000>, whose
-        # binomials carry the rounding of lgamma near 5900
-        assert worst < 5e-14, worst
 
     @pytest.mark.parametrize("n_max", [20, 200, 1000])
     def test_scale_is_bitwise_the_out_of_place_expression(self, n_max):
@@ -568,40 +473,8 @@ class TestHeisenbergPicture:
         assert np.max(np.abs(got.table - want.table)) <= 1e-15
 
 
-def mp_ut_elements(params, n, rows, times):
-    """<n - r, r| U(t) |n - c, c> for r, c in ``rows``, from the rotation's
-    finite sum and the normal-mode phases in 60-digit arithmetic."""
-    with mpmath.workdps(60):
-        w1, w2, lam = (mpmath.mpf(v) for v in (params.omega1, params.omega2, params.lam))
-        x = (w1 - w2) / (2 * lam)
-        h = mpmath.sqrt(1 + x * x)
-        shift = lam * (h - x)  # lam s / c
-        freqs = [(n - k) * (w1 + shift) + k * (w2 - shift) for k in range(n + 1)]
-        # inverse rotation: (-1)**(k - l) times the forward element
-        w = {
-            l: [(-1) ** (k - l) * mp_rotation_element(x, n - l, l, n - k, k) for k in range(n + 1)]
-            for l in rows
-        }
-        return {
-            (r, c, t): complex(
-                mpmath.fsum(mpmath.expj(-f * t) * a * b for f, a, b in zip(freqs, w[r], w[c]))
-            )
-            for r in rows
-            for c in rows
-            for t in times
-        }
-
-
 class TestEigenPath:
     """Blocks far beyond the closed form's reach, checked against independent routes."""
-
-    @pytest.mark.parametrize("x", (0.0, 1.0, -5.0))
-    def test_block_100_matches_mpmath(self, x):
-        params = params_for_detuning(x, lam=0.5, omega2=1.0)
-        evo = EvolutionOperator(params)
-        reference = mp_ut_elements(params, 100, rows=(0, 33, 50, 100), times=(0.7, 2.9))
-        for (r, c, t), expected in reference.items():
-            assert abs(evo.ut_element(100 - r, r, 100 - c, c, t) - expected) < 1e-13
 
     @pytest.mark.parametrize("x", (0.0, 5.0))
     def test_block_400_unitary_and_matches_pade(self, x):

@@ -16,7 +16,7 @@ from oscswap.rotation import (
     verify_recursions,
 )
 from oscswap.suites import verify_suite
-from conftest import beam_splitter_generator, mixing_for_detuning, mp_element
+from conftest import beam_splitter_generator, mixing_for_detuning
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -71,19 +71,6 @@ class TestSingleElements:
     def test_negative_index_rejected(self, detuned):
         with pytest.raises(ValueError):
             us_element(derive_mixing(detuned), -1, 1, 0, 0)
-
-    @pytest.mark.parametrize("x", X_GRID)
-    @pytest.mark.parametrize("n", [1, 3, 8, 17, 25, 30])
-    def test_special_rows_closed_form(self, x, n):
-        # first-row and first-column elements have one-term sums with known
-        # binomial closed forms; checked in relative terms
-        mix = mixing_for_detuning(x)
-        for l in range(n + 1):
-            scale = math.sqrt(math.comb(n, l))
-            top = scale * mix.c ** (n - l) * mix.s**l
-            bottom = scale * (-1.0) ** (n - l) * mix.c**l * mix.s ** (n - l)
-            assert us_element(mix, n, 0, n - l, l).real == pytest.approx(top, rel=1e-12)
-            assert us_element(mix, 0, n, n - l, l).real == pytest.approx(bottom, rel=1e-12)
 
 
 class TestInverseElements:
@@ -258,16 +245,6 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-
-class TestHighPrecisionReference:
-    @pytest.mark.parametrize("x", (0.0, 1.0, 5.0))
-    @pytest.mark.parametrize("n, tol", [(21, 1e-12), (30, 1e-12), (44, 1e-9)])
-    def test_sampled_rows_match_mpmath(self, x, n, tol):
-        entries = us_block(mixing_for_detuning(x), n).real
-        for row in (n // 3, n // 2):
-            reference = [mp_element(x, n - row, row, n - col, col) for col in range(n + 1)]
-            assert np.max(np.abs(entries[row] - reference)) < tol
 
 
 # (x, n, tolerance) points at which the closed form must satisfy both ladder relations

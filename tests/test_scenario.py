@@ -5,7 +5,6 @@ import sys
 import time
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 import yaml
@@ -153,56 +152,6 @@ class TestCostBudgetLimitsParse:
 
 
 class TestCoherentState:
-    def test_large_truncation_is_finite_and_normalized(self):
-        alpha, truncation = 12.0, 180
-        raw = raw_scenario(
-            initial={"kind": "coherent", "alpha": alpha, "truncation": truncation},
-            coherent_tail_threshold=1.0,
-        )
-        phi, discarded = build_initial_state(parse_scenario(raw))
-        assert phi.shape == (truncation + 1,)
-        assert np.all(np.isfinite(phi))
-        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
-        with mpmath.workdps(30):
-            mean = mpmath.mpf(alpha) ** 2
-            kept = mpmath.exp(-mean) * mpmath.fsum(
-                mean**n / mpmath.factorial(n) for n in range(truncation + 1)
-            )
-            tail = float(1 - kept)
-        assert 1e-4 < tail < 1e-2
-        assert discarded == pytest.approx(tail, rel=1e-9)
-
-    def test_tail_matches_mpmath_up_to_mean_1000(self):
-        # means up to 1000 and truncations from 3 standard deviations below the
-        # mean to 12 above it; the tail is P(N > truncation) for N ~ Poisson(mean)
-        rng = np.random.default_rng(8)
-        means = np.concatenate([[0.01, 0.5, 1.0, 10.0, 707.9, 745.2, 1000.0],
-                                rng.uniform(0.0, 1000.0, size=20)])
-        cases = [
-            (mean, int(round(mean + z * math.sqrt(mean))))
-            for mean in means
-            for z in (-3.0, -0.5, 0.0, 0.5, 2.0, 5.0, 7.0, 9.5, 12.0)
-        ]
-        # here the plain sum n log I - I - lgamma(n + 1) is 1.0e-12 off the tail
-        cases.append((788.487801100912, 896))
-        compared = 0
-        for mean, truncation in cases:
-            if not 0 <= truncation <= 1000:
-                continue
-            raw = raw_scenario(
-                initial={"kind": "coherent", "alpha": math.sqrt(mean),
-                         "truncation": truncation},
-                coherent_tail_threshold=1e300,
-            )
-            discarded = build_initial_state(parse_scenario(raw))[1]
-            with mpmath.workdps(40):
-                exact = float(mpmath.gammainc(truncation + 1, 0, math.sqrt(mean) ** 2,
-                                              regularized=True))
-            assert discarded == pytest.approx(exact, rel=1e-12, abs=1e-300), (mean, truncation)
-            assert (discarded > 1e-10) == (exact > 1e-10)
-            compared += 1
-        assert compared > 180
-
     def test_amplitudes_follow_alpha_power_over_root_factorial(self):
         alpha = complex(0.8, 0.3)
         raw = raw_scenario(initial={"kind": "coherent", "alpha": [0.8, 0.3], "truncation": 20})
