@@ -11,6 +11,7 @@ list ``[re, im]``.
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -41,7 +42,7 @@ _OUTPUTS_BY_SCHEDULE = {
 }
 _DEFAULT_TAIL_THRESHOLD = 1e-10
 _HALF_LOG_TAU = 0.5 * math.log(2.0 * math.pi)
-_OPENERS_LIMIT = 10_000  # of '[', '{' and '- ': bounds input size; 1001 [re, im] use 1002
+_OPENERS_LIMIT = 10_000  # of '[', '{' and '- ': bounds input size; 1001 "- [re, im]" use 2002
 # Containers open at once. The parsers' time grows faster than linearly with
 # nesting (the pure-Python one took 20 s over 9999 levels), and the reader
 # pulls events lazily, so refusing the first container past it caps the cost.
@@ -49,6 +50,10 @@ _DEPTH_LIMIT = 100
 _STR, _INT, _FLOAT, _SEQ, _MAP, _MERGE_TAG, _VALUE_TAG = (
     f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "seq", "map", "merge", "value"))
 _MERGE = object()  # a merge key (<<) waiting for its value
+# Plain scalars the resolver tags float (a subset of its pattern, tried before int's;
+# the exponent's sign is required, so 1e5 is a str) and, in the group, int
+_PLAIN_NUMBER = re.compile(
+    r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?|([1-9][0-9]*)").fullmatch
 
 # Cost budget checked at parse time, so that no scenario runs without bound.
 # Closed forms cost O(n_max), or O(n_max**2) for the number distributions, per
@@ -131,40 +136,45 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _read_yaml(text: str) -> object:
     """The one document in ``text`` (None if none) as ``yaml.load(text, yaml.SafeLoader)``
-    builds it, in one loop over the parser's events (libyaml's where PyYAML has it)."""
+    builds it, in one loop over the parser's events (libyaml's where PyYAML has it). A plain
+    untagged ``_PLAIN_NUMBER`` goes to float() or int() as the resolver would tag it, unresolved."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+    get_event, resolve, plain_number = loader.get_event, loader.resolve, _PLAIN_NUMBER
+    scalar, stream_end, seq_start, seq_end, map_start, map_end = (
+        yaml.ScalarEvent, yaml.StreamEndEvent, yaml.SequenceStartEvent, yaml.SequenceEndEvent,
+        yaml.MappingStartEvent, yaml.MappingEndEvent)
     anchors, items = {}, []  # items: where the next value goes, a mapping's keys and values in turn
     document, stack = items, [(items, items, None)]  # open containers: (object, items, start event)
     try:
-        while (kind := type(event := loader.get_event())) is not yaml.StreamEndEvent:
-            if kind is yaml.ScalarEvent:
+        while (kind := type(event := get_event())) is not stream_end:
+            if kind is scalar:
                 value, tag = event.value, event.tag
-                try:  # a str or plain decimal number directly, others by SafeLoader's constructor
-                    if tag is None or tag == "!":
-                        tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
-                    if tag == _FLOAT and event.tag is None and not value.strip("0123456789.eE+-"):
-                        value = float(value)
-                    elif tag == _INT and value.isdigit() and value[0] != "0":
-                        value = int(value)
-                    elif tag in (_MERGE_TAG, _VALUE_TAG) and items is not stack[-1][0] \
-                            and not len(items) % 2:  # a mapping's key, as flatten_mapping reads it
-                        value = _MERGE if tag == _MERGE_TAG else value
-                    elif tag != _STR:
-                        value = loader.construct_document(
-                            yaml.ScalarNode(tag, value, event.start_mark, event.end_mark))
+                try:  # a plain decimal number or a str directly, others by SafeLoader's constructor
+                    if tag is None and event.implicit[0] and (number := plain_number(value)):
+                        tag = _INT if number.lastindex else _FLOAT  # as the resolver tags it
+                        value = int(value) if number.lastindex else float(value)
+                    else:
+                        if tag is None or tag == "!":
+                            tag = resolve(yaml.ScalarNode, value, event.implicit)
+                        if tag in (_MERGE_TAG, _VALUE_TAG) and items is not stack[-1][0] \
+                                and not len(items) % 2:  # a mapping's key, as flatten_mapping does
+                            value = _MERGE if tag == _MERGE_TAG else value
+                        elif tag != _STR:
+                            value = loader.construct_document(
+                                yaml.ScalarNode(tag, value, event.start_mark, event.end_mark))
                 except (ValueError, LookupError, AttributeError) as exc:  # !!float abc, !!int 1.5
                     raise _refused(f"cannot read as {tag}: {exc}", event) from None
                 items.append(value)
-            elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            elif kind is seq_start or kind is map_start:
                 if len(stack) > _DEPTH_LIMIT:  # the document's entry and the open containers
                     raise _refused(f"nested more than {_DEPTH_LIMIT} containers deep", event)
-                value = [] if kind is yaml.SequenceStartEvent else {}
-                if event.tag not in (None, "!", _SEQ if kind is yaml.SequenceStartEvent else _MAP):
+                value = [] if kind is seq_start else {}
+                if event.tag not in (None, "!", _SEQ if kind is seq_start else _MAP):
                     raise _refused(f"cannot read a collection tagged {event.tag}", event)  # !!set
-                items = value if kind is yaml.SequenceStartEvent else []
+                items = value if kind is seq_start else []
                 stack.append((value, items, event))
-            elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
-                if kind is yaml.MappingEndEvent:
+            elif kind is seq_end or kind is map_end:
+                if kind is map_end:
                     _fill_mapping(stack)
                 value = stack.pop()[0]
                 items = stack[-1][1]
@@ -179,9 +189,10 @@ def _read_yaml(text: str) -> object:
                 raise _refused("expected a single document, but found another", event)
             else:  # the stream's start, a document's start or end
                 continue
-            if event.anchor is not None and (event.anchor in anchors or value is _MERGE):
-                raise _refused(f"found anchor {event.anchor!r} twice or on a merge key", event)
-            anchors[event.anchor] = value  # a scalar's or an opening container's; None is no name
+            if event.anchor is not None:  # a scalar's or an opening container's name
+                if event.anchor in anchors or value is _MERGE:
+                    raise _refused(f"found anchor {event.anchor!r} twice or on a merge key", event)
+                anchors[event.anchor] = value
     finally:
         loader.dispose()
     return document[0] if document else None
@@ -433,9 +444,10 @@ def _parse_initial(raw: object) -> InitialSpec:
         values = _take(mapping, "values", "initial")
         if not isinstance(values, list) or not values:
             raise ScenarioError("initial.values", "must be a nonempty list")
-        parsed = tuple(
-            _as_complex(v, f"initial.values[{i}]") for i, v in enumerate(values)
-        )
+        parsed = tuple(  # a pair of floats with a finite sum is finite: read with no field name
+            complex(*v) if type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is float
+            and math.isfinite(v[0] + v[1]) else _as_complex(v, f"initial.values[{i}]")
+            for i, v in enumerate(values))
         if all(v == 0 for v in parsed):
             raise ScenarioError("initial.values", "all amplitudes are zero")
         spec = InitialSpec(kind=kind, values=parsed)
@@ -536,8 +548,6 @@ def _as_int(raw: object, field: str, minimum: int) -> int:
 
 def _as_complex(raw: object, field: str) -> complex:
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
-    if type(parts[0]) is type(parts[1]) is float and math.isfinite(sum(parts)):  # so each is
-        return complex(*parts)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise ScenarioError(field, f"must be a number or [re, im], got {raw!r}")
     re, im = (_as_number(v, field) for v in parts)

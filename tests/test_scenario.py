@@ -242,6 +242,11 @@ READER_TEXTS = [
     "a: !foo x\n",
     "a: 2001-13-40\n",
     "a: 1%s\n" % ("1" * 5000),
+    # the edges of the reader's plain-number path: exponents with no sign, signs
+    # with no digit before the point, leading zeros, Arabic-Indic digits, _,
+    # ints past 2**64, and floats past a double's range either way
+    "b: [1e5, 1.0e5, 1.5E+3, 1.e+5, -.5, +1., 00, +0, -0, \u0661\u0662, \u0663.\u0665, 1_0.5,"
+    " 99999999999999999999, 1.5e+999, -1.5e-999]\n",
 ]
 # Texts yaml.load reads that the reader refuses: tagged collections, an anchor
 # on a merge key, and a merge of a mapping that encloses it
@@ -336,7 +341,75 @@ def test_reader_builds_shared_trees_as_yaml_load(tree):
     assert same_tree(read_with(text, libyaml=True), expected), text
 
 
+@st.composite
+def plain_numbers(draw):
+    """A sign, digits (ASCII or Arabic-Indic) and _, a point, and an exponent with
+    or without a sign, each part optional: texts on either side of the reader's
+    plain-number path."""
+    digits = st.text(st.sampled_from("0123456789_\u0661\u0663"), max_size=4)
+    sign = st.sampled_from(["", "", "-", "+"])
+    text = draw(sign) + draw(digits)
+    if draw(st.booleans()):
+        text += "." + draw(digits)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(sign) + draw(digits)
+    return text
+
+
+def load_or_refuse(text, loader):
+    """``yaml.load(text, loader)``, or YAMLError for a text it refuses or a scalar
+    its constructor cannot read."""
+    try:
+        return yaml.load(text, Loader=loader)
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+        return yaml.YAMLError
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@seed(20261021)
+@given(number=plain_numbers())
+def test_reader_reads_plain_numbers_as_yaml_load(number):
+    text = f"a: [{number}]\nb: {number}\n"
+    assert same_tree(read_with(text, libyaml=False), load_or_refuse(text, yaml.SafeLoader)), text
+    if hasattr(yaml, "CSafeLoader"):
+        assert same_tree(read_with(text, libyaml=True), load_or_refuse(text, yaml.CSafeLoader)), text
+
+
+def amplitudes_file(pairs):
+    """A time_grid scenario with ``pairs`` [re, im] amplitudes, written as the
+    benchmark's truncation_ladder writes one: block items, %.17e numbers."""
+    values = "".join(f"    - [{math.cos(n):.17e}, {math.sin(n) / 2:.17e}]\n" for n in range(pairs))
+    return ("params:\n  omega1: 1.5\n  omega2: 1.0\n  lambda: 0.5\n"
+            "initial:\n  kind: amplitudes\n  values:\n" + values + f"n_max: {pairs - 1}\n"
+            "schedule:\n  kind: time_grid\n  t_start: 0.0\n  t_end: 10.0\n  steps: 8\n"
+            "outputs: [fidelity, report]\n")
+
+
 class TestYamlLoaders:
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_plain_numbers_skip_the_resolver(self, monkeypatch, tmp_path, libyaml):
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        name = "CSafeLoader" if libyaml else "SafeLoader"
+        resolved = []
+
+        class Spy(getattr(yaml, name)):
+            def resolve(self, kind, value, implicit):
+                resolved.append(value)
+                return super().resolve(kind, value, implicit)
+
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.setattr(yaml, name, Spy)
+        path = tmp_path / "amplitudes_61.yaml"
+        path.write_text(amplitudes_file(61))
+        scenario = load_scenario(path)
+        assert len(scenario.initial.values) == 61 and scenario.n_max == 60
+        assert resolved == [  # each key and word once, and none of the 122 amplitude parts
+            "params", "omega1", "omega2", "lambda", "initial", "kind", "amplitudes", "values",
+            "n_max", "schedule", "kind", "time_grid", "t_start", "t_end", "steps",
+            "outputs", "fidelity", "report"]
+
     @needs_libyaml
     @pytest.mark.parametrize("path", SCENARIOS, ids=[path.stem for path in SCENARIOS])
     def test_both_loaders_give_equal_scenarios(self, monkeypatch, path):
