@@ -46,10 +46,9 @@ _OPENERS_LIMIT = 10_000  # of '[', '{' and '- ': bounds input size; 1001 "- [re,
 # Containers open at once. The parsers' time grows faster than linearly with
 # nesting (the pure-Python one took 20 s over 9999 levels), and the reader
 # pulls events lazily, so refusing the first container past it caps the cost.
+# It is checked over the whole stream before yaml.load sees it.
 _DEPTH_LIMIT = 100
-_STR, _INT, _FLOAT, _SEQ, _MAP, _MERGE_TAG, _VALUE_TAG = (
-    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "seq", "map", "merge", "value"))
-_MERGE = object()  # a merge key (<<) waiting for its value
+_STR, _MERGE_TAG = (f"tag:yaml.org,2002:{name}" for name in ("str", "merge"))
 # Plain scalars the resolver tags float (a subset of its pattern, tried before int's;
 # the exponent's sign is required, so 1e5 is a str) and, in the group, int
 _PLAIN_NUMBER = re.compile(
@@ -127,90 +126,71 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             "(file)", f"has {openers} of '[', '{{' and '- ', above the limit {_OPENERS_LIMIT}")
     try:
-        return parse_scenario(_read_yaml(text))
+        raw = _read_yaml(text)
     except yaml.YAMLError as exc:
         raise ScenarioError("(file)", f"not valid YAML: {exc}") from exc
+    except (ValueError, LookupError, AttributeError) as exc:  # !!float abc, !!bool maybe
+        raise ScenarioError("(file)", f"not valid YAML: cannot read a scalar: {exc!r}") from exc
+    try:
+        return parse_scenario(raw)
     except RecursionError:  # the repr, in an error message, of a value ~1000 aliases deep
         raise ScenarioError("(file)", "nested too deeply to parse") from None
 
 
 def _read_yaml(text: str) -> object:
-    """The one document in ``text`` (None if none) as ``yaml.load(text, yaml.SafeLoader)``
-    builds it, in one loop over the parser's events (libyaml's where PyYAML has it). A plain
-    untagged ``_PLAIN_NUMBER`` goes to float() or int() as the resolver would tag it, unresolved."""
+    """The one document in ``text`` (None if none) as ``yaml.load`` builds it with ``CSafeLoader``
+    where PyYAML has it, else ``SafeLoader``; a merge key (``<<``) is refused. One event loop
+    builds a plain document: mappings, sequences, strings and ``_PLAIN_NUMBER`` numbers, read by
+    float() or int(). Any other (an anchor, an alias, a tag but ``!``, a collection as a key, a
+    scalar the resolver tags other than str) goes to ``yaml.load`` after ``_DEPTH_LIMIT`` holds."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     get_event, resolve, plain_number = loader.get_event, loader.resolve, _PLAIN_NUMBER
     scalar, stream_end, seq_start, seq_end, map_start, map_end = (
         yaml.ScalarEvent, yaml.StreamEndEvent, yaml.SequenceStartEvent, yaml.SequenceEndEvent,
         yaml.MappingStartEvent, yaml.MappingEndEvent)
-    anchors, items = {}, []  # items: where the next value goes, a mapping's keys and values in turn
-    document, stack = items, [(items, items, None)]  # open containers: (object, items, start event)
+    plain, items = True, []  # items: where the next value goes, a mapping's keys and values in turn
+    document, stack = items, [(items, items)]  # open containers: (object, items)
     try:
         while (kind := type(event := get_event())) is not stream_end:
             if kind is scalar:
-                value, tag = event.value, event.tag
-                try:  # a plain decimal number or a str directly, others by SafeLoader's constructor
-                    if tag is None and event.implicit[0] and (number := plain_number(value)):
-                        tag = _INT if number.lastindex else _FLOAT  # as the resolver tags it
-                        value = int(value) if number.lastindex else float(value)
-                    else:
-                        if tag is None or tag == "!":
-                            tag = resolve(yaml.ScalarNode, value, event.implicit)
-                        if tag in (_MERGE_TAG, _VALUE_TAG) and items is not stack[-1][0] \
-                                and not len(items) % 2:  # a mapping's key, as flatten_mapping does
-                            value = _MERGE if tag == _MERGE_TAG else value
-                        elif tag != _STR:
-                            value = loader.construct_document(
-                                yaml.ScalarNode(tag, value, event.start_mark, event.end_mark))
-                except (ValueError, LookupError, AttributeError) as exc:  # !!float abc, !!int 1.5
-                    raise _refused(f"cannot read as {tag}: {exc}", event) from None
+                value = event.value
+                # plain, under ! or tagged: yaml.load copies merged pairs once per alias
+                if value == "<<" and event.implicit[0] or event.tag == _MERGE_TAG:
+                    raise _refused("found a merge key (<<); write the merged keys out", event)
+                if not plain:  # from here on the loop only tracks depth
+                    continue
+                if event.anchor is not None or event.tag not in (None, "!"):
+                    plain = False
+                elif event.implicit[0] and (number := plain_number(value)):  # as resolved, ! too
+                    # int() raises ValueError past its digit limit, as it does in yaml.load
+                    value = int(value) if number.lastindex else float(value)
+                elif resolve(yaml.ScalarNode, value, event.implicit) != _STR:
+                    plain = False
                 items.append(value)
             elif kind is seq_start or kind is map_start:
                 if len(stack) > _DEPTH_LIMIT:  # the document's entry and the open containers
                     raise _refused(f"nested more than {_DEPTH_LIMIT} containers deep", event)
+                if event.anchor is not None or event.tag not in (None, "!") \
+                        or items is not stack[-1][0] and not len(items) % 2:  # a mapping's key
+                    plain = False
                 value = [] if kind is seq_start else {}
-                if event.tag not in (None, "!", _SEQ if kind is seq_start else _MAP):
-                    raise _refused(f"cannot read a collection tagged {event.tag}", event)  # !!set
                 items = value if kind is seq_start else []
-                stack.append((value, items, event))
+                stack.append((value, items))
             elif kind is seq_end or kind is map_end:
-                if kind is map_end:
-                    _fill_mapping(stack)
-                value = stack.pop()[0]
+                value, pairs = stack.pop()
+                if kind is map_end and plain:
+                    value.update(zip(pairs[::2], pairs[1::2]))
                 items = stack[-1][1]
                 items.append(value)
-                continue
             elif kind is yaml.AliasEvent:
-                if event.anchor not in anchors:
-                    raise _refused(f"found undefined alias {event.anchor!r}", event)
-                items.append(anchors[event.anchor])
-                continue
+                plain = False
             elif kind is yaml.DocumentStartEvent and document:
                 raise _refused("expected a single document, but found another", event)
-            else:  # the stream's start, a document's start or end
-                continue
-            if event.anchor is not None:  # a scalar's or an opening container's name
-                if event.anchor in anchors or value is _MERGE:
-                    raise _refused(f"found anchor {event.anchor!r} twice or on a merge key", event)
-                anchors[event.anchor] = value
     finally:
         loader.dispose()
+    if not plain:
+        return yaml.load(text, type(loader))
     return document[0] if document else None
-
-
-def _fill_mapping(stack: list) -> None:
-    """Fill the innermost open mapping as SafeConstructor.flatten_mapping does."""
-    mapping, items, opened = stack[-1]
-    pairs = list(zip(items[::2], items[1::2]))
-    for merged in (value for key, value in pairs if key is _MERGE):  # first, each merge key's
-        for src in merged[::-1] if type(merged) is list else [merged]:  # mappings, last to first
-            if type(src) is not dict or any(f[0] is merged or f[0] is src for f in stack):
-                raise _refused("expected complete mappings for merging", opened)
-            mapping.update(src)
-    try:
-        mapping.update(pair for pair in pairs if pair[0] is not _MERGE)  # then its own pairs
-    except TypeError:  # a list or mapping as a key
-        raise _refused("found unhashable key", opened) from None
 
 
 def _refused(problem: str, event: yaml.Event) -> yaml.YAMLError:

@@ -196,19 +196,10 @@ HOSTILE_EDITS = [
     ("omega1: 1.0", "omega1: !!float abc"),
     ("steps: 2", "steps: !!int 1.5"),
     ("omega1: 1.0", "omega1: !!timestamp xx"),
-    # anchors, aliases and merge keys
+    # anchors and aliases
     ("omega2: 1.0", "omega2: *nowhere"),
     ("omega1: 1.0, omega2: 1.0", "omega1: &w 1.0, omega2: *w"),
     ("omega1: 1.0, omega2: 1.0", "omega1: &w 1.0, omega2: &w 1.0"),
-    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
-     "params: {<<: {omega1: 1.0, omega2: 1.0}, lambda: 0.5}"),
-    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
-     "params: {<<: [{omega1: 1.0}, {omega1: 2.0, omega2: 1.0}], lambda: 0.5}"),
-    ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
-     "base: &b {omega1: 1.0, omega2: 1.0}\nparams: {<<: *b, lambda: 0.5}"),
-    ("lambda: 0.5}", "lambda: 0.5, <<: {lambda: 9.0}}"),  # the mapping's own key wins
-    ("lambda: 0.5}", "lambda: 0.5, <<: 1}"),
-    ("lambda: 0.5}", "lambda: 0.5, <<: [{omega3: 1.0}, 2]}"),
     ("outputs: [fidelity]", "outputs: !!set {fidelity}"),
 ]
 # Texts outside the scenario schema that the reader must build as yaml.load
@@ -219,8 +210,6 @@ READER_TEXTS = [
     "- 1\n- 2\n",
     "1.5\n",
     "a: &x [1, {k: 2}]\nb: *x\nc: [*x, *x]\n",
-    "a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4}\nc: {<<: [*a, *b], w: 0}\nd: {w: 0, <<: *b, z: 9}\n",
-    "a: {<<: [{x: 1}, {x: 2}], <<: {x: 3}}\nb: {<<: {}}\nc: &n {<<: {x: 1}}\nd: {<<: *n}\n",
     "a: {'<<': {x: 1}, =: 2, &v =: 3, b: *v}\n",
     "q: ['1.0', \"2\", '~', '0x10']\nn: [0x10, 1_000, 1:30, 07, 010, -0, +5, 0b11, 1__0]\n",
     "f: [.inf, -.inf, .NaN, +.5, 1., .5, 1.5e+3, -0.0, 1_0.5, 1:30.5, 1.0e400]\n",
@@ -247,15 +236,33 @@ READER_TEXTS = [
     # ints past 2**64, and floats past a double's range either way
     "b: [1e5, 1.0e5, 1.5E+3, 1.e+5, -.5, +1., 00, +0, -0, \u0661\u0662, \u0663.\u0665, 1_0.5,"
     " 99999999999999999999, 1.5e+999, -1.5e-999]\n",
-]
-# Texts yaml.load reads that the reader refuses: tagged collections, an anchor
-# on a merge key, and a merge of a mapping that encloses it
-REFUSED_TEXTS = [
+    # tagged collections
     "a: !!set {b: 1}\n",
     "a: !!omap [{b: 1}]\n",
+]
+# Texts with a merge key (<<), which the reader refuses wherever it stands. yaml.load
+# copies a merged mapping's pairs once per alias, so the last text's chain of merges
+# would make it build 2**40 pairs.
+MERGE_TEXTS = [
+    "a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4}\nc: {<<: [*a, *b], w: 0}\nd: {w: 0, <<: *b, z: 9}\n",
+    "a: {<<: [{x: 1}, {x: 2}], <<: {x: 3}}\nb: {<<: {}}\nc: &n {<<: {x: 1}}\nd: {<<: *n}\n",
+    "a: {! <<: {x: 1}}\n",
+    "a: {!!merge x: {y: 1}}\n",
     "{&k <<: {a: 1}, *k : {b: 2}}\n",
     "&a {b: {<<: *a}}\n",
     "&a {<<: *a}\n",
+    *(BUDGET_BASE.replace(old, new) for old, new in [
+        ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+         "params: {<<: {omega1: 1.0, omega2: 1.0}, lambda: 0.5}"),
+        ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+         "params: {<<: [{omega1: 1.0}, {omega1: 2.0, omega2: 1.0}], lambda: 0.5}"),
+        ("params: {omega1: 1.0, omega2: 1.0, lambda: 0.5}",
+         "base: &b {omega1: 1.0, omega2: 1.0}\nparams: {<<: *b, lambda: 0.5}"),
+        ("lambda: 0.5}", "lambda: 0.5, <<: {lambda: 9.0}}"),
+        ("lambda: 0.5}", "lambda: 0.5, <<: 1}"),
+        ("lambda: 0.5}", "lambda: 0.5, <<: [{omega3: 1.0}, 2]}"),
+    ]),
+    "a0: &a0 {x: 1}\n" + "".join(f"a{k}: &a{k} {{<<: [*a{k - 1}, *a{k - 1}]}}\n" for k in range(1, 41)),
 ]
 
 
@@ -304,13 +311,14 @@ def same_tree(a, b, seen=None):
 
 
 def read_with(text, libyaml):
-    """``_read_yaml(text)`` with or without libyaml, or the YAMLError class it raises."""
+    """``_read_yaml(text)`` with or without libyaml, or YAMLError where it refuses the text
+    or ``yaml.load`` cannot read a scalar, as in :func:`load_or_refuse`."""
     with pytest.MonkeyPatch.context() as patch:
         if not libyaml:
             patch.delattr(yaml, "CSafeLoader", raising=False)
         try:
             return _read_yaml(text)
-        except yaml.YAMLError:
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError):
             return yaml.YAMLError
 
 
@@ -385,6 +393,40 @@ def amplitudes_file(pairs):
             "outputs: [fidelity, report]\n")
 
 
+# A file in the shape of each benchmark workload's, written as perfbench's generator
+# writes them (block mappings, %.17e floats, flow lists of words); amplitudes_file
+# has the shape of the amplitude time grids
+WORKLOAD_FILES = [
+    (  # grid_dense, coherent
+        "params:\n  omega1: 1.57812500000000000e+00\n  omega2: 1.09375000000000000e+00\n"
+        "  lambda: 6.25000000000000000e-01\ninitial:\n  kind: coherent\n"
+        "  alpha: [8.41470984807896505e-01, -5.40302305868139765e-01]\n  truncation: 20\n"
+        "n_max: 20\nschedule:\n  kind: time_grid\n  t_start: 0.00000000000000000e+00\n"
+        "  t_end: 1.21428571428571423e+01\n  steps: 201\n"
+        "outputs: [fidelity, number_distribution, reduced_density, report]\n"),
+    (  # scan_sweep
+        "params:\n  omega1: 3.25000000000000000e+00\n  omega2: 1.25000000000000000e+00\n"
+        "  lambda: 5.00000000000000000e-01\ninitial:\n  kind: amplitudes\n  values:\n"
+        "    - [5.00000000000000000e-01, -2.50000000000000000e-01]\n"
+        "    - [-3.75000000000000000e-01, 7.50000000000000000e-01]\n"
+        "schedule:\n  kind: exchange_scan\n  k_max: 7\noutputs: [report]\n"),
+    (  # verify_suites
+        "params:\n  omega1: 1.00000000000000000e+00\n  omega2: 1.00000000000000000e+00\n"
+        "  lambda: 5.00000000000000000e-01\ninitial:\n  kind: fock\n  n: 1\n"
+        "schedule:\n  kind: verify\n  suite: oracle\noutputs: [report]\n"),
+]
+# (text in BUDGET_BASE, its replacement, the field the error names or None for
+# BUDGET_BASE's scenario): each goes past plain YAML once, to yaml.load
+PAST_PLAIN_EDITS = [
+    ("n: 1", "n: &n 1", None),
+    ("omega1: 1.0, omega2: 1.0", "omega1: &w 1.0, omega2: *w", None),
+    ("steps: 2", "steps: 0x2", None),
+    ("steps: 2", "steps: !!int 2", None),
+    ("outputs: [fidelity]", "outputs: yes", "outputs"),
+    ("outputs: [fidelity]", "outputs: ~", "outputs"),
+]
+
+
 class TestYamlLoaders:
     @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
     def test_plain_numbers_skip_the_resolver(self, monkeypatch, tmp_path, libyaml):
@@ -409,6 +451,84 @@ class TestYamlLoaders:
             "params", "omega1", "omega2", "lambda", "initial", "kind", "amplitudes", "values",
             "n_max", "schedule", "kind", "time_grid", "t_start", "t_end", "steps",
             "outputs", "fidelity", "report"]
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_only_files_past_plain_yaml_reach_yaml_load(self, monkeypatch, tmp_path, libyaml):
+        # the examples and files shaped as the benchmark's never pay for yaml.load
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        calls, load = [], yaml.load
+        monkeypatch.setattr(yaml, "load", lambda text, cls: calls.append(cls) or load(text, cls))
+        path = tmp_path / "scenario.yaml"
+        plain = [amplitudes_file(61), amplitudes_file(1001), *WORKLOAD_FILES]
+        for text in [scenario.read_text() for scenario in SCENARIOS] + plain:
+            path.write_text(text)
+            assert isinstance(load_scenario(path), Scenario), text
+        assert calls == []
+        path.write_text(BUDGET_BASE)
+        base = load_scenario(path)
+        for old, new, field in PAST_PLAIN_EDITS:
+            assert old in BUDGET_BASE
+            path.write_text(BUDGET_BASE.replace(old, new))
+            assert load_with(monkeypatch, path, libyaml) == (field or base), new
+            assert calls == [loader], new
+            calls.clear()
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_depth_is_checked_before_yaml_load(self, monkeypatch, tmp_path, libyaml):
+        # an anchor on the first line sends the file to yaml.load, whose parsers
+        # recurse once per level; the loop refuses the file before that call
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        calls = []
+        monkeypatch.setattr(yaml, "load", lambda *args: calls.append(args))
+        path = tmp_path / "scenario.yaml"
+        path.write_text("first: &a 1\n" + QUBIT_SCAN + "deep: " + "[" * 3000 + "]" * 3000 + "\n")
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match=r'"\(file\)".* nested more than 100 containers deep'):
+            load_scenario(path)
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_merge_keys_are_refused_before_yaml_load(self, monkeypatch, tmp_path, capsys, libyaml):
+        # the chain of 40 merges uses 80 openers at depth 2, far inside both limits
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        calls = []
+        monkeypatch.setattr(yaml, "load", lambda *args: calls.append(args))
+        path = tmp_path / "scenario.yaml"
+        for text in MERGE_TEXTS:
+            path.write_text(text)
+            start = time.perf_counter()
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2, text
+            assert time.perf_counter() - start < 1.0, text
+            assert capsys.readouterr().err.startswith(
+                'error: scenario field "(file)": not valid YAML: found a merge key (<<)'), text
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_reader_texts_exit_two_naming_a_field(self, monkeypatch, tmp_path, capsys, libyaml):
+        # tagged collections read by yaml.load reach the schema, and every
+        # refusal of the reader or of yaml.load is a scenario error
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "scenario.yaml"
+        for text in READER_TEXTS:
+            path.write_text(text)
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2, text
+            assert capsys.readouterr().err.startswith("error: scenario field "), text
+        assert not (tmp_path / "out").exists()
 
     @needs_libyaml
     @pytest.mark.parametrize("path", SCENARIOS, ids=[path.stem for path in SCENARIOS])
@@ -438,20 +558,10 @@ class TestYamlLoaders:
         loader = yaml.CSafeLoader if libyaml else yaml.SafeLoader
         checked = 0
         for text in hostile_texts() + READER_TEXTS:
-            try:
-                expected = yaml.load(text, Loader=loader)
-            except yaml.YAMLError:
-                expected = yaml.YAMLError
-            except (ValueError, LookupError, AttributeError):
-                expected = yaml.YAMLError  # a bad scalar (!!float abc) ends yaml.load unmarked
-            if "!!set" in text:
-                expected = yaml.YAMLError  # a tagged collection, as in REFUSED_TEXTS
+            expected = load_or_refuse(text, loader)
             assert same_tree(read_with(text, libyaml), expected), text
             checked += expected is not yaml.YAMLError
         assert checked >= 30
-        for text in REFUSED_TEXTS:
-            yaml.load(text, Loader=loader)
-            assert read_with(text, libyaml) is yaml.YAMLError, text
 
     @needs_libyaml
     def test_libyaml_is_used_when_present(self, monkeypatch, tmp_path):
